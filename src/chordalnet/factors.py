@@ -18,6 +18,8 @@ kernel to a factor may transpose.
 
 Values are IEEE double precision.  Tables are immutable after construction
 and all operations are pure, so values can be shared across threads.
+A :class:`VariableTable` indexes its names once, at construction, outside
+its dataclass fields, so ``==`` and ``hash`` ignore the index.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class VariableTable:
         names = [name for name, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         for name, states in self.entries:
             if not states:
                 raise ValueError(f"variable {name} has no states")
@@ -59,10 +62,10 @@ class VariableTable:
         return tuple(name for name, _ in self.entries)
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.entries):
-            if n == name:
-                return i
-        raise KeyError(f"unknown variable {name}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"unknown variable {name}") from None
 
     def states(self, name: str) -> tuple[str, ...]:
         return self.entries[self.index(name)][1]
@@ -144,7 +147,7 @@ def check_factor(f: Factor, vt: VariableTable) -> None:
 def kernel_violations(k: Kernel, vt: VariableTable, tol: float = 1e-9) -> list[str]:
     """All ways in which ``k`` fails its invariants against ``vt``."""
     out: list[str] = []
-    known = set(vt.names)
+    known = vt._index.keys()
     if k.child not in known:
         return [f"kernel child {k.child} is not a declared variable"]
     if not set(k.parents) <= known:

@@ -9,6 +9,8 @@ are not listed topologically are rejected instead of silently re-sorted.
 
 Graph values are immutable after construction and every operation in this
 module is a pure function, so values may be shared freely across threads.
+Each graph indexes its vertex positions and sorted adjacency once, at
+construction, outside its dataclass fields, so ``==`` and ``hash`` ignore them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,21 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
+
+
+def _adjacency(pairs: Iterable[tuple[str, str]], pos: dict) -> dict:
+    """Map each ``u`` to its partners ``v`` over ``pairs``, sorted by ``pos``."""
+    out: dict[str, list[str]] = {}
+    for u, v in pairs:
+        out.setdefault(u, []).append(v)
+    return {u: tuple(sorted(vs, key=pos.get)) for u, vs in out.items()}
+
+
+def _position(g: Graph, v: str) -> int:
+    try:
+        return g._pos[v]
+    except KeyError:
+        raise ValueError(f"{v!r} is not a vertex") from None
 
 
 @dataclass(frozen=True)
@@ -52,18 +69,18 @@ class OrderedDag:
                     f"edge ({u}, {v}) violates the vertex order; directed "
                     "graphs must be listed topologically"
                 )
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_parents", _adjacency((e[::-1] for e in self.edges), pos))
+        object.__setattr__(self, "_children", _adjacency(self.edges, pos))
 
-    def position(self, v: str) -> int:
-        return self.vertices.index(v)
+    position = _position
 
     def parents_of(self, v: str) -> tuple[str, ...]:
         """Parents of ``v``, sorted by the vertex order."""
-        ps = {u for u, w in self.edges if w == v}
-        return tuple(u for u in self.vertices if u in ps)
+        return self._parents.get(v, ())
 
     def children_of(self, v: str) -> tuple[str, ...]:
-        cs = {w for u, w in self.edges if u == v}
-        return tuple(w for w in self.vertices if w in cs)
+        return self._children.get(v, ())
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
@@ -87,19 +104,21 @@ class OrderedUGraph:
         )
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        known = set(self.vertices)
+        pos = {v: i for i, v in enumerate(self.vertices)}
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {set(e)} is not a pair of distinct vertices")
-            if not e <= known:
+            if not e <= pos.keys():
                 raise ValueError(f"edge {set(e)} mentions an unknown vertex")
+        pairs = [tuple(e) for e in self.edges]
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_neighbours", _adjacency(pairs + [e[::-1] for e in pairs], pos))
 
-    def position(self, v: str) -> int:
-        return self.vertices.index(v)
+    position = _position
 
     def neighbours_of(self, v: str) -> tuple[str, ...]:
-        ns = {next(iter(e - {v})) for e in self.edges if v in e}
-        return tuple(u for u in self.vertices if u in ns)
+        """Neighbours of ``v``, sorted by the vertex order."""
+        return self._neighbours.get(v, ())
 
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
@@ -149,8 +168,7 @@ def check_hom(hom: GraphHom) -> bool:
     if not set(vm.values()) <= set(tgt.vertices):
         raise ValueError("vertex map has images outside the target")
 
-    tpos = {v: i for i, v in enumerate(tgt.vertices)}
-    images = [tpos[vm[v]] for v in src.vertices]
+    images = [tgt.position(vm[v]) for v in src.vertices]
     if any(a > b for a, b in zip(images, images[1:])):
         return False
 
@@ -207,40 +225,29 @@ def moralise_graph(g: OrderedDag) -> OrderedUGraph:
     return OrderedUGraph(g.vertices, edges)
 
 
-def _reachable_through_high(h: OrderedUGraph, v: str, w: str) -> bool:
-    """Is there a path v - x1 - ... - w in ``h`` with every xi listed at or
-    after ``w``?  Direct edges count (no intermediates)."""
-    if h.has_edge(v, w):
-        return True
-    pos = {u: i for i, u in enumerate(h.vertices)}
-    cut = pos[w]
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for n in h.neighbours_of(u):
-            if n == w:
-                return True
-            if pos[n] > cut and n not in seen:
-                seen.add(n)
-                queue.append(n)
-    return False
-
-
 def triangulate_graph(h: OrderedUGraph) -> OrderedDag:
     """Direct ``h`` along its vertex order then add the fill-in edges.
 
     The output has an edge ``v -> w`` exactly when ``v`` precedes ``w`` and
     ``h`` contains a path from ``v`` to ``w`` whose intermediate vertices
-    all come at or after ``w`` in the order (a direct edge is the
+    all come after ``w`` in the order (a direct edge is the
     zero-intermediate case).  The result always satisfies
     :func:`is_ordered_chordal`.
+
+    Computed by the elimination game (Rose, Tarjan & Lueker 1976) in
+    O(n + m + fill): walking ``w`` from last to first, its earlier
+    neighbours become its parents, and all but the latest of them, the
+    host, join the host's earlier neighbours.
     """
+    pos = h._pos
+    lower = {w: {v for v in h.neighbours_of(w) if pos[v] < pos[w]} for w in h.vertices}
     edges = set()
-    for wi, w in enumerate(h.vertices):
-        for v in h.vertices[:wi]:
-            if _reachable_through_high(h, v, w):
-                edges.add((v, w))
+    for w in reversed(h.vertices):
+        below = lower[w]
+        if below:
+            edges.update((v, w) for v in below)
+            host = max(below, key=pos.get)
+            lower[host] |= below - {host}
     return OrderedDag(h.vertices, edges)
 
 
@@ -366,8 +373,7 @@ def all_cliques(h: OrderedUGraph) -> list[tuple[str, ...]]:
                 extend(bigger, i + 1)
 
     extend((), 0)
-    pos = {v: i for i, v in enumerate(verts)}
-    out.sort(key=lambda c: (len(c), tuple(pos[v] for v in c)))
+    out.sort(key=lambda c: (len(c), tuple(map(h.position, c))))
     return out
 
 
@@ -417,10 +423,7 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
     if not is_ordered_chordal(g):
         raise ValueError("junction_tree requires an ordered chordal graph")
 
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    families = [
-        tuple(sorted({v, *g.parents_of(v)}, key=pos.get)) for v in g.vertices
-    ]
+    families = [g.parents_of(v) + (v,) for v in g.vertices]
     family_sets = [set(f) for f in families]
     clusters = sorted(
         {
@@ -428,7 +431,7 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
             for f, fs in zip(families, family_sets)
             if not any(fs < other for other in family_sets)
         },
-        key=lambda c: tuple(pos[v] for v in c),
+        key=lambda c: tuple(map(g.position, c)),
     )
 
     n = len(clusters)
@@ -452,7 +455,7 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
             parent[ri] = rj
             tree_edges.add((i, j))
             sep = set(clusters[i]) & set(clusters[j])
-            sepsets[(i, j)] = tuple(sorted(sep, key=pos.get))
+            sepsets[(i, j)] = tuple(sorted(sep, key=g.position))
     return ClusterTree(tuple(clusters), frozenset(tree_edges), sepsets)
 
 

@@ -242,18 +242,16 @@ def _regrouped_factors(
     alpha: GraphHom,
 ) -> dict[frozenset[str], Factor]:
     """Target clique factors bundled onto their image cliques."""
-    tpos = {w: i for i, w in enumerate(tgt.graph.vertices)}
     groups: dict[frozenset[str], list[Factor]] = {}
     for clique, f in sorted(
-        tgt.factors.items(), key=lambda kv: tuple(sorted(tpos[w] for w in kv[0]))
+        tgt.factors.items(), key=lambda kv: tuple(sorted(map(tgt.graph.position, kv[0])))
     ):
         image = frozenset(alpha.vertex_map[w] for w in clique)
         groups.setdefault(image, []).append(f)
 
-    spos = {v: i for i, v in enumerate(src_graph.vertices)}
     out: dict[frozenset[str], Factor] = {}
     for image, tables in groups.items():
-        members = tuple(sorted(image, key=spos.get))
+        members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
         prod = reduce(lambda a, b: factor_product(a, b, tgt.vt), tables)
         spread = prod.values.reshape(

@@ -147,11 +147,12 @@ def network_violations(net: Network) -> list[str]:
             out.append("graph is not ordered chordal")
         out.extend(_kernel_map_violations(net, require_stochastic=False))
     elif isinstance(net, MarkovNetwork):
+        known = set(net.graph.vertices)
         for clique, f in sorted(net.factors.items(), key=lambda kv: sorted(kv[0])):
-            members = sorted(clique, key=lambda v: net.vt.index(v))
-            if not set(clique) <= set(net.graph.vertices):
-                out.append(f"factor clique {members} mentions unknown vertices")
+            if not clique <= known:
+                out.append(f"factor clique {sorted(clique)} mentions unknown vertices")
                 continue
+            members = sorted(clique, key=net.vt.index)
             complete = all(
                 net.graph.has_edge(u, w)
                 for i, u in enumerate(members)
@@ -217,12 +218,11 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
     unchanged (exactly, as a function) by making those explicit.
     """
     require_valid(mn)
-    order = {v: i for i, v in enumerate(mn.graph.vertices)}
     tables = [
         f
         for _, f in sorted(
             mn.factors.items(),
-            key=lambda kv: tuple(sorted(order[v] for v in kv[0])),
+            key=lambda kv: tuple(sorted(map(mn.graph.position, kv[0]))),
         )
     ]
     return _product_over_all(tables, mn.vt, mn.graph.vertices)

@@ -374,10 +374,9 @@ def network_to_document(net: Network) -> dict:
     ]
     if isinstance(net, MarkovNetwork):
         kind = "markov"
-        edges = sorted(
-            [sorted(e, key=pos.get) for e in net.graph.edges],
-            key=lambda e: (pos[e[0]], pos[e[1]]),
-        )
+        edges = [
+            [u, w] for u in vt.names for w in net.graph.neighbours_of(u) if pos[u] < pos[w]
+        ]
         tables = []
         for clique in sorted(
             net.factors, key=lambda c: tuple(sorted(pos[v] for v in c))
@@ -397,9 +396,7 @@ def network_to_document(net: Network) -> dict:
             tables.append({"clique": list(members), "rows": rows})
     else:
         kind = "bayesian" if isinstance(net, BayesianNetwork) else "chordal"
-        edges = sorted(
-            [list(e) for e in net.graph.edges], key=lambda e: (pos[e[0]], pos[e[1]])
-        )
+        edges = [[u, w] for u in vt.names for w in net.graph.children_of(u)]
         tables = []
         for v in net.graph.vertices:
             k = net.kernels[v]

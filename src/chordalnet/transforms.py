@@ -145,11 +145,9 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     """
     require_valid(mn)
     graph = triangulate_graph(mn.graph)
-    pos = {v: i for i, v in enumerate(graph.vertices)}
-
     consumed: dict[str, list[Factor]] = {v: [] for v in graph.vertices}
-    for clique, f in sorted(mn.factors.items(), key=lambda kv: sorted(pos[v] for v in kv[0])):
-        consumed[max(clique, key=pos.get)].append(f)
+    for clique, f in sorted(mn.factors.items(), key=lambda kv: sorted(map(graph.position, kv[0]))):
+        consumed[max(clique, key=graph.position)].append(f)
 
     kernels: dict[str, Kernel] = {}
     for v in graph.vertices:

@@ -4,12 +4,14 @@ The oracles here deliberately avoid the library's factor machinery and
 graph algorithms: joints are enumerated assignment by assignment with
 plain dict lookups and stride arithmetic, separation is decided by
 enumerating simple paths, and the qualifying-path test for triangulation
-enumerates paths outright.  They exist to check the fast implementations
+enumerates paths outright (with a per-pair BFS of the same definition for
+graphs too large to enumerate).  They exist to check the fast implementations
 against the definitions.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product as iter_product
 
 import numpy as np
@@ -230,6 +232,37 @@ def oracle_triangulation_edge(h: OrderedUGraph, v: str, w: str) -> bool:
         if all(pos[u] >= pos[w] for u in path[1:-1]):
             return True
     return False
+
+
+def reference_triangulation_edges(h: OrderedUGraph) -> set[tuple[str, str]]:
+    """The triangulation edge set by its definition, one BFS per vertex pair.
+
+    ``v -> w`` is an edge when ``v`` precedes ``w`` and ``h`` has a path
+    from ``v`` to ``w`` whose intermediate vertices all come after ``w``.
+    Polynomial, unlike :func:`oracle_triangulation_edge`, so it scales to
+    property tests and grids.
+    """
+    pos = {u: i for i, u in enumerate(h.vertices)}
+    adj = _undirected_adjacency(h)
+
+    def reachable_through_later(v: str, w: str) -> bool:
+        seen = {v}
+        queue = deque([v])
+        while queue:
+            for n in adj[queue.popleft()]:
+                if n == w:
+                    return True
+                if pos[n] > pos[w] and n not in seen:
+                    seen.add(n)
+                    queue.append(n)
+        return False
+
+    return {
+        (v, w)
+        for w in h.vertices
+        for v in h.vertices[: pos[w]]
+        if reachable_through_later(v, w)
+    }
 
 
 def oracle_running_intersection(tree) -> bool:

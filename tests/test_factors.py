@@ -96,6 +96,24 @@ class TestValidation:
             factor_product(Factor(("B", "A"), [1, 2, 3, 4]), mfactor("A", "B"), VT)
 
 
+class TestVariableTableLookups:
+    def test_index_follows_listing_order(self):
+        assert [VT.index(v) for v in "ABCD"] == [0, 1, 2, 3]
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown variable Z"):
+            VT.index("Z")
+
+    def test_equal_tables_compare_and_hash_equal(self):
+        a = VariableTable([("A", ["a", "na"]), ("B", ("b",))])
+        b = VariableTable((("A", ("a", "na")), ("B", ("b",))))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "VariableTable(entries=(('A', ('a', 'na')), ('B', ('b',))))"
+        )
+        assert a != VariableTable((("B", ("b",)), ("A", ("a", "na"))))
+
+
 class TestProduct:
     def test_misconception_pair_entry(self):
         p = factor_product(mfactor("A", "B"), mfactor("B", "C"), VT)

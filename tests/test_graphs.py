@@ -8,6 +8,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordalnet import (
     GraphHom,
@@ -33,11 +35,43 @@ from helpers import (
     oracle_u_separated,
     random_dag,
     random_ugraph,
+    reference_triangulation_edges,
 )
 
 
 def udag(*pairs):
     return {frozenset(p) for p in pairs}
+
+
+@st.composite
+def shuffled_ugraphs(draw, max_n=30):
+    """Graphs of random size and density whose listing order is shuffled
+    relative to the vertex names."""
+    n = draw(st.integers(1, max_n))
+    names = tuple(f"V{i}" for i in draw(st.permutations(range(n))))
+    # The density comes from the seeded generator: hypothesis would mostly
+    # draw the boundary densities 0 and 1.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = rng.random()
+    edges = {
+        frozenset((names[i], names[j]))
+        for i, j in combinations(range(n), 2)
+        if rng.random() < density
+    }
+    return OrderedUGraph(names, edges)
+
+
+def grid_ugraph(k):
+    """The k x k grid, listed row-major."""
+    names = tuple(f"r{i}c{j}" for i in range(k) for j in range(k))
+    edges = set()
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.add(frozenset((f"r{i}c{j}", f"r{i}c{j + 1}")))
+            if i + 1 < k:
+                edges.add(frozenset((f"r{i}c{j}", f"r{i + 1}c{j}")))
+    return OrderedUGraph(names, edges)
 
 
 class TestConstruction:
@@ -60,6 +94,38 @@ class TestConstruction:
     def test_parents_sorted_by_order(self):
         g = OrderedDag(("B", "E", "A"), {("E", "A"), ("B", "A")})
         assert g.parents_of("A") == ("B", "E")
+
+
+class TestLookups:
+    """Indexed lookups keep the answers of the scans they replace."""
+
+    def test_position_of_unknown_vertex_raises_value_error(self):
+        for g in (OrderedDag(("A", "B"), {("A", "B")}), OrderedUGraph(("A", "B"))):
+            assert g.position("B") == 1
+            with pytest.raises(ValueError):
+                g.position("Z")
+
+    def test_adjacency_of_unknown_vertex_is_empty(self):
+        g = OrderedDag(("A", "B"), {("A", "B")})
+        h = OrderedUGraph(("A", "B"), udag(("A", "B")))
+        assert g.parents_of("Z") == () and g.children_of("Z") == ()
+        assert h.neighbours_of("Z") == ()
+        assert g.parents_of("A") == () and h.neighbours_of("A") == ("B",)
+
+    def test_neighbours_sorted_by_order(self):
+        h = OrderedUGraph(("C", "A", "B"), udag(("B", "C"), ("A", "B")))
+        assert h.neighbours_of("B") == ("C", "A")
+
+    def test_equal_values_compare_and_hash_equal(self):
+        g1 = OrderedDag(["A", "B", "C"], [("B", "C"), ("A", "C")])
+        g2 = OrderedDag(("A", "B", "C"), {("A", "C"), ("B", "C")})
+        h1 = OrderedUGraph(["A", "B", "C"], [("A", "B"), ("C", "B")])
+        h2 = OrderedUGraph(("A", "B", "C"), udag(("B", "C"), ("A", "B")))
+        for a, b in ((g1, g2), (h1, h2)):
+            assert a == b and hash(a) == hash(b)
+            name = type(a).__name__
+            assert repr(a) == f"{name}(vertices={a.vertices!r}, edges={a.edges!r})"
+        assert g1 != OrderedDag(("A", "B", "C"), {("A", "C")})
 
 
 class TestMoralise:
@@ -136,6 +202,24 @@ class TestTriangulate:
                 for v in h.vertices:
                     for w in h.vertices:
                         assert ((v, w) in t.edges) == oracle_triangulation_edge(h, v, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_ugraphs())
+    def test_matches_bfs_reference(self, h):
+        assert triangulate_graph(h).edges == reference_triangulation_edges(h)
+
+    def test_long_chain_has_no_fill(self):
+        names = tuple(f"x{i}" for i in range(2000))
+        h = OrderedUGraph(names, {frozenset(p) for p in zip(names, names[1:])})
+        t = triangulate_graph(h)
+        assert t.edges == set(zip(names, names[1:]))
+        assert is_ordered_chordal(t)
+
+    def test_grid_matches_bfs_reference(self):
+        h = grid_ugraph(12)
+        t = triangulate_graph(h)
+        assert t.edges == reference_triangulation_edges(h)
+        assert is_ordered_chordal(t)
 
     def test_roundtrip_identity_on_chordal_graphs(self):
         # triangulating the moral graph of an ordered chordal graph returns it

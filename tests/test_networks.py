@@ -21,6 +21,7 @@ from chordalnet import (
     moralise_cn,
     network_violations,
     ones_factor,
+    require_valid,
 )
 from helpers import (
     misconception_assignments,
@@ -58,6 +59,18 @@ class TestValidation:
         mn = MarkovNetwork(misconception.graph, misconception.vt, bad)
         violations = network_violations(mn)
         assert len(violations) == 1 and "not a clique" in violations[0]
+
+    def test_unknown_clique_vertex_is_flagged(self, misconception):
+        # Z is declared neither in the graph nor in the variable table; the
+        # collect-all check reports it instead of failing on the lookup.
+        bad = dict(misconception.factors)
+        bad[frozenset({"A", "Z"})] = Factor(("A", "Z"), [1, 1, 1, 1])
+        mn = MarkovNetwork(misconception.graph, misconception.vt, bad)
+        assert network_violations(mn) == [
+            "factor clique ['A', 'Z'] mentions unknown vertices"
+        ]
+        with pytest.raises(NetworkValidationError, match="unknown vertices"):
+            require_valid(mn)
 
     def test_missing_kernel_is_flagged(self):
         vt = binary_vt("A", "B")
