@@ -52,6 +52,7 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     NetworkValidationError,
+    TableTooLargeError,
     bn_joint,
     cn_product,
     marginal_distribution,

@@ -1,10 +1,11 @@
 """Deterministic command line front end.
 
 Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
-failure (degenerate distribution or a graph precondition such as
-chordality).  Reports go to stdout, diagnostics to stderr.  Identical
-input bytes always produce identical output bytes; paths may be ``-`` for
-stdin/stdout so commands compose in pipes.
+failure (degenerate distribution, a graph precondition such as
+chordality, or a table above ``networks.MAX_TABLE_ENTRIES``).  Reports go
+to stdout, diagnostics to stderr.  Identical input bytes always produce
+identical output bytes; paths may be ``-`` for stdin/stdout so commands
+compose in pipes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .networks import (
     MarkovNetwork,
     Network,
     NetworkValidationError,
+    TableTooLargeError,
     bn_joint,
     cn_product,
     marginal_distribution,
@@ -132,17 +134,14 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _full_table(net: Network):
-    if isinstance(net, BayesianNetwork):
-        return bn_joint(net)
-    if isinstance(net, MarkovNetwork):
-        return mn_unnormalized(net)
-    return cn_product(net)
-
-
 def _cmd_joint(args) -> int:
     net = _load(args.input)
-    table = _full_table(net)
+    if isinstance(net, BayesianNetwork):
+        table = bn_joint(net)
+    elif isinstance(net, MarkovNetwork):
+        table = mn_unnormalized(net)
+    else:
+        table = cn_product(net)
     _print_table(net, table.vars, table.values)
     return 0
 
@@ -157,8 +156,8 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_partition(args) -> int:
     net = _load(args.input)
-    table = _full_table(net)
-    print(f"{float(table.values.sum()):.17g}")
+    z = marginal_distribution(net, [])
+    print(f"{float(z.values[0]):.17g}")
     return 0
 
 
@@ -241,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_joint)
 
-    p = sub.add_parser("marginal", help="print a marginal of the full table")
+    p = sub.add_parser(
+        "marginal",
+        help="print a marginal, summing the other variables out by elimination",
+    )
     p.add_argument("input")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.set_defaults(func=_cmd_marginal)
@@ -290,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in exc.violations:
             print(line, file=sys.stderr)
         return VALIDATION_EXIT
-    except DegenerateDistributionError as exc:
+    except (DegenerateDistributionError, TableTooLargeError) as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_EXIT
 

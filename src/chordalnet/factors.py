@@ -18,8 +18,9 @@ kernel to a factor may transpose.
 
 Values are IEEE double precision.  Tables are immutable after construction
 and all operations are pure, so values can be shared across threads.
-A :class:`VariableTable` indexes its names once, at construction, outside
-its dataclass fields, so ``==`` and ``hash`` ignore the index.
+A :class:`VariableTable` builds its names tuple and index once, at
+construction, outside its dataclass fields, so ``==``, ``hash`` and
+``repr`` ignore them.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ class VariableTable:
             "entries",
             tuple((name, tuple(states)) for name, states in self.entries),
         )
-        names = [name for name, _ in self.entries]
+        names = tuple(name for name, _ in self.entries)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         for name, states in self.entries:
             if not states:
@@ -59,7 +61,7 @@ class VariableTable:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
+        return self._names
 
     def index(self, name: str) -> int:
         try:
@@ -86,7 +88,8 @@ class VariableTable:
 
 def _as_table(values: object) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel().copy()
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+    # NaN fails both comparisons.
+    if arr.size and not (arr.min() >= 0 and arr.max() < np.inf):
         raise ValueError("table values must be finite and nonnegative")
     arr.setflags(write=False)
     return arr

@@ -16,9 +16,12 @@ Operations whose contract requires a valid network raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping
+
+import numpy as np
 
 from .factors import (
     Factor,
@@ -181,9 +184,24 @@ def require_valid(net: Network) -> None:
         raise NetworkValidationError(violations)
 
 
+class TableTooLargeError(ValueError):
+    """A dense table would have more than :data:`MAX_TABLE_ENTRIES` entries."""
+
+
+# The most entries a dense table may have before anything is multiplied:
+# 2**24 doubles are 128 MiB, and a product briefly holds a few such arrays.
+MAX_TABLE_ENTRIES = 1 << 24
+
+
 def _product_over_all(
     factors: list[Factor], vt: VariableTable, vars: tuple[str, ...]
 ) -> Factor:
+    entries = math.prod(vt.shape(vars))
+    if entries > MAX_TABLE_ENTRIES:
+        raise TableTooLargeError(
+            f"a table over {len(vars)} variables would have {entries:,} "
+            f"entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
+        )
     acc = reduce(lambda a, b: factor_product(a, b, vt), factors) if factors else None
     if acc is None:
         return ones_factor(vt, vars)
@@ -192,23 +210,82 @@ def _product_over_all(
     return acc
 
 
+def _tables(net: Network) -> list[Factor]:
+    """The network's tables as factors: clique factors, or the kernels."""
+    if isinstance(net, MarkovNetwork):
+        return [
+            f
+            for _, f in sorted(
+                net.factors.items(),
+                key=lambda kv: tuple(sorted(map(net.graph.position, kv[0]))),
+            )
+        ]
+    return [kernel_to_factor(net.kernels[v], net.vt) for v in net.graph.vertices]
+
+
+def _sum_product(net: Network, keep: set[str]) -> Factor:
+    """Sum every variable outside ``keep`` out of the table product.
+
+    Bucket elimination along the declared order, last vertex first: the
+    tables that mention a vertex are multiplied and the vertex is summed
+    out, so each product spans one family of the triangulated graph plus
+    the kept variables; a vertex no table mentions contributes its
+    cardinality.  Each message is rescaled by a power of two, which is
+    exact, and the exponents are applied once at the end, so long
+    networks neither overflow nor underflow on the way.
+    """
+    vt = net.vt
+    buckets: dict[str, list[Factor]] = {v: [] for v in net.graph.vertices}
+    done: list[Factor] = []
+
+    def place(table: Factor) -> None:
+        # Factor variables follow the declared order, so the last free one
+        # is the first to be eliminated.
+        free = [u for u in table.vars if u not in keep]
+        (buckets[free[-1]] if free else done).append(table)
+
+    for table in _tables(net):
+        place(table)
+    exponent = 0
+    for v in reversed(net.graph.vertices):
+        if v in keep:
+            continue
+        bucket = buckets.pop(v)
+        if bucket:
+            family = tuple(sorted({u for t in bucket for u in t.vars}, key=vt.index))
+            message = factor_marginalize(_product_over_all(bucket, vt, family), {v}, vt)
+        else:
+            message = Factor((), [float(vt.card(v))])
+        shift = math.frexp(message.values.max())[1]
+        exponent += shift
+        place(Factor(message.vars, np.ldexp(message.values, -shift)))
+    kept = tuple(v for v in net.graph.vertices if v in keep)
+    table = _product_over_all(done, vt, kept)
+    return Factor(kept, np.ldexp(table.values, exponent))
+
+
 def bn_joint(bn: BayesianNetwork) -> Factor:
     """The joint distribution: the product of all kernels as factors.
 
     Repeated occurrences of a variable are identified by the product, so
     the result is a factor over all vertices; it sums to one (within
     rounding) because the kernels are stochastic and the order topological.
+
+    Raises:
+        TableTooLargeError: if the joint would exceed ``MAX_TABLE_ENTRIES``.
     """
     require_valid(bn)
-    tables = [kernel_to_factor(bn.kernels[v], bn.vt) for v in bn.graph.vertices]
-    return _product_over_all(tables, bn.vt, bn.graph.vertices)
+    return _product_over_all(_tables(bn), bn.vt, bn.graph.vertices)
 
 
 def cn_product(cn: ChordalNetwork) -> Factor:
-    """The unnormalized kernel product of a chordal network."""
+    """The unnormalized kernel product of a chordal network.
+
+    Raises:
+        TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
+    """
     require_valid(cn)
-    tables = [kernel_to_factor(cn.kernels[v], cn.vt) for v in cn.graph.vertices]
-    return _product_over_all(tables, cn.vt, cn.graph.vertices)
+    return _product_over_all(_tables(cn), cn.vt, cn.graph.vertices)
 
 
 def mn_unnormalized(mn: MarkovNetwork) -> Factor:
@@ -216,21 +293,23 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
 
     Absent cliques contribute the all-ones factor, so the result is
     unchanged (exactly, as a function) by making those explicit.
+
+    Raises:
+        TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
     """
     require_valid(mn)
-    tables = [
-        f
-        for _, f in sorted(
-            mn.factors.items(),
-            key=lambda kv: tuple(sorted(map(mn.graph.position, kv[0]))),
-        )
-    ]
-    return _product_over_all(tables, mn.vt, mn.graph.vertices)
+    return _product_over_all(_tables(mn), mn.vt, mn.graph.vertices)
 
 
 def mn_partition(mn: MarkovNetwork) -> float:
-    """The normalization constant Z: the total mass of the factor product."""
-    return float(mn_unnormalized(mn).values.sum())
+    """The normalization constant Z: the total mass of the factor product.
+
+    Computed by sum-product elimination along the declared order, without
+    building the product: the cost is O(n * d^(w+1)) for n variables of at
+    most d states and induced width w.
+    """
+    require_valid(mn)
+    return float(_sum_product(mn, set()).values[0])
 
 
 def mn_is_degenerate(mn: MarkovNetwork) -> bool:
@@ -259,19 +338,18 @@ def network_distribution(net: Network) -> Factor:
 
 
 def marginal_distribution(net: Network, vars: list[str]) -> Factor:
-    """Marginal of the network's full table onto ``vars``.
+    """Marginal of the network's full table onto ``vars``, in declared order.
 
     For Bayesian networks this is a marginal of the joint; for Markov and
     chordal networks it is a marginal of the unnormalized product, kept
-    unnormalized.
+    unnormalized, so ``marginal_distribution(net, [])`` holds the total
+    mass.  The other variables are summed out by elimination along the
+    declared order, without building the full table: the cost is
+    O(n * d^(w+1+k)) for n variables of at most d states, induced width w
+    and k kept variables.
     """
-    if isinstance(net, BayesianNetwork):
-        table = bn_joint(net)
-    elif isinstance(net, MarkovNetwork):
-        table = mn_unnormalized(net)
-    else:
-        table = cn_product(net)
-    unknown = set(vars) - set(table.vars)
+    require_valid(net)
+    unknown = set(vars) - set(net.graph.vertices)
     if unknown:
         raise ValueError(f"unknown variables {sorted(unknown)}")
-    return factor_marginalize(table, set(table.vars) - set(vars), net.vt)
+    return _sum_product(net, set(vars))

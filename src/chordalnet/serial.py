@@ -222,7 +222,7 @@ def _parse_kernel_tables(
             continue
         child = item.get("child")
         parents = item.get("parents", [])
-        if not isinstance(child, str) or child not in vt.names:
+        if not isinstance(child, str) or child not in vt._index:
             errors.append(f"{where}.child: unknown variable {child!r}")
             ok = False
             continue

@@ -14,8 +14,9 @@ Four total conversions are provided, plus a fast path:
   from largest to smallest.  At each vertex the kernel is normalized and
   its mass is multiplied into the largest parent's kernel; ordered
   chordality guarantees the mass table fits there.  Parentless vertices
-  leave scalar masses whose product is the partition constant, which is
-  what the final normalization divides out.
+  leave scalar masses whose product, times the power-of-two scales of the
+  absorbed masses, is the partition constant, which is what the final
+  normalization divides out.
 * :func:`mn_to_bn` is the composition of the previous two.
 * :func:`triangulate_bn` (Bayesian to Bayesian) rebuilds a network over
   its triangulated moral graph without touching the numbers: each kernel
@@ -27,6 +28,7 @@ elimination sweep is private to the call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -63,30 +65,45 @@ class EliminationStep:
 
     ``absorbed_into`` is the vertex's largest parent, or ``None`` for a
     parentless vertex whose scalar mass contributes to the partition
-    constant directly.
+    constant directly.  ``lam`` is the mass as computed; the copy absorbed
+    into the host was multiplied by ``2 ** -log2_scale``, which brings its
+    maximum into [1, 2) and is exact.
     """
 
     vertex: str
     lam: Factor
     absorbed_into: str | None
+    log2_scale: int = 0
 
 
 @dataclass(frozen=True)
 class EliminationTrace:
-    """The elimination steps in processing order (largest vertex first)."""
+    """The elimination steps in processing order (largest vertex first).
+
+    The partition constant is the product of the scalar masses left at
+    parentless vertices times two to the sum of the steps' ``log2_scale``.
+    """
 
     steps: tuple[EliminationStep, ...]
 
-    def partition_mass(self) -> float:
-        """Product of the scalar masses left at parentless vertices.
+    def _scalars(self) -> list[float]:
+        return [float(s.lam.values[0]) for s in self.steps if s.absorbed_into is None]
 
-        Equals the total mass of the input kernel product, hence the
-        partition constant of the corresponding Markov network.
+    def partition_mass(self) -> float:
+        """The partition constant: the total mass of the input kernel product.
+
+        Exact up to the rounding of the scalar product; overflows to
+        ``inf`` or underflows to ``0.0`` when Z is out of double range, where
+        :meth:`log_partition` still holds.
         """
-        scalars = [
-            float(s.lam.values[0]) for s in self.steps if s.absorbed_into is None
-        ]
-        return float(np.prod(scalars)) if scalars else 1.0
+        exponent = sum(s.log2_scale for s in self.steps)
+        with np.errstate(over="ignore", under="ignore"):
+            return float(np.ldexp(np.prod(self._scalars()), exponent))
+
+    def log_partition(self) -> float:
+        """The natural logarithm of the partition constant."""
+        exponent = sum(s.log2_scale for s in self.steps)
+        return float(np.log(self._scalars()).sum()) + exponent * math.log(2.0)
 
 
 def _family_factors(
@@ -179,12 +196,15 @@ def variable_elimination(
     into a stochastic kernel and a mass table over the parents
     (:func:`normalize_to_kernel`, with uniform fill on zero columns); the
     mass is multiplied into the largest parent's working table, which
-    ordered chordality guarantees can host it.  Scalar masses at
-    parentless vertices multiply up to the partition constant, divided out
+    ordered chordality guarantees can host it.  The absorbed copy is first
+    rescaled by a power of two, so that long networks neither overflow nor
+    underflow; the kernels are unchanged because normalization cancels
+    the scale exactly.  Scalar masses at parentless vertices, with the
+    recorded scales, make up the partition constant, divided out
     implicitly by the normalizations.
 
     Returns the Bayesian network on the same graph plus the trace of
-    ``(vertex, mass, absorbed_into)`` steps.
+    ``(vertex, mass, absorbed_into, log2_scale)`` steps.
 
     Raises:
         DegenerateDistributionError: when some vertex's mass table is
@@ -205,11 +225,14 @@ def variable_elimination(
                 vertex=v,
             )
         parents = cn.graph.parents_of(v)
+        host, shift = None, 0
         if parents:
             host = parents[-1]
-            working[host] = factor_product(working[host], lam, cn.vt)
+            shift = math.frexp(lam.values.max())[1] - 1
+            scaled = Factor(lam.vars, np.ldexp(lam.values, -shift))
+            working[host] = factor_product(working[host], scaled, cn.vt)
         kernels[v] = kernel
-        steps.append(EliminationStep(v, lam, parents[-1] if parents else None))
+        steps.append(EliminationStep(v, lam, host, shift))
     bn = BayesianNetwork(cn.graph, cn.vt, kernels)
     return bn, EliminationTrace(tuple(steps))
 

@@ -373,3 +373,46 @@ def random_cn(rng: np.random.Generator, n_max: int = 5, max_card: int = 3) -> Ch
             v, parents, rng.uniform(0.1, 2.0, size=size), stochastic=False
         )
     return ChordalNetwork(graph, vt, kernels)
+
+
+def chain_mn(
+    rng: np.random.Generator, n: int, low: float = 0.1, high: float = 2.0
+) -> MarkovNetwork:
+    """The binary chain x0 - x1 - ... with one pairwise factor per edge,
+    entries uniform in [low, high]."""
+    names = tuple(f"x{i}" for i in range(n))
+    vt = VariableTable(tuple((v, ("0", "1")) for v in names))
+    pairs = list(zip(names, names[1:]))
+    factors = {frozenset(p): Factor(p, rng.uniform(low, high, size=4)) for p in pairs}
+    return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
+
+
+def chain_bn(rng: np.random.Generator, n: int) -> BayesianNetwork:
+    """The binary chain x0 -> x1 -> ... with random stochastic kernels."""
+    names = tuple(f"x{i}" for i in range(n))
+    vt = VariableTable(tuple((v, ("0", "1")) for v in names))
+    kernels = {}
+    for i, v in enumerate(names):
+        parents = names[max(i - 1, 0) : i]
+        table = rng.uniform(0.05, 1.0, size=(2 ** len(parents), 2))
+        table /= table.sum(axis=1, keepdims=True)
+        kernels[v] = Kernel(v, parents, table.ravel())
+    return BayesianNetwork(OrderedDag(names, set(zip(names, names[1:]))), vt, kernels)
+
+
+def oracle_chain_log_partition(mn: MarkovNetwork) -> float:
+    """log Z of a :func:`chain_mn` chain: a transfer-matrix product in log space."""
+    names = mn.graph.vertices
+    alpha = np.zeros(2)
+    for u, w in zip(names, names[1:]):
+        log_f = np.log(mn.factors[frozenset((u, w))].values.reshape(2, 2))
+        alpha = np.logaddexp.reduce(alpha[:, None] + log_f, axis=0)
+    return float(np.logaddexp.reduce(alpha))
+
+
+def oracle_chain_marginal(bn: BayesianNetwork, v: str) -> np.ndarray:
+    """The marginal of one :func:`chain_bn` vertex by forward propagation."""
+    p = np.ones(1)
+    for u in bn.graph.vertices[: bn.graph.position(v) + 1]:
+        p = p @ bn.kernels[u].values.reshape(-1, 2)
+    return p

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+import numpy as np
+
+from chordalnet import dumps_network
 from chordalnet.cli import main
+from helpers import chain_bn
 
 
 def run(capsys, *argv):
@@ -98,6 +102,21 @@ class TestReports:
         assert lines[0] == "B E"
         total = sum(float(line.split()[-1]) for line in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_forty_variable_chain(self, capsys, tmp_path):
+        # The joint would have 2**40 entries; partition and marginal never
+        # build it.
+        path = tmp_path / "chain.json"
+        path.write_text(dumps_network(chain_bn(np.random.default_rng(41), 40)))
+        code, text, err = run(capsys, "joint", str(path))
+        assert code == 3 and text == ""
+        assert "1,099,511,627,776 entries" in err
+        code, text, _ = run(capsys, "partition", str(path))
+        assert code == 0 and float(text) == pytest.approx(1.0, rel=1e-12)
+        code, text, _ = run(capsys, "marginal", str(path), "--vars", "x39,x0")
+        assert code == 0 and text.splitlines()[0] == "x0 x39"
+        total = sum(float(line.split()[-1]) for line in text.splitlines()[1:])
+        assert total == pytest.approx(1.0, abs=1e-5)
 
     def test_marginal_unknown_variable(self, capsys, bear_path):
         code, _, err = run(capsys, "marginal", bear_path, "--vars", "Q")

@@ -83,6 +83,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Factor(("A",), [float("nan"), 1.0])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_rejects_infinities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Factor(("A",), [1.0, bad])
+
     def test_variable_table_rejects_empty_states(self):
         with pytest.raises(ValueError, match="no states"):
             VariableTable((("A", ()),))

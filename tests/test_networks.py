@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chordalnet.factors
+import chordalnet.networks
 from chordalnet import (
     BayesianNetwork,
     Factor,
@@ -11,10 +15,13 @@ from chordalnet import (
     NetworkValidationError,
     OrderedDag,
     OrderedUGraph,
+    TableTooLargeError,
     VariableTable,
     all_cliques,
     bn_joint,
     cn_product,
+    factor_marginalize,
+    marginal_distribution,
     mn_is_degenerate,
     mn_partition,
     mn_unnormalized,
@@ -24,12 +31,17 @@ from chordalnet import (
     require_valid,
 )
 from helpers import (
+    chain_bn,
+    chain_mn,
     misconception_assignments,
     misconception_product,
     oracle_bn_joint,
+    oracle_chain_marginal,
+    oracle_cn_product,
     oracle_mn_table,
     random_bn,
     random_cn,
+    random_mn,
 )
 
 
@@ -201,3 +213,77 @@ class TestChordalProducts:
             right = mn_unnormalized(moralise_cn(cnw))
             assert left.vars == right.vars
             np.testing.assert_allclose(left.values, right.values, rtol=1e-12, atol=0)
+
+
+class TestSumProduct:
+    """Partition and marginals by elimination, against full-joint oracles."""
+
+    ORACLES = {
+        "bayesian": (random_bn, oracle_bn_joint),
+        "markov": (random_mn, oracle_mn_table),
+        "chordal": (random_cn, oracle_cn_product),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ORACLES)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_marginal_of_full_joint_oracle(self, kind, seed, data):
+        make, oracle = self.ORACLES[kind]
+        net = make(np.random.default_rng(seed))
+        names = net.graph.vertices
+        keep = data.draw(st.lists(st.sampled_from(names), unique=True))
+        full = Factor(names, oracle(net))
+        expected = factor_marginalize(full, set(names) - set(keep), net.vt)
+        got = marginal_distribution(net, keep)
+        assert got.vars == expected.vars
+        np.testing.assert_allclose(got.values, expected.values, rtol=1e-12, atol=0)
+        if kind == "markov":
+            assert mn_partition(net) == pytest.approx(full.values.sum(), rel=1e-12)
+
+    def test_products_stay_within_families(self, monkeypatch):
+        # The full joint of a 20-variable binary chain has 2**20 entries;
+        # elimination multiplies at most a pair factor, a message and the
+        # kept variables, 8 entries here.
+        original = chordalnet.factors.factor_product
+        sizes = []
+
+        def spy(a, b, vt):
+            out = original(a, b, vt)
+            sizes.append(out.values.size)
+            return out
+
+        for module in (chordalnet.factors, chordalnet.networks):
+            monkeypatch.setattr(module, "factor_product", spy)
+        rng = np.random.default_rng(20)
+        mn, bn = chain_mn(rng, 20), chain_bn(rng, 20)
+        mn_partition(mn)
+        for net in (mn, bn):
+            for keep in ([], ["x7"], ["x0", "x19"]):
+                marginal_distribution(net, keep)
+        assert sizes and max(sizes) <= 16
+
+    def test_validation_comes_before_the_unknown_variable_check(self):
+        vt = binary_vt("A", "B")
+        kernels = {"A": Kernel("A", (), [0.5, 0.5])}
+        bn = BayesianNetwork(OrderedDag(("A", "B")), vt, kernels)
+        with pytest.raises(NetworkValidationError, match="no kernel"):
+            marginal_distribution(bn, ["Q"])
+        kernels["B"] = Kernel("B", (), [0.2, 0.8])
+        bn = BayesianNetwork(OrderedDag(("A", "B")), vt, kernels)
+        with pytest.raises(ValueError, match=r"unknown variables \['Q'\]"):
+            marginal_distribution(bn, ["A", "Q"])
+
+    def test_long_chain_without_the_joint(self):
+        bn = chain_bn(np.random.default_rng(40), 40)
+        with pytest.raises(TableTooLargeError, match="1,099,511,627,776 entries"):
+            bn_joint(bn)
+        assert marginal_distribution(bn, []).values[0] == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(
+            marginal_distribution(bn, ["x39"]).values,
+            oracle_chain_marginal(bn, "x39"),
+            rtol=1e-12,
+        )
+

@@ -15,7 +15,7 @@ from chordalnet import (
     mn_partition,
     network_to_document,
 )
-from helpers import random_bn, random_cn, random_mn
+from helpers import chain_bn, random_bn, random_cn, random_mn
 
 
 def test_fixture_loads_to_misconception_network(fixtures_dir, misconception):
@@ -34,6 +34,11 @@ def test_save_load_byte_identical(fixtures_dir):
     assert dumps_network(loads_network(text)) == text
     bear = (fixtures_dir / "bear.json").read_text()
     assert dumps_network(loads_network(bear)) == bear
+
+
+def test_long_chain_bayesian_document_round_trips():
+    text = dumps_network(chain_bn(np.random.default_rng(2000), 2000))
+    assert dumps_network(loads_network(text)) == text
 
 
 def test_roundtrip_on_random_networks():

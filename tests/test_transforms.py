@@ -35,6 +35,7 @@ from chordalnet import (
     mn_unnormalized,
     moralise_bn,
     moralise_cn,
+    require_valid,
     triangulate_bn,
     triangulate_mn,
     variable_elimination,
@@ -42,6 +43,8 @@ from chordalnet import (
 )
 from helpers import (
     bear_bn,
+    chain_mn,
+    oracle_chain_log_partition,
     oracle_mn_table,
     random_bn,
     random_cn,
@@ -278,6 +281,22 @@ class TestVariableElimination:
             assert trace.partition_mass() == pytest.approx(z, rel=1e-9)
             order = [s.vertex for s in trace.steps]
             assert order == list(reversed(cnw.graph.vertices))
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0, 3.0), (0.01, 0.1)],
+        ids=["mass-would-overflow", "mass-would-underflow"],
+    )
+    def test_long_chain_log_partition(self, low, high):
+        # Unscaled, the absorbed mass of a 600-chain passes 1e308 with the
+        # first range and reaches 0.0 with the second.
+        mn = chain_mn(np.random.default_rng(600), 600, low, high)
+        bn, trace = variable_elimination(triangulate_mn(mn))
+        require_valid(bn)
+        assert trace.log_partition() == pytest.approx(
+            oracle_chain_log_partition(mn), rel=1e-12
+        )
+        assert any(s.log2_scale != 0 for s in trace.steps)
 
 
 class TestEliminationMarginal:
