@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
 failure (degenerate distribution, a graph precondition such as
-chordality, or a table above ``networks.MAX_TABLE_ENTRIES``).  Reports go
+chordality, a table above ``networks.MAX_TABLE_ENTRIES``, or a table,
+marginal or partition outside the range of a double).  Reports go
 to stdout, diagnostics to stderr.  Identical input bytes always produce
 identical output bytes; paths may be ``-`` for stdin/stdout so commands
 compose in pipes.
@@ -23,6 +24,7 @@ from .networks import (
     MarkovNetwork,
     Network,
     NetworkValidationError,
+    OutOfRangeError,
     TableTooLargeError,
     bn_joint,
     cn_product,
@@ -292,7 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in exc.violations:
             print(line, file=sys.stderr)
         return VALIDATION_EXIT
-    except (DegenerateDistributionError, TableTooLargeError) as exc:
+    except (DegenerateDistributionError, OutOfRangeError, TableTooLargeError) as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_EXIT
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -28,11 +27,8 @@ from .factors import (
     Kernel,
     VariableTable,
     check_factor,
-    factor_marginalize,
-    factor_product,
     kernel_to_factor,
     kernel_violations,
-    ones_factor,
 )
 from .graphs import OrderedDag, OrderedUGraph, is_ordered_chordal
 
@@ -193,21 +189,41 @@ class TableTooLargeError(ValueError):
 MAX_TABLE_ENTRIES = 1 << 24
 
 
-def _product_over_all(
+def _scaled_product(
     factors: list[Factor], vt: VariableTable, vars: tuple[str, ...]
-) -> Factor:
+) -> tuple[np.ndarray, int]:
+    """The product of ``factors`` over ``vars`` as ``(table, exponent)``,
+    worth ``table * 2**exponent`` with ``table`` shaped by ``vars``.
+
+    The product grows one factor at a time over the union of the variables
+    seen so far, and is rescaled by a power of two, which is exact, after
+    every multiplication, so no number of factors underflows or overflows.
+    """
     entries = math.prod(vt.shape(vars))
     if entries > MAX_TABLE_ENTRIES:
         raise TableTooLargeError(
             f"a table over {len(vars)} variables would have {entries:,} "
             f"entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
         )
-    acc = reduce(lambda a, b: factor_product(a, b, vt), factors) if factors else None
-    if acc is None:
-        return ones_factor(vt, vars)
-    if acc.vars != vars:
-        acc = factor_product(acc, ones_factor(vt, vars), vt)
-    return acc
+
+    def spread(values: np.ndarray, names: tuple[str, ...], onto: tuple[str, ...]):
+        return values.reshape([vt.card(u) if u in names else 1 for u in onto])
+
+    acc, seen, exponent = np.ones(()), (), 0
+    for f in factors:
+        union = tuple(u for u in vars if u in seen or u in f.vars)
+        acc = spread(acc, seen, union) * spread(f.values, f.vars, union)
+        seen = union
+        shift = math.frexp(acc.max())[1]
+        acc = np.ldexp(acc, -shift)
+        exponent += shift
+    return np.broadcast_to(spread(acc, seen, vars), vt.shape(vars)), exponent
+
+
+def _full_table(net: Network) -> Factor:
+    """The product of all the network's tables, over all its vertices."""
+    vars = net.graph.vertices
+    return _in_range(vars, *_scaled_product(_tables(net), net.vt, vars))
 
 
 def _tables(net: Network) -> list[Factor]:
@@ -223,16 +239,20 @@ def _tables(net: Network) -> list[Factor]:
     return [kernel_to_factor(net.kernels[v], net.vt) for v in net.graph.vertices]
 
 
-def _sum_product(net: Network, keep: set[str]) -> Factor:
+def _sum_product(
+    net: Network, keep: set[str]
+) -> tuple[tuple[str, ...], np.ndarray, int]:
     """Sum every variable outside ``keep`` out of the table product.
 
     Bucket elimination along the declared order, last vertex first: the
     tables that mention a vertex are multiplied and the vertex is summed
     out, so each product spans one family of the triangulated graph plus
     the kept variables; a vertex no table mentions contributes its
-    cardinality.  Each message is rescaled by a power of two, which is
-    exact, and the exponents are applied once at the end, so long
-    networks neither overflow nor underflow on the way.
+    cardinality.  Every product and message is rescaled by a power of
+    two, which is exact, so long networks neither overflow nor underflow
+    on the way.  Returns ``(kept, table, exponent)``: the sum over the
+    kept variables, in declared order, is ``table * 2**exponent``, which
+    need not fit in a double.
     """
     vt = net.vt
     buckets: dict[str, list[Factor]] = {v: [] for v in net.graph.vertices}
@@ -253,15 +273,48 @@ def _sum_product(net: Network, keep: set[str]) -> Factor:
         bucket = buckets.pop(v)
         if bucket:
             family = tuple(sorted({u for t in bucket for u in t.vars}, key=vt.index))
-            message = factor_marginalize(_product_over_all(bucket, vt, family), {v}, vt)
+            product, shift = _scaled_product(bucket, vt, family)
+            exponent += shift
+            rest = tuple(u for u in family if u != v)
+            message = product.sum(axis=family.index(v))
         else:
-            message = Factor((), [float(vt.card(v))])
-        shift = math.frexp(message.values.max())[1]
+            rest, message = (), np.array(float(vt.card(v)))
+        shift = math.frexp(message.max())[1]
         exponent += shift
-        place(Factor(message.vars, np.ldexp(message.values, -shift)))
+        place(Factor(rest, np.ldexp(message, -shift)))
     kept = tuple(v for v in net.graph.vertices if v in keep)
-    table = _product_over_all(done, vt, kept)
-    return Factor(kept, np.ldexp(table.values, exponent))
+    table, shift = _scaled_product(done, vt, kept)
+    return kept, table, exponent + shift
+
+
+class OutOfRangeError(ValueError):
+    """A product or sum-product result is nonzero but outside the range of
+    a double: its largest entry overflows, or every entry underflows.
+
+    ``log_mass`` is the natural logarithm of its total mass, which is
+    finite whatever the range.
+    """
+
+    def __init__(self, message: str, log_mass: float):
+        self.log_mass = log_mass
+        super().__init__(message)
+
+
+def _in_range(vars: tuple[str, ...], table: np.ndarray, exponent: int) -> Factor:
+    """``table * 2**exponent`` as a factor over ``vars``, or
+    :class:`OutOfRangeError` if its maximum overflows or the whole nonzero
+    table rounds to zero."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.ldexp(table, exponent)
+    peak = float(values.max())
+    if peak == math.inf or (peak == 0.0 and table.max() > 0):
+        log_mass = math.log(table.sum()) + exponent * math.log(2.0)
+        raise OutOfRangeError(
+            f"the total mass is outside the range of a double: its natural "
+            f"log is {log_mass:.17g}",
+            log_mass,
+        )
+    return Factor(vars, values)
 
 
 def bn_joint(bn: BayesianNetwork) -> Factor:
@@ -275,7 +328,7 @@ def bn_joint(bn: BayesianNetwork) -> Factor:
         TableTooLargeError: if the joint would exceed ``MAX_TABLE_ENTRIES``.
     """
     require_valid(bn)
-    return _product_over_all(_tables(bn), bn.vt, bn.graph.vertices)
+    return _full_table(bn)
 
 
 def cn_product(cn: ChordalNetwork) -> Factor:
@@ -283,9 +336,11 @@ def cn_product(cn: ChordalNetwork) -> Factor:
 
     Raises:
         TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
+        OutOfRangeError: if the largest entry overflows a double, or every
+            entry of a nonzero product underflows to zero.
     """
     require_valid(cn)
-    return _product_over_all(_tables(cn), cn.vt, cn.graph.vertices)
+    return _full_table(cn)
 
 
 def mn_unnormalized(mn: MarkovNetwork) -> Factor:
@@ -296,9 +351,11 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
 
     Raises:
         TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
+        OutOfRangeError: if the largest entry overflows a double, or every
+            entry of a nonzero product underflows to zero.
     """
     require_valid(mn)
-    return _product_over_all(_tables(mn), mn.vt, mn.graph.vertices)
+    return _full_table(mn)
 
 
 def mn_partition(mn: MarkovNetwork) -> float:
@@ -307,14 +364,24 @@ def mn_partition(mn: MarkovNetwork) -> float:
     Computed by sum-product elimination along the declared order, without
     building the product: the cost is O(n * d^(w+1)) for n variables of at
     most d states and induced width w.
+
+    Raises:
+        OutOfRangeError: if Z is nonzero but overflows or underflows a
+            double; the error carries log Z.
     """
     require_valid(mn)
-    return float(_sum_product(mn, set()).values[0])
+    return float(_in_range(*_sum_product(mn, set())).values[0])
 
 
 def mn_is_degenerate(mn: MarkovNetwork) -> bool:
-    """Whether the factor product is identically zero (Z = 0)."""
-    return mn_partition(mn) == 0.0
+    """Whether the factor product is identically zero (Z = 0).
+
+    Decided on the rescaled sum, so a Z too small or too large for a
+    double is not mistaken for zero.
+    """
+    require_valid(mn)
+    _, table, _ = _sum_product(mn, set())
+    return float(table.max()) == 0.0
 
 
 def network_distribution(net: Network) -> Factor:
@@ -347,9 +414,13 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     declared order, without building the full table: the cost is
     O(n * d^(w+1+k)) for n variables of at most d states, induced width w
     and k kept variables.
+
+    Raises:
+        OutOfRangeError: if the largest entry overflows a double, or every
+            entry of a nonzero marginal underflows to zero.
     """
     require_valid(net)
     unknown = set(vars) - set(net.graph.vertices)
     if unknown:
         raise ValueError(f"unknown variables {sorted(unknown)}")
-    return _sum_product(net, set(vars))
+    return _in_range(*_sum_product(net, set(vars)))

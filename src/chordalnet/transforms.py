@@ -39,10 +39,10 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _stochastic_rows,
     factor_marginalize,
     factor_product,
     kernel_to_factor,
-    normalize_to_kernel,
 )
 from .graphs import (
     OrderedDag,
@@ -183,7 +183,7 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
                 [mn.vt.card(u) if u in table.vars else 1 for u in family]
             )
             values = np.broadcast_to(spread, shape)
-        kernels[v] = Kernel(v, parents, values.ravel(), stochastic=False)
+        kernels[v] = Kernel(v, parents, values, stochastic=False)
     return ChordalNetwork(graph, mn.vt, kernels)
 
 
@@ -193,15 +193,20 @@ def variable_elimination(
     """Normalize a chordal network into a Bayesian network, largest first.
 
     Processing vertices in descending order, each working table is split
-    into a stochastic kernel and a mass table over the parents
-    (:func:`normalize_to_kernel`, with uniform fill on zero columns); the
-    mass is multiplied into the largest parent's working table, which
-    ordered chordality guarantees can host it.  The absorbed copy is first
-    rescaled by a power of two, so that long networks neither overflow nor
-    underflow; the kernels are unchanged because normalization cancels
-    the scale exactly.  Scalar masses at parentless vertices, with the
-    recorded scales, make up the partition constant, divided out
-    implicitly by the normalizations.
+    into a stochastic kernel and a mass table over the parents, with
+    uniform fill on zero columns; the mass is multiplied into the largest
+    parent's working table, which ordered chordality guarantees can host
+    it.  The absorbed copy is first rescaled by a power of two, so that
+    long networks neither overflow nor underflow; the kernels are
+    unchanged because normalization cancels the scale exactly.  Scalar
+    masses at parentless vertices, with the recorded scales, make up the
+    partition constant, divided out implicitly by the normalizations.
+
+    The sweep works on plain arrays: parents precede the child, so each
+    kernel's flat layout is already that of its family table, and a mass
+    is multiplied into its host by broadcasting.  That is one pass per
+    family table; only the returned kernels and masses are copied and
+    validated.
 
     Returns the Bayesian network on the same graph plus the trace of
     ``(vertex, mass, absorbed_into, log2_scale)`` steps.
@@ -211,29 +216,43 @@ def variable_elimination(
             identically zero, which happens exactly when the kernel
             product has zero total mass; the error names the first such
             vertex in processing order.
+        ValueError: when a working table leaves the range of a double.
     """
     require_valid(cn)
-    working = {v: kernel_to_factor(cn.kernels[v], cn.vt) for v in cn.graph.vertices}
+    return _eliminate(cn)
+
+
+def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
+    """The sweep of :func:`variable_elimination` on a network known valid."""
+    graph, vt = cn.graph, cn.vt
+    working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[EliminationStep] = []
-    for v in reversed(cn.graph.vertices):
-        kernel, lam = normalize_to_kernel(working[v], v, cn.vt)
+    for v in reversed(graph.vertices):
+        parents = graph.parents_of(v)
+        rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
+        kernels[v] = Kernel(v, parents, rows, stochastic=True)
+        lam = Factor(parents, mass)
         if not np.any(lam.values > 0):
             raise DegenerateDistributionError(
                 f"degenerate network: the mass table at vertex {v} is "
                 "identically zero",
                 vertex=v,
             )
-        parents = cn.graph.parents_of(v)
         host, shift = None, 0
         if parents:
             host = parents[-1]
             shift = math.frexp(lam.values.max())[1] - 1
-            scaled = Factor(lam.vars, np.ldexp(lam.values, -shift))
-            working[host] = factor_product(working[host], scaled, cn.vt)
-        kernels[v] = kernel
+            family = graph.parents_of(host) + (host,)
+            spread = np.ldexp(lam.values, -shift).reshape(
+                [vt.card(u) if u in parents else 1 for u in family]
+            )
+            # An overflow here, or inf * 0 after one, is caught when the
+            # host's kernel and mass are built: they must be finite.
+            with np.errstate(over="ignore", invalid="ignore"):
+                working[host] = working[host].reshape(vt.shape(family)) * spread
         steps.append(EliminationStep(v, lam, host, shift))
-    bn = BayesianNetwork(cn.graph, cn.vt, kernels)
+    bn = BayesianNetwork(graph, vt, kernels)
     return bn, EliminationTrace(tuple(steps))
 
 
@@ -254,7 +273,7 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
     Raises:
         DegenerateDistributionError: for degenerate input (Z = 0).
     """
-    bn, _ = variable_elimination(triangulate_mn(mn))
+    bn, _ = _eliminate(triangulate_mn(mn))
     return bn
 
 
@@ -275,9 +294,7 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
         spread = old.values.reshape(
             [bn.vt.card(u) if u in old.parents + (v,) else 1 for u in parents + (v,)]
         )
-        kernels[v] = Kernel(
-            v, parents, np.broadcast_to(spread, shape).ravel(), stochastic=True
-        )
+        kernels[v] = Kernel(v, parents, np.broadcast_to(spread, shape), stochastic=True)
     return BayesianNetwork(graph, bn.vt, kernels)
 
 

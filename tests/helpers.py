@@ -11,6 +11,7 @@ against the definitions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import product as iter_product
 
@@ -19,12 +20,18 @@ import numpy as np
 from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
+    DegenerateDistributionError,
+    EliminationStep,
+    EliminationTrace,
     Factor,
     Kernel,
     MarkovNetwork,
     OrderedDag,
     OrderedUGraph,
     VariableTable,
+    factor_marginalize,
+    factor_product,
+    kernel_to_factor,
     triangulate_graph,
 )
 
@@ -263,6 +270,41 @@ def reference_triangulation_edges(h: OrderedUGraph) -> set[tuple[str, str]]:
         for v in h.vertices[: pos[w]]
         if reachable_through_later(v, w)
     }
+
+
+def reference_variable_elimination(
+    cn: ChordalNetwork,
+) -> tuple[BayesianNetwork, EliminationTrace]:
+    """The elimination sweep on validated ``Factor`` objects, step by step.
+
+    Each working table is a factor; its mass is ``factor_marginalize`` over
+    the child, its kernel ``np.where(mass > 0, table / mass, 1 / card)``,
+    and the mass, rescaled by the same power of two, is absorbed with
+    ``factor_product``.  The fast sweep must match it bit for bit.
+    """
+    vt = cn.vt
+    working = {v: kernel_to_factor(cn.kernels[v], vt) for v in cn.graph.vertices}
+    kernels: dict[str, Kernel] = {}
+    steps: list[EliminationStep] = []
+    for v in reversed(cn.graph.vertices):
+        f = working[v]
+        lam = factor_marginalize(f, {v}, vt)
+        parents = tuple(u for u in f.vars if u != v)
+        grid = np.moveaxis(f.values.reshape(vt.shape(f.vars)), f.vars.index(v), -1)
+        mass = lam.values.reshape(vt.shape(parents) + (1,))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            table = np.where(mass > 0, grid / mass, 1.0 / vt.card(v))
+        if not np.any(lam.values > 0):
+            raise DegenerateDistributionError(f"vertex {v}", vertex=v)
+        host, shift = None, 0
+        if parents:
+            host = parents[-1]
+            shift = math.frexp(lam.values.max())[1] - 1
+            scaled = Factor(lam.vars, np.ldexp(lam.values, -shift))
+            working[host] = factor_product(working[host], scaled, vt)
+        kernels[v] = Kernel(v, parents, table.ravel(), stochastic=True)
+        steps.append(EliminationStep(v, lam, host, shift))
+    return BayesianNetwork(cn.graph, vt, kernels), EliminationTrace(tuple(steps))
 
 
 def oracle_running_intersection(tree) -> bool:

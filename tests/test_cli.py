@@ -8,7 +8,7 @@ import numpy as np
 
 from chordalnet import dumps_network
 from chordalnet.cli import main
-from helpers import chain_bn
+from helpers import chain_bn, chain_mn, oracle_chain_log_partition
 
 
 def run(capsys, *argv):
@@ -117,6 +117,34 @@ class TestReports:
         assert code == 0 and text.splitlines()[0] == "x0 x39"
         total = sum(float(line.split()[-1]) for line in text.splitlines()[1:])
         assert total == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0, 3.0), (0.01, 0.1)],
+        ids=["z-overflows", "z-underflows"],
+    )
+    def test_result_outside_double_range_is_exit_three(
+        self, capsys, tmp_path, low, high
+    ):
+        mn = chain_mn(np.random.default_rng(600), 600, low, high)
+        path = tmp_path / "chain.json"
+        path.write_text(dumps_network(mn))
+        log_z = oracle_chain_log_partition(mn)
+        for argv in (("partition", str(path)), ("marginal", str(path), "--vars", "x0")):
+            code, text, err = run(capsys, *argv)
+            assert code == 3 and text == ""
+            assert float(err.split()[-1]) == pytest.approx(log_z, rel=1e-12)
+
+    def test_joint_outside_double_range_is_exit_three(self, capsys, tmp_path):
+        # Eleven pair factors of about 1e30 overflow in every entry.
+        mn = chain_mn(np.random.default_rng(12), 12, 1e30, 2e30)
+        path = tmp_path / "chain.json"
+        path.write_text(dumps_network(mn))
+        code, text, err = run(capsys, "joint", str(path))
+        assert code == 3 and text == ""
+        assert float(err.split()[-1]) == pytest.approx(
+            oracle_chain_log_partition(mn), rel=1e-12
+        )
 
     def test_marginal_unknown_variable(self, capsys, bear_path):
         code, _, err = run(capsys, "marginal", bear_path, "--vars", "Q")

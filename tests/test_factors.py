@@ -269,6 +269,75 @@ class TestNormalizeToKernel:
         np.testing.assert_allclose(rebuilt_grid[mask], grid[mask], rtol=1e-12)
 
 
+class TestNormalizeAgainstDefinition:
+    """Kernel and mass against ``sum`` over the child axis and ``np.where``,
+    bit for bit, for every child position, with zero columns, at 2 and 3
+    states (column-by-column sums) and 9 states (numpy's pairwise sums)."""
+
+    VT3 = VariableTable(
+        (
+            ("X", ("a", "b", "c")),
+            ("Y", tuple("012345678")),
+            ("Z", ("p", "q")),
+            ("W", tuple("012345678")),
+        )
+    )
+
+    @staticmethod
+    def definition(f, child, vt):
+        axis = f.vars.index(child)
+        grid = f.values.reshape(vt.shape(f.vars))
+        mass = grid.sum(axis=axis)
+        moved = np.moveaxis(grid, axis, -1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = np.where(mass[..., None] > 0, moved / mass[..., None], 1.0 / vt.card(child))
+        return g.ravel(), mass.ravel()
+
+    @pytest.mark.parametrize("child", ["X", "Y", "Z", "W"])
+    def test_every_child_position_with_zero_columns(self, child):
+        values = np.random.default_rng(9).uniform(0.0, 3.0, size=(3, 9, 2, 9))
+        values[0] = 0.0
+        values[1, :, 0] = 0.0
+        values[2, 4] = 0.0
+        f = Factor(("X", "Y", "Z", "W"), values)
+        g, lam = normalize_to_kernel(f, child, self.VT3)
+        want_g, want_lam = self.definition(f, child, self.VT3)
+        assert g.parents == tuple(v for v in "XYZW" if v != child)
+        assert np.any(want_lam == 0.0)
+        assert g.values.tobytes() == want_g.tobytes()
+        assert lam.values.tobytes() == want_lam.tobytes()
+
+    def test_nine_states_all_zero_fills_uniformly(self):
+        f = Factor(("Y",), np.zeros(9))
+        g, lam = normalize_to_kernel(f, "Y", self.VT3)
+        assert np.array_equal(g.values, np.full(9, 1.0 / 9.0))
+        assert lam.values.tolist() == [0.0]
+
+
+class TestNoAliasing:
+    """Tables copy what they are built from, so a caller's later writes
+    never reach them."""
+
+    @pytest.mark.parametrize("kind", ["factor", "kernel"])
+    def test_caller_array_is_copied(self, kind):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t = Factor(("A", "B"), arr) if kind == "factor" else Kernel("B", ("A",), arr)
+        assert not np.shares_memory(t.values, arr)
+        arr[0, 0] = 99.0
+        assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert not t.values.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["factor", "kernel"])
+    def test_broadcast_view_is_copied(self, kind):
+        base = np.array([1.0, 2.0])
+        view = np.broadcast_to(base.reshape(2, 1), (2, 2))
+        t = Factor(("A", "B"), view) if kind == "factor" else Kernel("B", ("A",), view)
+        assert not np.shares_memory(t.values, base)
+        assert t.values.flags.c_contiguous
+        base[0] = 99.0
+        assert t.values.tolist() == [1.0, 1.0, 2.0, 2.0]
+
+
 class TestProptoEqual:
     def test_scaling(self):
         f = mfactor("A", "B")

@@ -15,6 +15,7 @@ from chordalnet import (
     NetworkValidationError,
     OrderedDag,
     OrderedUGraph,
+    OutOfRangeError,
     TableTooLargeError,
     VariableTable,
     all_cliques,
@@ -36,6 +37,7 @@ from helpers import (
     misconception_assignments,
     misconception_product,
     oracle_bn_joint,
+    oracle_chain_log_partition,
     oracle_chain_marginal,
     oracle_cn_product,
     oracle_mn_table,
@@ -246,8 +248,10 @@ class TestSumProduct:
     def test_products_stay_within_families(self, monkeypatch):
         # The full joint of a 20-variable binary chain has 2**20 entries;
         # elimination multiplies at most a pair factor, a message and the
-        # kept variables, 8 entries here.
+        # kept variables, 8 entries here.  Every product is multiplied on
+        # arrays in _scaled_product; factor_product is watched as well.
         original = chordalnet.factors.factor_product
+        original_bucket = chordalnet.networks._scaled_product
         sizes = []
 
         def spy(a, b, vt):
@@ -255,8 +259,13 @@ class TestSumProduct:
             sizes.append(out.values.size)
             return out
 
-        for module in (chordalnet.factors, chordalnet.networks):
-            monkeypatch.setattr(module, "factor_product", spy)
+        def bucket_spy(factors, vt, vars):
+            table, exponent = original_bucket(factors, vt, vars)
+            sizes.append(table.size)
+            return table, exponent
+
+        monkeypatch.setattr(chordalnet.factors, "factor_product", spy)
+        monkeypatch.setattr(chordalnet.networks, "_scaled_product", bucket_spy)
         rng = np.random.default_rng(20)
         mn, bn = chain_mn(rng, 20), chain_bn(rng, 20)
         mn_partition(mn)
@@ -287,3 +296,38 @@ class TestSumProduct:
             rtol=1e-12,
         )
 
+
+class TestResultOutsideDoubleRange:
+    """Every message fits in a double, but Z itself may not."""
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0, 3.0), (0.01, 0.1)],
+        ids=["z-overflows", "z-underflows"],
+    )
+    def test_long_chain_raises_with_log_z(self, low, high):
+        # log Z is 823 for the first range and -1344 for the second.
+        mn = chain_mn(np.random.default_rng(600), 600, low, high)
+        log_z = oracle_chain_log_partition(mn)
+        for compute in (
+            lambda: mn_partition(mn),
+            lambda: marginal_distribution(mn, []),
+            lambda: marginal_distribution(mn, ["x0"]),
+        ):
+            with pytest.raises(OutOfRangeError) as info:
+                compute()
+            assert info.value.log_mass == pytest.approx(log_z, rel=1e-12)
+            assert float(str(info.value).split()[-1]) == pytest.approx(log_z, rel=1e-12)
+        assert not mn_is_degenerate(mn)
+
+    def test_many_messages_into_one_bucket(self):
+        # Each of 1100 leaves sends the message (1, 1) to the centre, kept
+        # as (0.5, 0.5) times 2; multiplied unscaled, 0.5**1100 underflows.
+        names = ("c",) + tuple(f"l{i}" for i in range(1100))
+        vt = binary_vt(*names)
+        edges = {frozenset(("c", leaf)) for leaf in names[1:]}
+        factors = {e: Factor(("c", (set(e) - {"c"}).pop()), [0.5] * 4) for e in edges}
+        mn = MarkovNetwork(OrderedUGraph(names, edges), vt, factors)
+        assert mn_partition(mn) == 2.0
+        assert not mn_is_degenerate(mn)
+        assert marginal_distribution(mn, ["c"]).values.tolist() == [1.0, 1.0]

@@ -11,6 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chordalnet.transforms
 
 from chordalnet import (
     BayesianNetwork,
@@ -49,6 +53,7 @@ from helpers import (
     random_bn,
     random_cn,
     random_mn,
+    reference_variable_elimination,
 )
 
 
@@ -297,6 +302,91 @@ class TestVariableElimination:
             oracle_chain_log_partition(mn), rel=1e-12
         )
         assert any(s.log2_scale != 0 for s in trace.steps)
+
+
+class TestEliminationAgainstReference:
+    """The array sweep against the step-by-step ``Factor`` sweep, bit for bit.
+
+    Cards run from 2 to 10, so both branches of the normaliser (column by
+    column below 8 states, ``sum(axis=1)`` from 8 on) are exercised, and
+    some kernel rows are zeroed so that uniform fill and degenerate
+    networks occur too.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2]))
+    def test_bytes_match_the_factor_sweep(self, seed, p_zero):
+        rng = np.random.default_rng(seed)
+        cnw = random_cn(rng, n_max=5, max_card=10)
+        kernels = {}
+        for v, k in cnw.kernels.items():
+            rows = k.values.reshape(-1, cnw.vt.card(v)).copy()
+            rows[rng.random(rows.shape[0]) < p_zero] = 0.0
+            kernels[v] = Kernel(v, k.parents, rows, stochastic=False)
+        cnw = ChordalNetwork(cnw.graph, cnw.vt, kernels)
+        try:
+            want_bn, want = reference_variable_elimination(cnw)
+        except DegenerateDistributionError as exc:
+            with pytest.raises(DegenerateDistributionError) as info:
+                variable_elimination(cnw)
+            assert info.value.vertex == exc.vertex
+            return
+        got_bn, got = variable_elimination(cnw)
+        for v in cnw.graph.vertices:
+            assert got_bn.kernels[v].parents == want_bn.kernels[v].parents
+            assert got_bn.kernels[v].values.tobytes() == want_bn.kernels[v].values.tobytes()
+        assert len(got.steps) == len(want.steps)
+        for a, b in zip(got.steps, want.steps):
+            assert (a.vertex, a.absorbed_into, a.log2_scale) == (
+                b.vertex,
+                b.absorbed_into,
+                b.log2_scale,
+            )
+            assert a.lam.vars == b.lam.vars
+            assert a.lam.values.tobytes() == b.lam.values.tobytes()
+        assert got.partition_mass() == want.partition_mass()
+
+    def test_host_overflow_is_still_a_value_error(self):
+        # B's mass (1.9, 1.9) is absorbed unscaled into A's kernel, whose
+        # entries are near the largest double, so the product overflows.
+        vt = binary_vt("A", "B")
+        cnw = ChordalNetwork(
+            OrderedDag(("A", "B"), {("A", "B")}),
+            vt,
+            {
+                "A": Kernel("A", (), [1.7e308, 1.7e308], stochastic=False),
+                "B": Kernel("B", ("A",), [1.5, 0.4, 1.5, 0.4], stochastic=False),
+            },
+        )
+        with pytest.raises(ValueError, match="table values must be finite"):
+            variable_elimination(cnw)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            reference_variable_elimination(cnw)
+
+
+class TestValidation:
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = chordalnet.transforms.require_valid
+
+        def counting(net):
+            calls.append(type(net).__name__)
+            real(net)
+
+        monkeypatch.setattr(chordalnet.transforms, "require_valid", counting)
+        return calls
+
+    def test_mn_to_bn_validates_once(self, monkeypatch, misconception):
+        calls = self.spy(monkeypatch)
+        mn_to_bn(misconception)
+        assert calls == ["MarkovNetwork"]
+
+    def test_direct_elimination_still_validates(self, monkeypatch, misconception):
+        cnw = triangulate_mn(misconception)
+        calls = self.spy(monkeypatch)
+        variable_elimination(cnw)
+        assert calls == ["ChordalNetwork"]
 
 
 class TestEliminationMarginal:
