@@ -44,7 +44,6 @@ from .morphisms import (
     morphism_violations,
     pearl_update,
     transfer_matrix,
-    validate_morphism,
 )
 from .networks import (
     BayesianNetwork,
@@ -57,7 +56,6 @@ from .networks import (
     bn_joint,
     cn_product,
     marginal_distribution,
-    mn_is_degenerate,
     mn_partition,
     mn_unnormalized,
     network_distribution,

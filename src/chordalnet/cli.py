@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
 failure (degenerate distribution, a graph precondition such as
-chordality, a table above ``networks.MAX_TABLE_ENTRIES``, or a table,
-marginal or partition outside the range of a double).  Reports go
-to stdout, diagnostics to stderr.  Identical input bytes always produce
+chordality, a document or computed table above
+``networks.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal
+or partition outside the range of a double).  Only ``joint`` builds the
+full table.  Reports go to stdout, diagnostics to stderr.  Identical input bytes always produce
 identical output bytes; paths may be ``-`` for stdin/stdout so commands
 compose in pipes.
 """
@@ -26,10 +27,7 @@ from .networks import (
     NetworkValidationError,
     OutOfRangeError,
     TableTooLargeError,
-    bn_joint,
-    cn_product,
     marginal_distribution,
-    mn_unnormalized,
 )
 from .serial import DocumentError, dumps_network, load_network
 from .transforms import (
@@ -138,12 +136,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_joint(args) -> int:
     net = _load(args.input)
-    if isinstance(net, BayesianNetwork):
-        table = bn_joint(net)
-    elif isinstance(net, MarkovNetwork):
-        table = mn_unnormalized(net)
-    else:
-        table = cn_product(net)
+    table = marginal_distribution(net, list(net.graph.vertices))
     _print_table(net, table.vars, table.values)
     return 0
 

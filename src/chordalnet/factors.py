@@ -198,6 +198,28 @@ def ones_factor(vt: VariableTable, vars: Iterable[str]) -> Factor:
     return Factor(names, np.ones(size))
 
 
+def _spread(
+    values: np.ndarray, vars: tuple[str, ...], onto: tuple[str, ...], vt: VariableTable
+) -> np.ndarray:
+    """``values`` over ``vars`` reshaped to one axis per variable of ``onto``,
+    of size 1 where ``vars`` lacks it; ``vars`` must follow ``onto``'s order."""
+    return np.reshape(values, [vt.card(u) if u in vars else 1 for u in onto])
+
+
+def _product(
+    tables: Iterable[Factor], onto: tuple[str, ...], vt: VariableTable
+) -> np.ndarray:
+    """The exact product of ``tables`` shaped by ``onto``, multiplied left to
+    right and so rounded as a chain of :func:`factor_product` calls.  It is
+    a read-only broadcast view, all ones for no tables: the :class:`Factor`
+    or :class:`Kernel` built from it makes the only copy."""
+    acc = 1.0
+    for f in tables:
+        # Broadcasting grows ``acc`` to the variables seen so far only.
+        acc = acc * _spread(f.values, f.vars, onto, vt)
+    return np.broadcast_to(acc, vt.shape(onto))
+
+
 def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:
     """Pointwise product over the union of the two variable sets.
 
@@ -207,9 +229,7 @@ def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:
     check_factor(a, vt)
     check_factor(b, vt)
     union = tuple(sorted(set(a.vars) | set(b.vars), key=vt.index))
-    av = a.values.reshape([vt.card(v) if v in a.vars else 1 for v in union])
-    bv = b.values.reshape([vt.card(v) if v in b.vars else 1 for v in union])
-    return Factor(union, (av * bv).ravel())
+    return Factor(union, _product((a, b), union, vt))
 
 
 def factor_marginalize(f: Factor, drop: Iterable[str], vt: VariableTable) -> Factor:

@@ -33,8 +33,8 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _product,
     factor_marginalize,
-    factor_product,
     kernel_to_factor,
     normalize_to_kernel,
 )
@@ -45,6 +45,9 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
+    _scaled_product,
+    _tables,
+    bn_joint,
     mn_partition,
     network_distribution,
     require_valid,
@@ -138,19 +141,18 @@ def morphism_violations(
         tgt_dist = network_distribution(tgt)
     except (DegenerateDistributionError, ValueError) as exc:
         return [f"cannot check distribution preservation: {exc}"]
-    image = transfer_matrix(m, src) @ src_dist.values
-    dev = float(np.abs(image - tgt_dist.values).max())
+    # The transfer matrix, never built, applied one source axis at a time:
+    # contracting the leading axis appends its target block at the end.
+    image = src_dist.values.reshape(src.vt.shape(src.graph.vertices))
+    for v in src.graph.vertices:
+        image = np.tensordot(image, m.eta[v], axes=([0], [1]))
+    dev = float(np.abs(image.ravel() - tgt_dist.values).max())
     if dev > PRESERVATION_TOL:
         out.append(
             "the eta transfer does not carry the source distribution to the "
             f"target distribution (max pointwise deviation {dev:.3g})"
         )
     return out
-
-
-def validate_morphism(m: NetworkMorphism, src: Network, tgt: Network) -> list[str]:
-    """Alias of :func:`morphism_violations`; empty list means valid."""
-    return morphism_violations(m, src, tgt)
 
 
 def compose_morphisms(f: NetworkMorphism, g: NetworkMorphism) -> NetworkMorphism:
@@ -216,23 +218,9 @@ def _regrouped_kernels(
         group = alpha.preimage(v)
         pa_src = src_graph.parents_of(v)
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
-        axes = input_block + group
-
         tables = [kernel_to_factor(tgt.kernels[w], tgt.vt) for w in group]
-        prod = (
-            reduce(lambda a, b: factor_product(a, b, tgt.vt), tables)
-            if tables
-            else None
-        )
-        shape = tgt.vt.shape(axes) if axes else ()
-        if prod is None:
-            values = np.ones(shape if shape else (1,))
-        else:
-            spread = prod.values.reshape(
-                [tgt.vt.card(u) if u in prod.vars else 1 for u in axes]
-            )
-            values = np.broadcast_to(spread, shape)
-        kernels[v] = Kernel(v, pa_src, values.ravel(), stochastic=stochastic)
+        values = _product(tables, input_block + group, tgt.vt)
+        kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
 
 
@@ -243,22 +231,14 @@ def _regrouped_factors(
 ) -> dict[frozenset[str], Factor]:
     """Target clique factors bundled onto their image cliques."""
     groups: dict[frozenset[str], list[Factor]] = {}
-    for clique, f in sorted(
-        tgt.factors.items(), key=lambda kv: tuple(sorted(map(tgt.graph.position, kv[0])))
-    ):
-        image = frozenset(alpha.vertex_map[w] for w in clique)
-        groups.setdefault(image, []).append(f)
+    for f in _tables(tgt):
+        groups.setdefault(frozenset(alpha.vertex_map[w] for w in f.vars), []).append(f)
 
     out: dict[frozenset[str], Factor] = {}
     for image, tables in groups.items():
         members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
-        prod = reduce(lambda a, b: factor_product(a, b, tgt.vt), tables)
-        spread = prod.values.reshape(
-            [tgt.vt.card(u) if u in prod.vars else 1 for u in axes]
-        )
-        values = np.broadcast_to(spread, tgt.vt.shape(axes) if axes else (1,))
-        out[frozenset(members)] = Factor(members, values.ravel())
+        out[frozenset(members)] = Factor(members, _product(tables, axes, tgt.vt))
     return out
 
 
@@ -451,21 +431,18 @@ def pearl_update(
                 ) from exc
             kernels = bn.kernels
         else:
-            tables = [
-                kernel_to_factor(reweighted[v], net.vt) for v in net.graph.vertices
-            ]
-            prod = reduce(lambda a, b: factor_product(a, b, net.vt), tables)
-            mass = float(prod.values.sum())
+            vars = net.graph.vertices
+            tables = [kernel_to_factor(reweighted[v], net.vt) for v in vars]
+            # The scale 2**exponent of the product cancels in the normalization.
+            prod, _ = _scaled_product(tables, net.vt, vars)
+            mass = float(prod.sum())
             if mass == 0.0:
                 raise DegenerateDistributionError(
                     "update annihilates the joint: the weighted product is zero"
                 )
-            posterior = Factor(prod.vars, prod.values / mass)
+            posterior = Factor(vars, prod / mass)
             kernels = _conditional_factorization(net.graph, net.vt, posterior)
-            check = reduce(
-                lambda a, b: factor_product(a, b, net.vt),
-                [kernel_to_factor(k, net.vt) for k in kernels.values()],
-            )
+            check = bn_joint(BayesianNetwork(net.graph, net.vt, kernels))
             if float(np.abs(check.values - posterior.values).max()) > PRESERVATION_TOL:
                 raise ValueError(
                     "the updated distribution does not factor over this graph; "

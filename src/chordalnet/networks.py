@@ -26,6 +26,7 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _spread,
     check_factor,
     kernel_to_factor,
     kernel_violations,
@@ -189,6 +190,16 @@ class TableTooLargeError(ValueError):
 MAX_TABLE_ENTRIES = 1 << 24
 
 
+def _check_entries(vars: tuple[str, ...], vt: VariableTable) -> None:
+    """Refuse a table over ``vars`` of more than :data:`MAX_TABLE_ENTRIES`."""
+    entries = math.prod(vt.shape(vars))
+    if entries > MAX_TABLE_ENTRIES:
+        raise TableTooLargeError(
+            f"a table over {len(vars)} variables would have {entries:,} "
+            f"entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
+        )
+
+
 def _scaled_product(
     factors: list[Factor], vt: VariableTable, vars: tuple[str, ...]
 ) -> tuple[np.ndarray, int]:
@@ -199,31 +210,14 @@ def _scaled_product(
     seen so far, and is rescaled by a power of two, which is exact, after
     every multiplication, so no number of factors underflows or overflows.
     """
-    entries = math.prod(vt.shape(vars))
-    if entries > MAX_TABLE_ENTRIES:
-        raise TableTooLargeError(
-            f"a table over {len(vars)} variables would have {entries:,} "
-            f"entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
-        )
-
-    def spread(values: np.ndarray, names: tuple[str, ...], onto: tuple[str, ...]):
-        return values.reshape([vt.card(u) if u in names else 1 for u in onto])
-
-    acc, seen, exponent = np.ones(()), (), 0
+    _check_entries(vars, vt)
+    acc, exponent = 1.0, 0
     for f in factors:
-        union = tuple(u for u in vars if u in seen or u in f.vars)
-        acc = spread(acc, seen, union) * spread(f.values, f.vars, union)
-        seen = union
+        acc = acc * _spread(f.values, f.vars, vars, vt)
         shift = math.frexp(acc.max())[1]
         acc = np.ldexp(acc, -shift)
         exponent += shift
-    return np.broadcast_to(spread(acc, seen, vars), vt.shape(vars)), exponent
-
-
-def _full_table(net: Network) -> Factor:
-    """The product of all the network's tables, over all its vertices."""
-    vars = net.graph.vertices
-    return _in_range(vars, *_scaled_product(_tables(net), net.vt, vars))
+    return np.broadcast_to(acc, vt.shape(vars)), exponent
 
 
 def _tables(net: Network) -> list[Factor]:
@@ -327,8 +321,7 @@ def bn_joint(bn: BayesianNetwork) -> Factor:
     Raises:
         TableTooLargeError: if the joint would exceed ``MAX_TABLE_ENTRIES``.
     """
-    require_valid(bn)
-    return _full_table(bn)
+    return marginal_distribution(bn, list(bn.graph.vertices))
 
 
 def cn_product(cn: ChordalNetwork) -> Factor:
@@ -339,8 +332,7 @@ def cn_product(cn: ChordalNetwork) -> Factor:
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero product underflows to zero.
     """
-    require_valid(cn)
-    return _full_table(cn)
+    return marginal_distribution(cn, list(cn.graph.vertices))
 
 
 def mn_unnormalized(mn: MarkovNetwork) -> Factor:
@@ -354,8 +346,7 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero product underflows to zero.
     """
-    require_valid(mn)
-    return _full_table(mn)
+    return marginal_distribution(mn, list(mn.graph.vertices))
 
 
 def mn_partition(mn: MarkovNetwork) -> float:
@@ -369,19 +360,7 @@ def mn_partition(mn: MarkovNetwork) -> float:
         OutOfRangeError: if Z is nonzero but overflows or underflows a
             double; the error carries log Z.
     """
-    require_valid(mn)
-    return float(_in_range(*_sum_product(mn, set())).values[0])
-
-
-def mn_is_degenerate(mn: MarkovNetwork) -> bool:
-    """Whether the factor product is identically zero (Z = 0).
-
-    Decided on the rescaled sum, so a Z too small or too large for a
-    double is not mistaken for zero.
-    """
-    require_valid(mn)
-    _, table, _ = _sum_product(mn, set())
-    return float(table.max()) == 0.0
+    return float(marginal_distribution(mn, []).values[0])
 
 
 def network_distribution(net: Network) -> Factor:
@@ -391,11 +370,12 @@ def network_distribution(net: Network) -> Factor:
     return their normalized product.
 
     Raises:
+        TableTooLargeError: if the table would exceed ``MAX_TABLE_ENTRIES``.
         DegenerateDistributionError: if the product has zero total mass.
     """
+    table = marginal_distribution(net, list(net.graph.vertices))
     if isinstance(net, BayesianNetwork):
-        return bn_joint(net)
-    table = mn_unnormalized(net) if isinstance(net, MarkovNetwork) else cn_product(net)
+        return table
     mass = float(table.values.sum())
     if mass == 0.0:
         raise DegenerateDistributionError(
@@ -413,9 +393,11 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     mass.  The other variables are summed out by elimination along the
     declared order, without building the full table: the cost is
     O(n * d^(w+1+k)) for n variables of at most d states, induced width w
-    and k kept variables.
+    and k kept variables.  Keeping every vertex gives the full table: every
+    other full-table function calls this one.
 
     Raises:
+        TableTooLargeError: if a product would exceed ``MAX_TABLE_ENTRIES``.
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero marginal underflows to zero.
     """

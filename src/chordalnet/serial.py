@@ -41,6 +41,7 @@ from .networks import (
     ChordalNetwork,
     MarkovNetwork,
     Network,
+    _check_entries,
     network_violations,
 )
 
@@ -137,6 +138,8 @@ def _rows_to_flat(
     where: str,
     errors: list[str],
 ) -> np.ndarray | None:
+    # Before listing the assignments, which costs as much as the table.
+    _check_entries(given_vars + (out_var,), vt)
     if not isinstance(rows, list):
         errors.append(f"{where}.rows: must be a list")
         return None
@@ -319,6 +322,9 @@ def document_to_network(doc: Any) -> Network:
 
     Raises:
         DocumentError: listing every structural and semantic violation.
+        TableTooLargeError: if a table would have more than
+            ``networks.MAX_TABLE_ENTRIES`` entries; raised before its rows
+            are read.
     """
     errors: list[str] = []
     if not isinstance(doc, dict):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -39,9 +38,10 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _product,
+    _spread,
     _stochastic_rows,
     factor_marginalize,
-    factor_product,
     kernel_to_factor,
 )
 from .graphs import (
@@ -55,6 +55,7 @@ from .networks import (
     ChordalNetwork,
     DegenerateDistributionError,
     MarkovNetwork,
+    _tables,
     require_valid,
 )
 
@@ -112,17 +113,12 @@ def _family_factors(
     """Each kernel as a factor, keyed by its family clique {v} | parents(v).
 
     In a topologically listed DAG the family of v has v as its maximum, so
-    distinct vertices give distinct families; if two ever collided the
-    kernels would be multiplied into a single factor.
+    distinct vertices give distinct families.
     """
-    out: dict[frozenset[str], Factor] = {}
-    for v in graph.vertices:
-        family = frozenset({v, *graph.parents_of(v)})
-        table = kernel_to_factor(kernels[v], vt)
-        out[family] = (
-            table if family not in out else factor_product(out[family], table, vt)
-        )
-    return out
+    return {
+        frozenset({v, *graph.parents_of(v)}): kernel_to_factor(kernels[v], vt)
+        for v in graph.vertices
+    }
 
 
 def moralise_bn(bn: BayesianNetwork) -> MarkovNetwork:
@@ -163,27 +159,15 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     require_valid(mn)
     graph = triangulate_graph(mn.graph)
     consumed: dict[str, list[Factor]] = {v: [] for v in graph.vertices}
-    for clique, f in sorted(mn.factors.items(), key=lambda kv: sorted(map(graph.position, kv[0]))):
-        consumed[max(clique, key=graph.position)].append(f)
+    for f in _tables(mn):
+        # Factor variables follow the declared order: the last is the maximum.
+        consumed[f.vars[-1]].append(f)
 
     kernels: dict[str, Kernel] = {}
     for v in graph.vertices:
-        parents = graph.parents_of(v)
-        family = parents + (v,)
-        table = (
-            reduce(lambda a, b: factor_product(a, b, mn.vt), consumed[v])
-            if consumed[v]
-            else None
-        )
-        shape = mn.vt.shape(family)
-        if table is None:
-            values = np.ones(shape)
-        else:
-            spread = table.values.reshape(
-                [mn.vt.card(u) if u in table.vars else 1 for u in family]
-            )
-            values = np.broadcast_to(spread, shape)
-        kernels[v] = Kernel(v, parents, values, stochastic=False)
+        family = graph.parents_of(v) + (v,)
+        values = _product(consumed[v], family, mn.vt)
+        kernels[v] = Kernel(v, family[:-1], values, stochastic=False)
     return ChordalNetwork(graph, mn.vt, kernels)
 
 
@@ -244,9 +228,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
             host = parents[-1]
             shift = math.frexp(lam.values.max())[1] - 1
             family = graph.parents_of(host) + (host,)
-            spread = np.ldexp(lam.values, -shift).reshape(
-                [vt.card(u) if u in parents else 1 for u in family]
-            )
+            spread = _spread(np.ldexp(lam.values, -shift), parents, family, vt)
             # An overflow here, or inf * 0 after one, is caught when the
             # host's kernel and mass are built: they must be finite.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -289,12 +271,10 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
     kernels: dict[str, Kernel] = {}
     for v in graph.vertices:
         old = bn.kernels[v]
-        parents = graph.parents_of(v)
-        shape = bn.vt.shape(parents + (v,))
-        spread = old.values.reshape(
-            [bn.vt.card(u) if u in old.parents + (v,) else 1 for u in parents + (v,)]
-        )
-        kernels[v] = Kernel(v, parents, np.broadcast_to(spread, shape), stochastic=True)
+        family = graph.parents_of(v) + (v,)
+        spread = _spread(old.values, old.parents + (v,), family, bn.vt)
+        values = np.broadcast_to(spread, bn.vt.shape(family))
+        kernels[v] = Kernel(v, family[:-1], values, stochastic=True)
     return BayesianNetwork(graph, bn.vt, kernels)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import reduce
 from itertools import product as iter_product
 
 import numpy as np
@@ -307,6 +308,66 @@ def reference_variable_elimination(
     return BayesianNetwork(cn.graph, vt, kernels), EliminationTrace(tuple(steps))
 
 
+def _reference_product(tables: list[Factor], vt: VariableTable, axes) -> np.ndarray:
+    """A chain of ``factor_product`` calls spread by hand onto ``axes``,
+    all ones when there are no tables."""
+    shape = vt.shape(axes)
+    if not tables:
+        return np.ones(shape)
+    prod = reduce(lambda a, b: factor_product(a, b, vt), tables)
+    spread = prod.values.reshape([vt.card(u) if u in prod.vars else 1 for u in axes])
+    return np.broadcast_to(spread, shape)
+
+
+def reference_triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
+    """``triangulate_mn`` with each vertex's factors found by ``max`` over
+    the clique positions and multiplied by ``factor_product``; the
+    shared-product version must match it bit for bit."""
+    graph = triangulate_graph(mn.graph)
+    consumed: dict[str, list[Factor]] = {v: [] for v in graph.vertices}
+    for clique, f in sorted(
+        mn.factors.items(), key=lambda kv: sorted(map(graph.position, kv[0]))
+    ):
+        consumed[max(clique, key=graph.position)].append(f)
+    kernels = {}
+    for v in graph.vertices:
+        family = graph.parents_of(v) + (v,)
+        values = _reference_product(consumed[v], mn.vt, family)
+        kernels[v] = Kernel(v, family[:-1], values, stochastic=False)
+    return ChordalNetwork(graph, mn.vt, kernels)
+
+
+def reference_regrouped_kernels(src_graph: OrderedDag, tgt, alpha) -> dict[str, Kernel]:
+    """``morphisms._regrouped_kernels`` on ``factor_product`` chains."""
+    stochastic = all(k.stochastic for k in tgt.kernels.values())
+    kernels = {}
+    for v in src_graph.vertices:
+        group = alpha.preimage(v)
+        pa_src = src_graph.parents_of(v)
+        axes = tuple(w for p in pa_src for w in alpha.preimage(p)) + group
+        tables = [kernel_to_factor(tgt.kernels[w], tgt.vt) for w in group]
+        values = _reference_product(tables, tgt.vt, axes)
+        kernels[v] = Kernel(v, pa_src, values.ravel(), stochastic=stochastic)
+    return kernels
+
+
+def reference_regrouped_factors(
+    src_graph: OrderedUGraph, tgt: MarkovNetwork, alpha
+) -> dict[frozenset[str], Factor]:
+    """``morphisms._regrouped_factors`` on ``factor_product`` chains."""
+    groups: dict[frozenset[str], list[Factor]] = {}
+    for clique, f in sorted(
+        tgt.factors.items(), key=lambda kv: tuple(sorted(map(tgt.graph.position, kv[0])))
+    ):
+        groups.setdefault(frozenset(alpha.vertex_map[w] for w in clique), []).append(f)
+    out = {}
+    for image, tables in groups.items():
+        members = tuple(sorted(image, key=src_graph.position))
+        axes = tuple(w for v in members for w in alpha.preimage(v))
+        out[frozenset(members)] = Factor(members, _reference_product(tables, tgt.vt, axes))
+    return out
+
+
 def oracle_running_intersection(tree) -> bool:
     """RIP by the path definition: every cluster on the unique tree path
     between two clusters sharing x also contains x."""
@@ -458,3 +519,27 @@ def oracle_chain_marginal(bn: BayesianNetwork, v: str) -> np.ndarray:
     for u in bn.graph.vertices[: bn.graph.position(v) + 1]:
         p = p @ bn.kernels[u].values.reshape(-1, 2)
     return p
+
+
+def wide_document(kind: str, n_parents: int) -> dict:
+    """A binary document whose last table conditions on ``n_parents``
+    variables but lists one row: 2 ** (n_parents + 1) declared entries in
+    a few kilobytes.  ``kind`` is ``"bayesian"`` (x0..x{n-1} -> child) or
+    ``"markov"`` (one clique over all variables)."""
+    names = [f"x{i}" for i in range(n_parents)] + ["child"]
+    doc = {
+        "kind": kind,
+        "variables": [{"name": v, "states": ["0", "1"]} for v in names],
+    }
+    row = [{"given": ["0"] * n_parents, "values": [0.5, 0.5]}]
+    if kind == "markov":
+        doc["edges"] = [[u, w] for i, u in enumerate(names) for w in names[i + 1 :]]
+        doc["tables"] = [{"clique": names, "rows": row}]
+    else:
+        doc["edges"] = [[v, "child"] for v in names[:-1]]
+        roots = [
+            {"child": v, "parents": [], "rows": [{"given": [], "values": [0.5, 0.5]}]}
+            for v in names[:-1]
+        ]
+        doc["tables"] = roots + [{"child": "child", "parents": names[:-1], "rows": row}]
+    return doc

@@ -6,9 +6,10 @@ import pytest
 
 import numpy as np
 
-from chordalnet import dumps_network
-from chordalnet.cli import main
-from helpers import chain_bn, chain_mn, oracle_chain_log_partition
+import chordalnet.networks
+from chordalnet import dumps_network, load_network, marginal_distribution
+from chordalnet.cli import _print_table, main
+from helpers import chain_bn, chain_mn, oracle_chain_log_partition, wide_document
 
 
 def run(capsys, *argv):
@@ -89,6 +90,17 @@ class TestReports:
         assert lines[0] == "A B C D"
         assert len(lines) == 17
         assert lines[1] == "a b c d 100000.000000"
+
+    @pytest.mark.parametrize("name", ["misconception.json", "bear.json"])
+    def test_joint_prints_the_marginal_over_every_vertex(
+        self, capsys, fixtures_dir, name
+    ):
+        net = load_network(fixtures_dir / name)
+        table = marginal_distribution(net, list(net.graph.vertices))
+        _print_table(net, table.vars, table.values)
+        want = capsys.readouterr().out
+        code, text, _ = run(capsys, "joint", str(fixtures_dir / name))
+        assert code == 0 and text == want
 
     def test_partition(self, capsys, misconception_path):
         code, text, _ = run(capsys, "partition", misconception_path)
@@ -226,6 +238,23 @@ class TestCheckAndExitCodes:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "ve", str(path))
         assert code == 3 and "degenerate" in err
+
+    @pytest.mark.parametrize(
+        "n_parents, cap, entries",
+        [(30, None, "2,147,483,648"), (12, 1 << 10, "8,192")],
+        ids=["30-parents", "12-parents-cap-2**10"],
+    )
+    @pytest.mark.parametrize("command", ["check", "joint"])
+    def test_wide_document_table_is_exit_three(
+        self, capsys, tmp_path, monkeypatch, command, n_parents, cap, entries
+    ):
+        if cap is not None:
+            monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", cap)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_document("bayesian", n_parents)))
+        code, text, err = run(capsys, command, str(path))
+        assert code == 3 and text == ""
+        assert f"{entries} entries" in err
 
     def test_missing_file_is_exit_two(self, capsys):
         assert run(capsys, "joint", "/nonexistent/net.json")[0] == 2

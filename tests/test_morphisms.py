@@ -9,7 +9,11 @@ update witnesses) plus hand-made contractions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chordalnet.morphisms
+import chordalnet.networks
 from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
@@ -19,7 +23,9 @@ from chordalnet import (
     MarkovNetwork,
     NetworkMorphism,
     OrderedDag,
+    OrderedUGraph,
     PearlVertexUpdate,
+    TableTooLargeError,
     VariableTable,
     bn_joint,
     compose_morphisms,
@@ -29,13 +35,22 @@ from chordalnet import (
     mn_to_bn,
     mn_unnormalized,
     moralise_bn,
+    morphism_violations,
     network_distribution,
     pearl_update,
     transfer_matrix,
     triangulate_mn,
-    validate_morphism,
 )
-from helpers import bear_bn, oracle_mn_table, random_bn, random_mn
+from helpers import (
+    bear_bn,
+    oracle_mn_table,
+    random_bn,
+    random_cn,
+    random_mn,
+    reference_regrouped_factors,
+    reference_regrouped_kernels,
+)
+from helpers import chain_bn as random_chain_bn
 
 
 def binary_vt(*names):
@@ -57,22 +72,22 @@ def chain_bn():
 class TestValidate:
     def test_identity_on_bn(self, misconception):
         bn = mn_to_bn(misconception)
-        assert validate_morphism(identity_morphism(bn), bn, bn) == []
+        assert morphism_violations(identity_morphism(bn), bn, bn) == []
 
     def test_identity_on_mn(self, misconception):
         m = identity_morphism(misconception)
-        assert validate_morphism(m, misconception, misconception) == []
+        assert morphism_violations(m, misconception, misconception) == []
 
     def test_marginalization_validates(self, misconception):
         bn = mn_to_bn(misconception)
         target, m = marginalization_morphism(bn, "A")
-        assert validate_morphism(m, bn, target) == []
+        assert morphism_violations(m, bn, target) == []
 
     def test_scaled_eta_is_stochasticity_violation(self):
         bn = chain_bn()
         m = identity_morphism(bn)
         m.eta["B"] = 2.0 * m.eta["B"]
-        violations = validate_morphism(m, bn, bn)
+        violations = morphism_violations(m, bn, bn)
         assert len(violations) == 1 and "column-stochastic" in violations[0]
 
     def test_wrong_graph_reference_is_flagged(self):
@@ -80,15 +95,25 @@ class TestValidate:
         other = bear_bn()
         m = identity_morphism(bn)
         assert any(
-            "target network's graph" in v for v in validate_morphism(m, bn, other)
+            "target network's graph" in v for v in morphism_violations(m, bn, other)
         )
+
+    def test_long_identity_validates_without_the_transfer_matrix(self, monkeypatch):
+        # The Kronecker transfer matrix of a 16-variable binary chain has
+        # 2**32 entries; the check must never build it.
+        def refuse(*args):
+            raise AssertionError("transfer_matrix was built")
+
+        monkeypatch.setattr(chordalnet.morphisms, "transfer_matrix", refuse)
+        bn = random_chain_bn(np.random.default_rng(16), 16)
+        assert morphism_violations(identity_morphism(bn), bn, bn) == []
 
     def test_broken_preservation_is_reported_with_deviation(self):
         bn = chain_bn()
         m = identity_morphism(bn)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         m.eta["B"] = swap  # relabels B without changing the target
-        violations = validate_morphism(m, bn, bn)
+        violations = morphism_violations(m, bn, bn)
         assert len(violations) == 1 and "deviation" in violations[0]
 
 
@@ -104,7 +129,7 @@ class TestMarginalizationMorphism:
         bn = mn_to_bn(misconception)
         target, m = marginalization_morphism(bn, "A")
         assert target.kernels["A"].values[0] == pytest.approx(0.1806, abs=1e-4)
-        assert validate_morphism(m, bn, target) == []
+        assert morphism_violations(m, bn, target) == []
 
     def test_chain_last_vertex_matches_enumeration(self):
         bn = chain_bn()
@@ -113,12 +138,12 @@ class TestMarginalizationMorphism:
         np.testing.assert_allclose(
             target.kernels["B"].values, joint.sum(axis=0), rtol=1e-12
         )
-        assert validate_morphism(m, bn, target) == []
+        assert morphism_violations(m, bn, target) == []
 
     def test_markov_network_target_keeps_kind(self, misconception):
         target, m = marginalization_morphism(misconception, "C")
         assert isinstance(target, MarkovNetwork)
-        assert validate_morphism(m, misconception, target) == []
+        assert morphism_violations(m, misconception, target) == []
 
 
 class TestCompose:
@@ -139,7 +164,7 @@ class TestCompose:
         np.testing.assert_allclose(
             transfer_matrix(composed, bn), transfer_matrix(m1, bn), rtol=1e-12
         )
-        assert validate_morphism(composed, bn, t2) == []
+        assert morphism_violations(composed, bn, t2) == []
 
     def test_type_mismatch_is_error(self):
         bn = chain_bn()
@@ -159,7 +184,7 @@ class TestCompose:
             w = mid.graph.vertices[int(rng.integers(len(mid.graph.vertices)))]
             tgt, m2 = marginalization_morphism(mid, w)
             composed = compose_morphisms(m1, m2)
-            assert validate_morphism(composed, bn, tgt) == []
+            assert morphism_violations(composed, bn, tgt) == []
             done += 1
 
 
@@ -171,8 +196,8 @@ class TestDecompose:
         for v in bn.graph.vertices:
             assert np.array_equal(semantic.eta[v], np.eye(bn.vt.card(v)))
             assert np.array_equal(syntactic.eta[v], np.eye(bn.vt.card(v)))
-        assert validate_morphism(semantic, bn, mid) == []
-        assert validate_morphism(syntactic, mid, bn) == []
+        assert morphism_violations(semantic, bn, mid) == []
+        assert morphism_violations(syntactic, mid, bn) == []
 
     def test_pure_contraction_splits_into_identity_semantics(self):
         # source: one vertex carrying the chain joint; target: the chain
@@ -184,7 +209,7 @@ class TestDecompose:
         )
         alpha = GraphHom(tgt.graph, src.graph, {"A": "X", "B": "X"})
         m = NetworkMorphism(alpha, {"X": np.eye(4)})
-        assert validate_morphism(m, src, tgt) == []
+        assert morphism_violations(m, src, tgt) == []
 
         semantic, syntactic, mid = decompose_morphism(m, src, tgt)
         assert np.array_equal(semantic.eta["X"], np.eye(4))
@@ -198,8 +223,8 @@ class TestDecompose:
         bn = mn_to_bn(misconception)
         tgt, m = marginalization_morphism(bn, "A")
         semantic, syntactic, mid = decompose_morphism(m, bn, tgt)
-        assert validate_morphism(semantic, bn, mid) == []
-        assert validate_morphism(syntactic, mid, tgt) == []
+        assert morphism_violations(semantic, bn, mid) == []
+        assert morphism_violations(syntactic, mid, tgt) == []
         back = compose_morphisms(semantic, syntactic)
         assert back.alpha.vertex_map == m.alpha.vertex_map
         for v in bn.graph.vertices:
@@ -209,8 +234,8 @@ class TestDecompose:
         tgt, m = marginalization_morphism(misconception, "B")
         semantic, syntactic, mid = decompose_morphism(m, misconception, tgt)
         assert isinstance(mid, MarkovNetwork)
-        assert validate_morphism(semantic, misconception, mid) == []
-        assert validate_morphism(syntactic, mid, tgt) == []
+        assert morphism_violations(semantic, misconception, mid) == []
+        assert morphism_violations(syntactic, mid, tgt) == []
         back = compose_morphisms(semantic, syntactic)
         for v in misconception.graph.vertices:
             assert np.array_equal(back.eta[v], m.eta[v])
@@ -223,6 +248,68 @@ class TestDecompose:
             decompose_morphism(m, bn, bn)
 
 
+def random_contraction(rng, tgt):
+    """A source graph and an order-preserving map of ``tgt``'s vertices onto
+    it: consecutive target vertices share a source vertex, some source
+    vertices have an empty preimage, and extra source edges add inputs
+    that the regrouped tables do not mention."""
+    names, vertex_map = [], {}
+    for i, w in enumerate(tgt.graph.vertices):
+        if rng.random() < 0.3:
+            names.append(f"S{len(names)}")
+        if i == 0 or rng.random() < 0.5:
+            names.append(f"S{len(names)}")
+        vertex_map[w] = names[-1]
+    pos = {v: i for i, v in enumerate(names)}
+    pairs = {
+        tuple(sorted((vertex_map[u], vertex_map[w]), key=pos.get))
+        for u, w in (tuple(e) for e in tgt.graph.edges)
+    }
+    pairs |= {
+        (a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.2
+    }
+    pairs = {(a, b) for a, b in pairs if a != b}
+    if isinstance(tgt, MarkovNetwork):
+        src = OrderedUGraph(tuple(names), {frozenset(p) for p in pairs})
+    else:
+        src = OrderedDag(tuple(names), pairs)
+    return src, GraphHom(tgt.graph, src, vertex_map)
+
+
+class TestRegroupedAgainstReference:
+    """The regrouped tables of a decomposition against ``factor_product``
+    chains, bit for bit, on cards 2 to 10."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["bayesian", "chordal"]))
+    def test_kernel_bytes(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        make = random_bn if kind == "bayesian" else random_cn
+        tgt = make(rng, n_max=5, max_card=10)
+        src, alpha = random_contraction(rng, tgt)
+        got = chordalnet.morphisms._regrouped_kernels(src, tgt, alpha)
+        want = reference_regrouped_kernels(src, tgt, alpha)
+        assert got.keys() == want.keys()
+        for v, k in want.items():
+            assert (got[v].parents, got[v].stochastic) == (k.parents, k.stochastic)
+            assert got[v].values.tobytes() == k.values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.0]))
+    def test_factor_bytes(self, seed, keep):
+        rng = np.random.default_rng(seed)
+        tgt = random_mn(rng, n_max=5, max_card=10)
+        factors = {c: f for c, f in tgt.factors.items() if rng.random() < keep}
+        tgt = MarkovNetwork(tgt.graph, tgt.vt, factors)
+        src, alpha = random_contraction(rng, tgt)
+        got = chordalnet.morphisms._regrouped_factors(src, tgt, alpha)
+        want = reference_regrouped_factors(src, tgt, alpha)
+        assert got.keys() == want.keys()
+        for clique, f in want.items():
+            assert got[clique].vars == f.vars
+            assert got[clique].values.tobytes() == f.values.tobytes()
+
+
 class TestPearlUpdate:
     def test_identity_update_is_identity(self):
         bn = chain_bn()
@@ -232,7 +319,7 @@ class TestPearlUpdate:
                 updated.kernels[v].values, bn.kernels[v].values, rtol=1e-12
             )
             assert np.array_equal(m.eta[v], np.eye(2))
-        assert validate_morphism(m, bn, updated) == []
+        assert morphism_violations(m, bn, updated) == []
 
     def test_binary_swap_permutes(self):
         bn = chain_bn()
@@ -241,7 +328,7 @@ class TestPearlUpdate:
         expected = bn_joint(bn).values.reshape(2, 2)[:, ::-1].ravel()
         np.testing.assert_allclose(bn_joint(updated).values, expected, rtol=1e-12)
         assert np.array_equal(m.eta["B"], swap)
-        assert validate_morphism(m, bn, updated) == []
+        assert morphism_violations(m, bn, updated) == []
 
     def test_leaf_indicator_matches_conditioning_oracle(self):
         bn = chain_bn()
@@ -256,7 +343,7 @@ class TestPearlUpdate:
             bn_joint(updated).values, conditioned.ravel(), atol=1e-12
         )
         assert updated.graph == bn.graph
-        assert validate_morphism(m, bn, updated) == []
+        assert morphism_violations(m, bn, updated) == []
 
     def test_soft_evidence_posterior(self):
         bn = chain_bn()
@@ -331,6 +418,22 @@ class TestPearlUpdate:
         with pytest.raises(ValueError, match="chordal"):
             pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
 
+    def test_non_chordal_posterior_is_capped(self, monkeypatch):
+        # The collider A -> C <- B followed by C -> D -> E -> F: 64 entries.
+        names = ("A", "B", "C", "D", "E", "F")
+        edges = {("A", "C"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F")}
+        kernels = {
+            "A": Kernel("A", (), [0.5, 0.5]),
+            "B": Kernel("B", (), [0.5, 0.5]),
+            "C": Kernel("C", ("A", "B"), [1, 0, 0, 1, 0, 1, 1, 0]),
+        }
+        for parent, child in (("C", "D"), ("D", "E"), ("E", "F")):
+            kernels[child] = Kernel(child, (parent,), [0.9, 0.1, 0.2, 0.8])
+        bn = BayesianNetwork(OrderedDag(names, edges), binary_vt(*names), kernels)
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        with pytest.raises(TableTooLargeError, match="64 entries"):
+            pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
+
     def test_chordal_network_update_keeps_kind(self):
         vt = binary_vt("A", "B")
         cnw = ChordalNetwork(
@@ -351,7 +454,7 @@ class TestPearlUpdate:
         np.testing.assert_allclose(
             network_distribution(updated).values, conditioned.ravel(), atol=1e-12
         )
-        assert validate_morphism(m, cnw, updated) == []
+        assert morphism_violations(m, cnw, updated) == []
 
     def test_markov_network_update(self, misconception):
         weight = np.array([0.8, 0.3])
@@ -383,14 +486,14 @@ class TestMorphismsSurviveTransforms:
             bn = random_bn(rng, n_max=4)
             v = bn.graph.vertices[int(rng.integers(len(bn.graph.vertices)))]
             tgt, m = marginalization_morphism(bn, v)
-            assert validate_morphism(m, bn, tgt) == []
+            assert morphism_violations(m, bn, tgt) == []
             src_m = moralise_bn(bn)
             tgt_m = moralise_bn(tgt)
             lifted = NetworkMorphism(
                 GraphHom(tgt_m.graph, src_m.graph, dict(m.alpha.vertex_map)),
                 dict(m.eta),
             )
-            assert validate_morphism(lifted, src_m, tgt_m) == []
+            assert morphism_violations(lifted, src_m, tgt_m) == []
 
     def test_mn_morphism_survives_triangulation(self):
         rng = np.random.default_rng(113)
@@ -401,12 +504,12 @@ class TestMorphismsSurviveTransforms:
                 continue
             v = mn.graph.vertices[int(rng.integers(len(mn.graph.vertices)))]
             tgt, m = marginalization_morphism(mn, v)
-            assert validate_morphism(m, mn, tgt) == []
+            assert morphism_violations(m, mn, tgt) == []
             src_t = triangulate_mn(mn)
             tgt_t = triangulate_mn(tgt)
             lifted = NetworkMorphism(
                 GraphHom(tgt_t.graph, src_t.graph, dict(m.alpha.vertex_map)),
                 dict(m.eta),
             )
-            assert validate_morphism(lifted, src_t, tgt_t) == []
+            assert morphism_violations(lifted, src_t, tgt_t) == []
             done += 1

@@ -23,7 +23,6 @@ from chordalnet import (
     cn_product,
     factor_marginalize,
     marginal_distribution,
-    mn_is_degenerate,
     mn_partition,
     mn_unnormalized,
     moralise_cn,
@@ -188,10 +187,9 @@ class TestMnTables:
             OrderedUGraph(("A",)), vt, {frozenset({"A"}): Factor(("A",), [0.0, 0.0])}
         )
         assert mn_partition(mn) == 0.0
-        assert mn_is_degenerate(mn)
 
     def test_misconception_not_degenerate(self, misconception):
-        assert not mn_is_degenerate(misconception)
+        assert mn_partition(misconception) != 0.0
 
     def test_disjoint_supports_degenerate(self):
         vt = binary_vt("A", "B")
@@ -203,7 +201,7 @@ class TestMnTables:
                 frozenset({"A", "B"}): Factor(("A", "B"), [0.0, 0.0, 1.0, 1.0]),
             },
         )
-        assert mn_is_degenerate(mn)
+        assert mn_partition(mn) == 0.0
 
 
 class TestChordalProducts:
@@ -215,6 +213,21 @@ class TestChordalProducts:
             right = mn_unnormalized(moralise_cn(cnw))
             assert left.vars == right.vars
             np.testing.assert_allclose(left.values, right.values, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "make, full_table",
+    [(random_bn, bn_joint), (random_cn, cn_product), (random_mn, mn_unnormalized)],
+    ids=["bn_joint", "cn_product", "mn_unnormalized"],
+)
+def test_full_tables_are_the_marginal_over_every_vertex(make, full_table):
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        net = make(rng, max_card=4)
+        got = full_table(net)
+        want = marginal_distribution(net, list(net.graph.vertices))
+        assert got.vars == want.vars == net.graph.vertices
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestSumProduct:
@@ -318,7 +331,6 @@ class TestResultOutsideDoubleRange:
                 compute()
             assert info.value.log_mass == pytest.approx(log_z, rel=1e-12)
             assert float(str(info.value).split()[-1]) == pytest.approx(log_z, rel=1e-12)
-        assert not mn_is_degenerate(mn)
 
     def test_many_messages_into_one_bucket(self):
         # Each of 1100 leaves sends the message (1, 1) to the centre, kept
@@ -329,5 +341,4 @@ class TestResultOutsideDoubleRange:
         factors = {e: Factor(("c", (set(e) - {"c"}).pop()), [0.5] * 4) for e in edges}
         mn = MarkovNetwork(OrderedUGraph(names, edges), vt, factors)
         assert mn_partition(mn) == 2.0
-        assert not mn_is_degenerate(mn)
         assert marginal_distribution(mn, ["c"]).values.tolist() == [1.0, 1.0]

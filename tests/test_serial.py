@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import chordalnet.networks
 from chordalnet import (
     DocumentError,
     MarkovNetwork,
+    TableTooLargeError,
     document_to_network,
     dumps_network,
     load_network,
@@ -15,7 +17,7 @@ from chordalnet import (
     mn_partition,
     network_to_document,
 )
-from helpers import chain_bn, random_bn, random_cn, random_mn
+from helpers import chain_bn, random_bn, random_cn, random_mn, wide_document
 
 
 def test_fixture_loads_to_misconception_network(fixtures_dir, misconception):
@@ -48,6 +50,21 @@ def test_roundtrip_on_random_networks():
             net = make(rng)
             text = dumps_network(net)
             assert dumps_network(loads_network(text)) == text
+
+
+def test_wide_table_is_refused_before_its_rows_are_listed():
+    # Listing the 2**30 parent assignments would take minutes and gigabytes.
+    text = json.dumps(wide_document("bayesian", 30))
+    assert len(text) < 5000
+    with pytest.raises(TableTooLargeError, match="2,147,483,648 entries"):
+        loads_network(text)
+
+
+@pytest.mark.parametrize("kind", ["bayesian", "markov"])
+def test_table_cap_applies_on_load(monkeypatch, kind):
+    monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 1 << 10)
+    with pytest.raises(TableTooLargeError, match="8,192 entries"):
+        loads_network(json.dumps(wide_document(kind, 12)))
 
 
 def test_key_order_in_input_does_not_matter(fixtures_dir):

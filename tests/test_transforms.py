@@ -53,6 +53,7 @@ from helpers import (
     random_bn,
     random_cn,
     random_mn,
+    reference_triangulate_mn,
     reference_variable_elimination,
 )
 
@@ -185,6 +186,27 @@ class TestTriangulateMn:
             left = cn_product(cnw).values
             right = mn_unnormalized(mn).values
             np.testing.assert_allclose(left, right, rtol=1e-12, atol=0)
+
+
+class TestTriangulateMnAgainstReference:
+    """The shared product against ``factor_product`` chains, bit for bit.
+
+    Cards run from 2 to 10, and some networks keep few or none of their
+    factors, so that vertices which consume no factor occur.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.0]))
+    def test_bytes_match_the_factor_products(self, seed, keep):
+        rng = np.random.default_rng(seed)
+        mn = random_mn(rng, n_max=5, max_card=10)
+        factors = {c: f for c, f in mn.factors.items() if rng.random() < keep}
+        mn = MarkovNetwork(mn.graph, mn.vt, factors)
+        got, want = triangulate_mn(mn), reference_triangulate_mn(mn)
+        assert got.graph == want.graph
+        for v in mn.graph.vertices:
+            assert got.kernels[v].parents == want.kernels[v].parents
+            assert got.kernels[v].values.tobytes() == want.kernels[v].values.tobytes()
 
 
 class TestVariableElimination:
