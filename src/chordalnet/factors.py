@@ -25,6 +25,7 @@ construction, outside its dataclass fields, so ``==``, ``hash`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
@@ -144,7 +145,7 @@ def check_factor(f: Factor, vt: VariableTable) -> None:
         raise ValueError(
             f"factor variables {f.vars} are not sorted by the variable table"
         )
-    expected = int(np.prod(vt.shape(f.vars), dtype=np.int64)) if f.vars else 1
+    expected = math.prod(vt.shape(f.vars))
     if f.values.size != expected:
         raise ValueError(
             f"factor over {f.vars} has {f.values.size} values, expected "
@@ -168,7 +169,7 @@ def kernel_violations(k: Kernel, vt: VariableTable, tol: float = 1e-9) -> list[s
         out.append(f"kernel for {k.child} has unsorted parents {k.parents}")
     if k.child in k.parents:
         out.append(f"kernel for {k.child} lists the child as a parent")
-    expected = int(np.prod(vt.shape(k.parents + (k.child,)), dtype=np.int64))
+    expected = math.prod(vt.shape(k.parents + (k.child,)))
     if k.values.size != expected:
         out.append(
             f"kernel for {k.child} has {k.values.size} values, expected {expected}"

@@ -190,13 +190,15 @@ class TableTooLargeError(ValueError):
 MAX_TABLE_ENTRIES = 1 << 24
 
 
-def _check_entries(vars: tuple[str, ...], vt: VariableTable) -> None:
-    """Refuse a table over ``vars`` of more than :data:`MAX_TABLE_ENTRIES`."""
+def _check_entries(vars: tuple[str, ...], vt: VariableTable, where: str = "") -> None:
+    """Refuse a table over ``vars`` of more than :data:`MAX_TABLE_ENTRIES`;
+    the message starts with ``where``, the table's place in a document."""
     entries = math.prod(vt.shape(vars))
     if entries > MAX_TABLE_ENTRIES:
         raise TableTooLargeError(
-            f"a table over {len(vars)} variables would have {entries:,} "
-            f"entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
+            f"{where}{': ' if where else ''}a table over {len(vars)} variables "
+            f"would have {entries:,} entries, more than the cap of "
+            f"{MAX_TABLE_ENTRIES:,}"
         )
 
 

@@ -22,14 +22,25 @@ the last.  Row coverage must be total, every assignment exactly once.
 Missing Markov tables mean the all-ones factor.
 
 Loading validates everything and reports all problems at once with field
-context; saving emits a canonical key order and round-trip-exact floats,
-so ``save(load(x))`` is byte-identical for canonical files.
+context.  Each row's labels are looked up once, in a map from every
+assignment to its place in the table; only a row that misses is diagnosed
+label by label.
+
+Saving emits a canonical key order and round-trip-exact floats, so
+``save(load(x))`` is byte-identical for canonical files.
+:func:`network_to_document` alone fixes the layout: key order, sorting and
+edge order.  The renderer only indents it: objects and lists that hold
+containers take one line per member, and every other list takes one line.
+Strings are encoded by ``json.encoder.encode_basestring_ascii``, as
+``json.dumps`` encodes them, and a list of numbers by one ``json.dumps``
+call, never one call per number.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import product as iter_product
+from json.encoder import encode_basestring_ascii
 from typing import Any, IO
 
 import numpy as np
@@ -46,6 +57,10 @@ from .networks import (
 )
 
 KINDS = ("bayesian", "markov", "chordal")
+
+# A table refuses a negative, NaN or infinite value with ValueError, and
+# an integer beyond the range of a double with OverflowError.
+_BAD_VALUES = (ValueError, OverflowError)
 
 
 class DocumentError(ValueError):
@@ -130,22 +145,30 @@ def _parse_edges(
     return out if ok else None
 
 
-def _rows_to_flat(
+def _parse_rows(
     rows: Any,
     given_vars: tuple[str, ...],
     out_var: str,
     vt: VariableTable,
     where: str,
     errors: list[str],
-) -> np.ndarray | None:
+) -> list[list[float]] | None:
+    """The values of a table's rows, one list per conditioning assignment in
+    canonical order, or ``None`` after appending every row problem."""
     # Before listing the assignments, which costs as much as the table.
-    _check_entries(given_vars + (out_var,), vt)
+    _check_entries(given_vars + (out_var,), vt, where)
     if not isinstance(rows, list):
         errors.append(f"{where}.rows: must be a list")
         return None
-    expected = list(iter_product(*(vt.states(p) for p in given_vars)))
+    # Each assignment's slot in canonical order.  A row whose labels hit a
+    # slot has the right label count and only known labels, so the
+    # diagnosis of each runs only on a miss.
+    slot = {
+        key: i
+        for i, key in enumerate(iter_product(*(vt.states(p) for p in given_vars)))
+    }
     card = vt.card(out_var)
-    seen: dict[tuple[str, ...], list[float]] = {}
+    seen: list[list[float] | None] = [None] * len(slot)
     ok = True
     for i, row in enumerate(rows):
         rw = f"{where}.rows[{i}]"
@@ -159,25 +182,18 @@ def _rows_to_flat(
             errors.append(f"{rw}.given: must be a list of state labels")
             ok = False
             continue
-        if len(given) != len(given_vars):
-            errors.append(
-                f"{rw}.given: has {len(given)} labels, expected one per "
-                f"conditioning variable {list(given_vars)}"
-            )
-            ok = False
-            continue
-        bad_label = next(
-            (
-                (p, s)
-                for p, s in zip(given_vars, given)
-                if s not in vt.states(p)
-            ),
-            None,
-        )
-        if bad_label is not None:
-            errors.append(
-                f"{rw}.given: {bad_label[1]!r} is not a state of {bad_label[0]}"
-            )
+        at = slot.get(tuple(given))
+        if at is None:
+            if len(given) != len(given_vars):
+                errors.append(
+                    f"{rw}.given: has {len(given)} labels, expected one per "
+                    f"conditioning variable {list(given_vars)}"
+                )
+            else:
+                p, s = next(
+                    (p, s) for p, s in zip(given_vars, given) if s not in vt.states(p)
+                )
+                errors.append(f"{rw}.given: {s!r} is not a state of {p}")
             ok = False
             continue
         if not isinstance(values, list) or not all(
@@ -193,19 +209,16 @@ def _rows_to_flat(
             )
             ok = False
             continue
-        key = tuple(given)
-        if key in seen:
-            errors.append(f"{rw}: duplicate row for assignment {list(key)}")
+        if seen[at] is not None:
+            errors.append(f"{rw}: duplicate row for assignment {given}")
             ok = False
             continue
-        seen[key] = [float(x) for x in values]
-    for key in expected:
-        if key not in seen:
+        seen[at] = values
+    for key, at in slot.items():
+        if seen[at] is None:
             errors.append(f"{where}.rows: missing row for assignment {list(key)}")
             ok = False
-    if not ok:
-        return None
-    return np.array([x for key in expected for x in seen[key]])
+    return seen if ok else None
 
 
 def _parse_kernel_tables(
@@ -233,6 +246,10 @@ def _parse_kernel_tables(
             errors.append(f"{where}: duplicate table for {child}")
             ok = False
             continue
+        if not isinstance(parents, list):
+            errors.append(f"{where}.parents: must be a list of vertex names")
+            ok = False
+            continue
         expected_parents = graph.parents_of(child)
         if tuple(parents) != expected_parents:
             errors.append(
@@ -241,17 +258,17 @@ def _parse_kernel_tables(
             )
             ok = False
             continue
-        flat = _rows_to_flat(
+        values = _parse_rows(
             item.get("rows"), expected_parents, child, vt, where, errors
         )
-        if flat is None:
+        if values is None:
             ok = False
             continue
-        if np.any(flat < 0) or not np.all(np.isfinite(flat)):
+        try:
+            kernels[child] = Kernel(child, expected_parents, values, stochastic)
+        except _BAD_VALUES:
             errors.append(f"{where}: values must be finite and nonnegative")
             ok = False
-            continue
-        kernels[child] = Kernel(child, expected_parents, flat, stochastic=stochastic)
     for v in graph.vertices:
         if v not in kernels:
             errors.append(f"tables: missing table for vertex {v}")
@@ -303,17 +320,17 @@ def _parse_clique_tables(
             errors.append(f"{where}: duplicate table for clique {list(members)}")
             ok = False
             continue
-        flat = _rows_to_flat(
+        values = _parse_rows(
             item.get("rows"), members[:-1], members[-1], vt, where, errors
         )
-        if flat is None:
+        if values is None:
             ok = False
             continue
-        if np.any(flat < 0) or not np.all(np.isfinite(flat)):
+        try:
+            factors[key] = Factor(members, values)
+        except _BAD_VALUES:
             errors.append(f"{where}: values must be finite and nonnegative")
             ok = False
-            continue
-        factors[key] = Factor(members, flat)
     return factors if ok else None
 
 
@@ -371,13 +388,28 @@ def document_to_network(doc: Any) -> Network:
     return net
 
 
+def _document_rows(
+    values: np.ndarray,
+    given_vars: tuple[str, ...],
+    out_var: str,
+    states: dict[str, tuple[str, ...]],
+) -> list[dict]:
+    """The rows of a table over ``given_vars + (out_var,)``, in canonical order."""
+    return [
+        {"given": list(given), "values": row}
+        for given, row in zip(
+            iter_product(*(states[p] for p in given_vars)),
+            values.reshape(-1, len(states[out_var])).tolist(),
+        )
+    ]
+
+
 def network_to_document(net: Network) -> dict:
     """Canonical document of a network: fixed key order, canonical sorting."""
     vt = net.vt
     pos = {name: i for i, name in enumerate(vt.names)}
-    variables = [
-        {"name": name, "states": list(states)} for name, states in vt.entries
-    ]
+    states = dict(vt.entries)
+    variables = [{"name": name, "states": list(labels)} for name, labels in vt.entries]
     if isinstance(net, MarkovNetwork):
         kind = "markov"
         edges = [
@@ -388,17 +420,9 @@ def network_to_document(net: Network) -> dict:
             net.factors, key=lambda c: tuple(sorted(pos[v] for v in c))
         ):
             members = tuple(sorted(clique, key=pos.get))
-            f = net.factors[clique]
-            card = vt.card(members[-1])
-            rows = [
-                {
-                    "given": list(given),
-                    "values": [float(x) for x in f.values[i * card : (i + 1) * card]],
-                }
-                for i, given in enumerate(
-                    iter_product(*(vt.states(p) for p in members[:-1]))
-                )
-            ]
+            rows = _document_rows(
+                net.factors[clique].values, members[:-1], members[-1], states
+            )
             tables.append({"clique": list(members), "rows": rows})
     else:
         kind = "bayesian" if isinstance(net, BayesianNetwork) else "chordal"
@@ -406,43 +430,32 @@ def network_to_document(net: Network) -> dict:
         tables = []
         for v in net.graph.vertices:
             k = net.kernels[v]
-            card = vt.card(v)
-            rows = [
-                {
-                    "given": list(given),
-                    "values": [float(x) for x in k.values[i * card : (i + 1) * card]],
-                }
-                for i, given in enumerate(
-                    iter_product(*(vt.states(p) for p in k.parents))
-                )
-            ]
+            rows = _document_rows(k.values, k.parents, v, states)
             tables.append({"child": v, "parents": list(k.parents), "rows": rows})
     return {"kind": kind, "variables": variables, "edges": edges, "tables": tables}
 
 
-def _scalar(x: Any) -> str:
-    # json.dumps round-trips floats exactly (repr-based shortest form).
-    return json.dumps(x)
-
-
 def _render(obj: Any, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict) and obj:
+        inner = "  " * (indent + 1)
         parts = [
-            f"{inner}{_scalar(k)}: {_render(v, indent + 1)}" for k, v in obj.items()
+            f"{inner}{encode_basestring_ascii(k)}: {_render(v, indent + 1)}"
+            for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if all(not isinstance(x, (dict, list)) for x in obj):
-            return "[" + ", ".join(_scalar(x) for x in obj) + "]"
-        parts = [f"{inner}{_render(x, indent + 1)}" for x in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _scalar(obj)
+        # isinstance(x, str) for every x, mapped in C.
+        if all(map(str.__instancecheck__, obj)):
+            return "[" + ", ".join(map(encode_basestring_ascii, obj)) + "]"
+        if any(isinstance(x, (dict, list)) for x in obj):
+            inner = "  " * (indent + 1)
+            parts = [f"{inner}{_render(x, indent + 1)}" for x in obj]
+            return "[\n" + ",\n".join(parts) + "\n" + "  " * indent + "]"
+    # Anything else, such as a number, {} or a list of numbers, takes one
+    # line; json.dumps round-trips floats exactly (repr-based shortest form).
+    return json.dumps(obj)
 
 
 def dumps_network(net: Network) -> str:

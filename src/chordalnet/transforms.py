@@ -212,28 +212,31 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[EliminationStep] = []
-    for v in reversed(graph.vertices):
-        parents = graph.parents_of(v)
-        rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
-        kernels[v] = Kernel(v, parents, rows, stochastic=True)
-        lam = Factor(parents, mass)
-        if not np.any(lam.values > 0):
-            raise DegenerateDistributionError(
-                f"degenerate network: the mass table at vertex {v} is "
-                "identically zero",
-                vertex=v,
-            )
-        host, shift = None, 0
-        if parents:
-            host = parents[-1]
-            shift = math.frexp(lam.values.max())[1] - 1
-            family = graph.parents_of(host) + (host,)
-            spread = _spread(np.ldexp(lam.values, -shift), parents, family, vt)
-            # An overflow here, or inf * 0 after one, is caught when the
-            # host's kernel and mass are built: they must be finite.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow in a host's table, or inf * 0 after one, is caught when
+    # the host's kernel and mass are built: they must be finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in reversed(graph.vertices):
+            parents = graph.parents_of(v)
+            rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
+            kernels[v] = Kernel(v, parents, rows, stochastic=True)
+            lam = Factor(parents, mass)
+            # The mass is finite and nonnegative, so it is identically zero
+            # exactly when its maximum is not positive.
+            peak = lam.values.max()
+            if not peak > 0:
+                raise DegenerateDistributionError(
+                    f"degenerate network: the mass table at vertex {v} is "
+                    "identically zero",
+                    vertex=v,
+                )
+            host, shift = None, 0
+            if parents:
+                host = parents[-1]
+                shift = math.frexp(peak)[1] - 1
+                family = graph.parents_of(host) + (host,)
+                spread = _spread(np.ldexp(lam.values, -shift), parents, family, vt)
                 working[host] = working[host].reshape(vt.shape(family)) * spread
-        steps.append(EliminationStep(v, lam, host, shift))
+            steps.append(EliminationStep(v, lam, host, shift))
     bn = BayesianNetwork(graph, vt, kernels)
     return bn, EliminationTrace(tuple(steps))
 

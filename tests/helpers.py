@@ -11,6 +11,7 @@ against the definitions.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from functools import reduce
@@ -543,3 +544,67 @@ def wide_document(kind: str, n_parents: int) -> dict:
         ]
         doc["tables"] = roots + [{"child": "child", "parents": names[:-1], "rows": row}]
     return doc
+
+
+# ---------------------------------------------------------------------------
+# reference renderer: one json.dumps call per scalar and per key
+
+
+def _reference_render(obj, indent: int) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(k)}: {_reference_render(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(not isinstance(x, (dict, list)) for x in obj):
+            return "[" + ", ".join(json.dumps(x) for x in obj) + "]"
+        parts = [f"{inner}{_reference_render(x, indent + 1)}" for x in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+def _reference_rows(values, given_vars, card: int, vt: VariableTable) -> list[dict]:
+    return [
+        {
+            "given": list(given),
+            "values": [float(x) for x in values[i * card : (i + 1) * card]],
+        }
+        for i, given in enumerate(iter_product(*(vt.states(p) for p in given_vars)))
+    ]
+
+
+def reference_dumps(net) -> str:
+    """``dumps_network`` as first written: rows built with ``float(x)`` per
+    entry and every scalar and key rendered by its own ``json.dumps``."""
+    vt = net.vt
+    pos = {name: i for i, name in enumerate(vt.names)}
+    variables = [{"name": name, "states": list(states)} for name, states in vt.entries]
+    tables = []
+    if isinstance(net, MarkovNetwork):
+        kind = "markov"
+        edges = [
+            [u, w] for u in vt.names for w in net.graph.neighbours_of(u) if pos[u] < pos[w]
+        ]
+        for clique in sorted(net.factors, key=lambda c: tuple(sorted(pos[v] for v in c))):
+            members = tuple(sorted(clique, key=pos.get))
+            rows = _reference_rows(
+                net.factors[clique].values, members[:-1], vt.card(members[-1]), vt
+            )
+            tables.append({"clique": list(members), "rows": rows})
+    else:
+        kind = "bayesian" if isinstance(net, BayesianNetwork) else "chordal"
+        edges = [[u, w] for u in vt.names for w in net.graph.children_of(u)]
+        for v in net.graph.vertices:
+            k = net.kernels[v]
+            rows = _reference_rows(k.values, k.parents, vt.card(v), vt)
+            tables.append({"child": v, "parents": list(k.parents), "rows": rows})
+    doc = {"kind": kind, "variables": variables, "edges": edges, "tables": tables}
+    return _reference_render(doc, 0) + "\n"

@@ -81,6 +81,21 @@ class TestTransforms:
         second = run(capsys, "tr", misconception_path)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [
+            ("tr", "misconception"),
+            ("triangulate", "misconception"),
+            ("moralise", "bear"),
+            ("trmor", "bear"),
+        ],
+    )
+    def test_stdout_matches_golden_file(self, capsys, fixtures_dir, command, fixture):
+        code, text, err = run(capsys, command, str(fixtures_dir / f"{fixture}.json"))
+        assert code == 0 and err == ""
+        golden = fixtures_dir.parent / "golden" / f"{command}_{fixture}.json"
+        assert text.encode() == golden.read_bytes()
+
 
 class TestReports:
     def test_joint_table_shape(self, capsys, misconception_path):
@@ -255,6 +270,19 @@ class TestCheckAndExitCodes:
         code, text, err = run(capsys, command, str(path))
         assert code == 3 and text == ""
         assert f"{entries} entries" in err
+        assert err.startswith(f"tables[{n_parents}]: a table over")
 
     def test_missing_file_is_exit_two(self, capsys):
         assert run(capsys, "joint", "/nonexistent/net.json")[0] == 2
+
+    def test_check_parents_null_is_exit_two(self, capsys, tmp_path, bear_path):
+        doc = json.loads(open(bear_path).read())
+        doc["tables"][2]["parents"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "check", str(path))
+        assert code == 2 and err == ""
+        assert text.splitlines() == [
+            "tables[2].parents: must be a list of vertex names",
+            "tables: missing table for vertex A",
+        ]

@@ -4,12 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chordalnet.networks
 from chordalnet import (
     DocumentError,
+    ChordalNetwork,
+    Factor,
+    Kernel,
     MarkovNetwork,
+    OrderedDag,
+    OrderedUGraph,
     TableTooLargeError,
+    VariableTable,
     document_to_network,
     dumps_network,
     load_network,
@@ -17,7 +25,14 @@ from chordalnet import (
     mn_partition,
     network_to_document,
 )
-from helpers import chain_bn, random_bn, random_cn, random_mn, wide_document
+from helpers import (
+    chain_bn,
+    random_bn,
+    random_cn,
+    random_mn,
+    reference_dumps,
+    wide_document,
+)
 
 
 def test_fixture_loads_to_misconception_network(fixtures_dir, misconception):
@@ -182,3 +197,98 @@ def test_network_to_document_is_plain_json(misconception):
     json.dumps(doc)  # serializable without custom encoders
     assert doc["kind"] == "markov"
     assert [v["name"] for v in doc["variables"]] == ["A", "B", "C", "D"]
+
+
+# Names and labels that exercise every escape of the JSON string encoder.
+AWKWARD = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\u4e2d\U0001f600ab') | st.characters(),
+    min_size=1,
+    max_size=5,
+)
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 0.1, 1e308]
+
+
+def _relabelled(net, names, labels, values):
+    """``net`` with new variable names and state labels, and every table
+    filled by repeating ``values``."""
+    old = net.vt.names
+    new = dict(zip(old, names))
+    vt = VariableTable(
+        tuple((new[v], tuple(labels[i][: net.vt.card(v)])) for i, v in enumerate(old))
+    )
+
+    def fill(size):
+        return np.resize(np.array(values), size)
+
+    if isinstance(net, MarkovNetwork):
+        graph = OrderedUGraph(names, {frozenset(new[v] for v in e) for e in net.graph.edges})
+        factors = {
+            frozenset(new[v] for v in c): Factor(
+                tuple(new[v] for v in f.vars), fill(f.values.size)
+            )
+            for c, f in net.factors.items()
+        }
+        return MarkovNetwork(graph, vt, factors)
+    graph = OrderedDag(names, {(new[u], new[w]) for u, w in net.graph.edges})
+    kernels = {
+        new[v]: Kernel(
+            new[v], tuple(new[p] for p in k.parents), fill(k.values.size), k.stochastic
+        )
+        for v, k in net.kernels.items()
+    }
+    return type(net)(graph, vt, kernels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    make=st.sampled_from([random_bn, random_cn, random_mn]),
+    names=st.lists(AWKWARD, min_size=6, max_size=6, unique=True),
+    labels=st.lists(
+        st.lists(AWKWARD, min_size=3, max_size=3, unique=True), min_size=6, max_size=6
+    ),
+    values=st.lists(
+        st.sampled_from(SPECIAL_VALUES) | st.floats(0, 1e308), min_size=1, max_size=7
+    ),
+)
+def test_dumps_matches_the_reference_renderer_byte_for_byte(
+    seed, make, names, labels, values
+):
+    net = make(np.random.default_rng(seed))
+    n = len(net.vt.names)
+    net = _relabelled(net, names[:n], labels, values)
+    assert dumps_network(net) == reference_dumps(net)
+
+
+def test_special_values_render_exactly():
+    vt = VariableTable((("a\"\\\x00\xe9", ("s\n", "\u4e2d", "t", "u", "v")),))
+    k = Kernel("a\"\\\x00\xe9", (), SPECIAL_VALUES, stochastic=False)
+    net = ChordalNetwork(OrderedDag(vt.names), vt, {vt.names[0]: k})
+    text = dumps_network(net)
+    assert text == reference_dumps(net)
+    assert '"values": [0.0, -0.0, 5e-324, 0.1, 1e+308]' in text
+    assert '"name": "a\\"\\\\\\u0000\\u00e9"' in text
+    assert dumps_network(loads_network(text)) == text
+
+
+@pytest.mark.parametrize("parents", [None, 3, "E", {"0": "E"}])
+def test_parents_that_are_not_a_list_are_a_document_error(fixtures_dir, parents):
+    doc = json.loads((fixtures_dir / "bear.json").read_text())
+    doc["tables"][2]["parents"] = parents
+    with pytest.raises(DocumentError) as err:
+        loads_network(json.dumps(doc))
+    assert err.value.violations[0].startswith("tables[2].parents:")
+
+
+def test_huge_integer_value_is_a_document_error(fixtures_dir):
+    doc = json.loads((fixtures_dir / "bear.json").read_text())
+    doc["tables"][0]["rows"][0]["values"][0] = 10**400
+    with pytest.raises(DocumentError, match=r"tables\[0\]: values must be finite"):
+        loads_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, where", [("markov", "tables[0]"), ("bayesian", "tables[30]")])
+def test_wide_table_error_names_the_table(kind, where):
+    with pytest.raises(TableTooLargeError) as err:
+        loads_network(json.dumps(wide_document(kind, 30)))
+    assert str(err.value).startswith(f"{where}: a table over 31 variables")
