@@ -18,9 +18,9 @@ kernel to a factor may transpose.
 
 Values are IEEE double precision.  Tables are immutable after construction
 and all operations are pure, so values can be shared across threads.
-A :class:`VariableTable` builds its names tuple and index once, at
-construction, outside its dataclass fields, so ``==``, ``hash`` and
-``repr`` ignore them.
+A :class:`VariableTable` builds its names tuple, index and cardinalities
+once, at construction, outside its dataclass fields, so ``==``, ``hash``
+and ``repr`` ignore them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ class VariableTable:
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_card", {n: len(s) for n, s in self.entries})
         for name, states in self.entries:
             if not states:
                 raise ValueError(f"variable {name} has no states")
@@ -74,10 +75,11 @@ class VariableTable:
         return self.entries[self.index(name)][1]
 
     def card(self, name: str) -> int:
-        return len(self.states(name))
+        # An unknown name takes the slow path, which raises its KeyError.
+        return self._card[name] if name in self._card else len(self.states(name))
 
     def shape(self, vars: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.card(v) for v in vars)
+        return tuple(map(self.card, vars))
 
     def state_index(self, name: str, label: str) -> int:
         states = self.states(name)
@@ -118,6 +120,9 @@ class Factor:
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "values", _as_table(self.values))
 
+    def __reduce__(self):  # through the constructor: unpickled values are read-only
+        return Factor, (self.vars, self.values)
+
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
@@ -136,6 +141,9 @@ class Kernel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "values", _as_table(self.values))
+
+    def __reduce__(self):
+        return Kernel, (self.child, self.parents, self.values, self.stochastic)
 
 
 def check_factor(f: Factor, vt: VariableTable) -> None:
@@ -199,25 +207,28 @@ def ones_factor(vt: VariableTable, vars: Iterable[str]) -> Factor:
     return Factor(names, np.ones(size))
 
 
+_Table = tuple[tuple[str, ...], np.ndarray]  # sorted variables, flat or shaped values
+
+
 def _spread(
-    values: np.ndarray, vars: tuple[str, ...], onto: tuple[str, ...], vt: VariableTable
+    vars: tuple[str, ...], values: np.ndarray, onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray:
     """``values`` over ``vars`` reshaped to one axis per variable of ``onto``,
     of size 1 where ``vars`` lacks it; ``vars`` must follow ``onto``'s order."""
-    return np.reshape(values, [vt.card(u) if u in vars else 1 for u in onto])
+    return np.reshape(values, [vt._card[u] if u in vars else 1 for u in onto])
 
 
 def _product(
-    tables: Iterable[Factor], onto: tuple[str, ...], vt: VariableTable
+    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray:
     """The exact product of ``tables`` shaped by ``onto``, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls.  It is
     a read-only broadcast view, all ones for no tables: the :class:`Factor`
     or :class:`Kernel` built from it makes the only copy."""
     acc = 1.0
-    for f in tables:
+    for table in tables:
         # Broadcasting grows ``acc`` to the variables seen so far only.
-        acc = acc * _spread(f.values, f.vars, onto, vt)
+        acc = acc * _spread(*table, onto, vt)
     return np.broadcast_to(acc, vt.shape(onto))
 
 
@@ -230,7 +241,7 @@ def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:
     check_factor(a, vt)
     check_factor(b, vt)
     union = tuple(sorted(set(a.vars) | set(b.vars), key=vt.index))
-    return Factor(union, _product((a, b), union, vt))
+    return Factor(union, _product([(a.vars, a.values), (b.vars, b.values)], union, vt))
 
 
 def factor_marginalize(f: Factor, drop: Iterable[str], vt: VariableTable) -> Factor:

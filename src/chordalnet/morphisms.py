@@ -34,8 +34,8 @@ from .factors import (
     Kernel,
     VariableTable,
     _product,
+    _Table,
     factor_marginalize,
-    kernel_to_factor,
     normalize_to_kernel,
 )
 from .graphs import GraphHom, OrderedDag, OrderedUGraph, check_hom, identity_hom, is_ordered_chordal
@@ -218,7 +218,7 @@ def _regrouped_kernels(
         group = alpha.preimage(v)
         pa_src = src_graph.parents_of(v)
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
-        tables = [kernel_to_factor(tgt.kernels[w], tgt.vt) for w in group]
+        tables = [(tgt.kernels[w].parents + (w,), tgt.kernels[w].values) for w in group]
         values = _product(tables, input_block + group, tgt.vt)
         kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
@@ -230,9 +230,9 @@ def _regrouped_factors(
     alpha: GraphHom,
 ) -> dict[frozenset[str], Factor]:
     """Target clique factors bundled onto their image cliques."""
-    groups: dict[frozenset[str], list[Factor]] = {}
-    for f in _tables(tgt):
-        groups.setdefault(frozenset(alpha.vertex_map[w] for w in f.vars), []).append(f)
+    groups: dict[frozenset[str], list[_Table]] = {}
+    for t in _tables(tgt):
+        groups.setdefault(frozenset(alpha.vertex_map[w] for w in t[0]), []).append(t)
 
     out: dict[frozenset[str], Factor] = {}
     for image, tables in groups.items():
@@ -432,7 +432,7 @@ def pearl_update(
             kernels = bn.kernels
         else:
             vars = net.graph.vertices
-            tables = [kernel_to_factor(reweighted[v], net.vt) for v in vars]
+            tables = [(reweighted[v].parents + (v,), reweighted[v].values) for v in vars]
             # The scale 2**exponent of the product cancels in the normalization.
             prod, _ = _scaled_product(tables, net.vt, vars)
             mass = float(prod.sum())

@@ -11,13 +11,15 @@ nonnegative, not necessarily stochastic, kernel per vertex.
 Validation is collect-all rather than fail-fast so that a caller (for
 example the command line ``check``) can report every problem in one pass.
 Operations whose contract requires a valid network raise
-:class:`NetworkValidationError` carrying the full list.
+:class:`NetworkValidationError` carrying the full list.  Networks cannot
+change, so each instance is validated at most once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -27,8 +29,8 @@ from .factors import (
     Kernel,
     VariableTable,
     _spread,
+    _Table,
     check_factor,
-    kernel_to_factor,
     kernel_violations,
 )
 from .graphs import OrderedDag, OrderedUGraph, is_ordered_chordal
@@ -50,20 +52,32 @@ class DegenerateDistributionError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, eq=False)
-class BayesianNetwork:
-    """Ordered DAG, variable domains, and one stochastic kernel per vertex."""
+class _NetworkBase:
+    """What every network kind shares: a read-only table mapping over a
+    private copy, and ``_valid``, outside the dataclass fields, set once the
+    instance passes validation; unpickling rebuilds it from its fields."""
 
+    def __reduce__(self):
+        graph, vt, tables = (getattr(self, f.name) for f in fields(self))
+        return type(self), (graph, vt, dict(tables))
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelNetwork(_NetworkBase):
     graph: OrderedDag
     vt: VariableTable
     kernels: Mapping[str, Kernel]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kernels", dict(self.kernels))
+        object.__setattr__(self, "kernels", MappingProxyType(dict(self.kernels)))
+
+
+class BayesianNetwork(_KernelNetwork):
+    """Ordered DAG, variable domains, and one stochastic kernel per vertex."""
 
 
 @dataclass(frozen=True, eq=False)
-class MarkovNetwork:
+class MarkovNetwork(_NetworkBase):
     """Ordered undirected graph with factors on some of its cliques.
 
     ``factors`` maps cliques (frozensets of vertex names) to factors whose
@@ -76,25 +90,16 @@ class MarkovNetwork:
     factors: Mapping[frozenset[str], Factor] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", {frozenset(k): f for k, f in self.factors.items()}
-        )
+        factors = {frozenset(k): f for k, f in self.factors.items()}
+        object.__setattr__(self, "factors", MappingProxyType(factors))
 
 
-@dataclass(frozen=True, eq=False)
-class ChordalNetwork:
+class ChordalNetwork(_KernelNetwork):
     """Ordered chordal DAG with one nonnegative kernel per vertex.
 
     Kernels need not be stochastic; variable elimination turns a chordal
     network into a Bayesian network by normalizing them.
     """
-
-    graph: OrderedDag
-    vt: VariableTable
-    kernels: Mapping[str, Kernel]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kernels", dict(self.kernels))
 
 
 Network = BayesianNetwork | MarkovNetwork | ChordalNetwork
@@ -131,7 +136,8 @@ def _kernel_map_violations(
 
 
 def network_violations(net: Network) -> list[str]:
-    """Every type-invariant violation of ``net``, empty when valid."""
+    """Every type-invariant violation of ``net``, from a full check on
+    every call; when there is none, ``net`` is recorded as valid."""
     out: list[str] = []
     if net.vt.names != net.graph.vertices:
         out.append(
@@ -172,10 +178,16 @@ def network_violations(net: Network) -> list[str]:
                 out.append(f"factor for clique {members}: {exc}")
     else:
         out.append(f"unknown network type {type(net).__name__}")
+    if not out:
+        object.__setattr__(net, "_valid", True)
     return out
 
 
 def require_valid(net: Network) -> None:
+    """Raise :class:`NetworkValidationError` unless ``net`` is valid.  A
+    network recorded as valid is not checked again; a failure is never kept."""
+    if getattr(net, "_valid", False):
+        return
     violations = network_violations(net)
     if violations:
         raise NetworkValidationError(violations)
@@ -203,36 +215,33 @@ def _check_entries(vars: tuple[str, ...], vt: VariableTable, where: str = "") ->
 
 
 def _scaled_product(
-    factors: list[Factor], vt: VariableTable, vars: tuple[str, ...]
+    tables: list[_Table], vt: VariableTable, vars: tuple[str, ...]
 ) -> tuple[np.ndarray, int]:
-    """The product of ``factors`` over ``vars`` as ``(table, exponent)``,
-    worth ``table * 2**exponent`` with ``table`` shaped by ``vars``.
+    """The product of ``tables`` over ``vars`` as ``(table, exponent)``,
+    worth ``table * 2**exponent``, of size 1 on axes no table mentions.
 
-    The product grows one factor at a time over the union of the variables
+    The product grows one table at a time over the union of the variables
     seen so far, and is rescaled by a power of two, which is exact, after
-    every multiplication, so no number of factors underflows or overflows.
+    every multiplication, so no number of tables underflows or overflows.
     """
     _check_entries(vars, vt)
     acc, exponent = 1.0, 0
-    for f in factors:
-        acc = acc * _spread(f.values, f.vars, vars, vt)
+    for table in tables:
+        acc = acc * _spread(*table, vars, vt)
         shift = math.frexp(acc.max())[1]
         acc = np.ldexp(acc, -shift)
         exponent += shift
-    return np.broadcast_to(acc, vt.shape(vars)), exponent
+    return acc, exponent
 
 
-def _tables(net: Network) -> list[Factor]:
-    """The network's tables as factors: clique factors, or the kernels."""
+def _tables(net: Network) -> list[_Table]:
+    """A valid network's tables as arrays; a kernel's layout is its family's."""
     if isinstance(net, MarkovNetwork):
-        return [
-            f
-            for _, f in sorted(
-                net.factors.items(),
-                key=lambda kv: tuple(sorted(map(net.graph.position, kv[0]))),
-            )
-        ]
-    return [kernel_to_factor(net.kernels[v], net.vt) for v in net.graph.vertices]
+        pos = net.vt._index
+        ranked = sorted(net.factors.values(), key=lambda f: [pos[u] for u in f.vars])
+        return [(f.vars, f.values) for f in ranked]
+    kernels = [net.kernels[v] for v in net.graph.vertices]
+    return [(k.parents + (k.child,), k.values) for k in kernels]
 
 
 def _sum_product(
@@ -246,41 +255,44 @@ def _sum_product(
     the kept variables; a vertex no table mentions contributes its
     cardinality.  Every product and message is rescaled by a power of
     two, which is exact, so long networks neither overflow nor underflow
-    on the way.  Returns ``(kept, table, exponent)``: the sum over the
-    kept variables, in declared order, is ``table * 2**exponent``, which
-    need not fit in a double.
+    on the way, on plain arrays.  Returns ``(kept, table, exponent)``: the
+    sum over the kept variables, in declared order, is ``table *
+    2**exponent``, which need not fit in a double.
     """
-    vt = net.vt
-    buckets: dict[str, list[Factor]] = {v: [] for v in net.graph.vertices}
-    done: list[Factor] = []
+    vt, pos = net.vt, net.vt._index
+    buckets: dict[str, list[_Table]] = {v: [] for v in net.graph.vertices}
+    done: list[_Table] = []
 
-    def place(table: Factor) -> None:
-        # Factor variables follow the declared order, so the last free one
+    def place(vars: tuple[str, ...], values: np.ndarray) -> None:
+        # Table variables follow the declared order, so the last free one
         # is the first to be eliminated.
-        free = [u for u in table.vars if u not in keep]
-        (buckets[free[-1]] if free else done).append(table)
+        free = [u for u in vars if u not in keep]
+        (buckets[free[-1]] if free else done).append((vars, values))
 
     for table in _tables(net):
-        place(table)
+        place(*table)
     exponent = 0
     for v in reversed(net.graph.vertices):
         if v in keep:
             continue
         bucket = buckets.pop(v)
         if bucket:
-            family = tuple(sorted({u for t in bucket for u in t.vars}, key=vt.index))
+            family = tuple(sorted({u for vars, _ in bucket for u in vars}, key=pos.get))
             product, shift = _scaled_product(bucket, vt, family)
             exponent += shift
             rest = tuple(u for u in family if u != v)
             message = product.sum(axis=family.index(v))
         else:
             rest, message = (), np.array(float(vt.card(v)))
-        shift = math.frexp(message.max())[1]
+        peak = message.max()
+        if not (message.min() >= 0 and peak < math.inf):  # NaN fails both
+            raise ValueError("table values must be finite and nonnegative")
+        shift = math.frexp(peak)[1]
         exponent += shift
-        place(Factor(rest, np.ldexp(message, -shift)))
+        place(rest, np.ldexp(message, -shift))
     kept = tuple(v for v in net.graph.vertices if v in keep)
     table, shift = _scaled_product(done, vt, kept)
-    return kept, table, exponent + shift
+    return kept, np.broadcast_to(table, vt.shape(kept)), exponent + shift
 
 
 class OutOfRangeError(ValueError):
@@ -396,7 +408,8 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     declared order, without building the full table: the cost is
     O(n * d^(w+1+k)) for n variables of at most d states, induced width w
     and k kept variables.  Keeping every vertex gives the full table: every
-    other full-table function calls this one.
+    other full-table function calls this one.  A network found valid before
+    is not checked again.
 
     Raises:
         TableTooLargeError: if a product would exceed ``MAX_TABLE_ENTRIES``.

@@ -31,9 +31,9 @@ Saving emits a canonical key order and round-trip-exact floats, so
 :func:`network_to_document` alone fixes the layout: key order, sorting and
 edge order.  The renderer only indents it: objects and lists that hold
 containers take one line per member, and every other list takes one line.
-Strings are encoded by ``json.encoder.encode_basestring_ascii``, as
-``json.dumps`` encodes them, and a list of numbers by one ``json.dumps``
-call, never one call per number.
+Strings are encoded by ``json.encoder.encode_basestring_ascii`` and
+finite floats by ``float.__repr__``, as ``json.dumps`` encodes them; any
+other list of numbers takes one ``json.dumps`` call.
 """
 
 from __future__ import annotations
@@ -449,6 +449,9 @@ def _render(obj: Any, indent: int) -> str:
         # isinstance(x, str) for every x, mapped in C.
         if all(map(str.__instancecheck__, obj)):
             return "[" + ", ".join(map(encode_basestring_ascii, obj)) + "]"
+        # Table values are finite, which json.dumps writes as float.__repr__.
+        if {*map(type, obj)} == {float}:
+            return "[" + ", ".join(map(float.__repr__, obj)) + "]"
         if any(isinstance(x, (dict, list)) for x in obj):
             inner = "  " * (indent + 1)
             parts = [f"{inner}{_render(x, indent + 1)}" for x in obj]

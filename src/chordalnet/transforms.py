@@ -40,6 +40,7 @@ from .factors import (
     VariableTable,
     _product,
     _spread,
+    _Table,
     _stochastic_rows,
     factor_marginalize,
     kernel_to_factor,
@@ -158,10 +159,10 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     """
     require_valid(mn)
     graph = triangulate_graph(mn.graph)
-    consumed: dict[str, list[Factor]] = {v: [] for v in graph.vertices}
-    for f in _tables(mn):
-        # Factor variables follow the declared order: the last is the maximum.
-        consumed[f.vars[-1]].append(f)
+    consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
+    for table in _tables(mn):
+        # Table variables follow the declared order: the last is the maximum.
+        consumed[table[0][-1]].append(table)
 
     kernels: dict[str, Kernel] = {}
     for v in graph.vertices:
@@ -234,7 +235,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
                 host = parents[-1]
                 shift = math.frexp(peak)[1] - 1
                 family = graph.parents_of(host) + (host,)
-                spread = _spread(np.ldexp(lam.values, -shift), parents, family, vt)
+                spread = _spread(parents, np.ldexp(lam.values, -shift), family, vt)
                 working[host] = working[host].reshape(vt.shape(family)) * spread
             steps.append(EliminationStep(v, lam, host, shift))
     bn = BayesianNetwork(graph, vt, kernels)
@@ -275,7 +276,7 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
     for v in graph.vertices:
         old = bn.kernels[v]
         family = graph.parents_of(v) + (v,)
-        spread = _spread(old.values, old.parents + (v,), family, bn.vt)
+        spread = _spread(old.parents + (v,), old.values, family, bn.vt)
         values = np.broadcast_to(spread, bn.vt.shape(family))
         kernels[v] = Kernel(v, family[:-1], values, stochastic=True)
     return BayesianNetwork(graph, bn.vt, kernels)

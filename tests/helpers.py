@@ -320,6 +320,61 @@ def _reference_product(tables: list[Factor], vt: VariableTable, axes) -> np.ndar
     return np.broadcast_to(spread, shape)
 
 
+def _reference_scaled_product(
+    factors: list[Factor], vt: VariableTable, vars: tuple[str, ...]
+) -> tuple[np.ndarray, int]:
+    """The bucket product on ``Factor`` objects: multiplied left to right
+    and rescaled by a power of two after every multiplication."""
+    acc, exponent = 1.0, 0
+    for f in factors:
+        acc = acc * f.values.reshape([vt.card(u) if u in f.vars else 1 for u in vars])
+        shift = math.frexp(acc.max())[1]
+        acc = np.ldexp(acc, -shift)
+        exponent += shift
+    return np.broadcast_to(acc, vt.shape(vars)), exponent
+
+
+def reference_sum_product(net, keep: set[str]) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """Bucket elimination with every table and message a validated
+    ``Factor``: kernels go through ``kernel_to_factor`` and each message is
+    built as a factor.  The arithmetic and its order are those of the
+    sweep on plain arrays, which must match it bit for bit."""
+    vt = net.vt
+    if isinstance(net, MarkovNetwork):
+        cliques = sorted(net.factors, key=lambda c: tuple(sorted(map(net.graph.position, c))))
+        tables = [net.factors[c] for c in cliques]
+    else:
+        tables = [kernel_to_factor(net.kernels[v], vt) for v in net.graph.vertices]
+    buckets: dict[str, list[Factor]] = {v: [] for v in net.graph.vertices}
+    done: list[Factor] = []
+
+    def place(table: Factor) -> None:
+        free = [u for u in table.vars if u not in keep]
+        (buckets[free[-1]] if free else done).append(table)
+
+    for table in tables:
+        place(table)
+    exponent = 0
+    for v in reversed(net.graph.vertices):
+        if v in keep:
+            continue
+        bucket = buckets.pop(v)
+        if bucket:
+            family = tuple(sorted({u for t in bucket for u in t.vars}, key=vt.index))
+            product, shift = _reference_scaled_product(bucket, vt, family)
+            exponent += shift
+            rest = tuple(u for u in family if u != v)
+            message = product.sum(axis=family.index(v))
+        else:
+            rest, message = (), np.array(float(vt.card(v)))
+        shift = math.frexp(message.max())[1]
+        exponent += shift
+        place(Factor(rest, np.ldexp(message, -shift)))
+    kept = tuple(v for v in net.graph.vertices if v in keep)
+    table, shift = _reference_scaled_product(done, vt, kept)
+    return kept, table, exponent + shift
+
+
 def reference_triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     """``triangulate_mn`` with each vertex's factors found by ``max`` over
     the clique positions and multiplied by ``factor_product``; the

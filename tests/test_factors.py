@@ -417,3 +417,11 @@ class TestKernelConversions:
             for labels in enumerate_assignments(VT, f.vars)
         ]
         assert np.array_equal(flat, f.values)
+
+
+def test_unknown_variable_is_named_by_card_and_shape():
+    vt = VariableTable((("A", ("0", "1", "2")),))
+    assert vt.card("A") == 3 and vt.shape(("A", "A")) == (3, 3)
+    for lookup in (lambda: vt.card("Q"), lambda: vt.shape(("A", "Q"))):
+        with pytest.raises(KeyError, match="unknown variable Q"):
+            lookup()

@@ -1,5 +1,8 @@
 """Network types: validation, joints, partition function, degeneracy."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 import chordalnet.factors
 import chordalnet.networks
+import chordalnet.serial
 from chordalnet import (
     BayesianNetwork,
     Factor,
@@ -21,14 +25,19 @@ from chordalnet import (
     all_cliques,
     bn_joint,
     cn_product,
+    dumps_network,
     factor_marginalize,
+    load_network,
     marginal_distribution,
     mn_partition,
+    mn_to_bn,
     mn_unnormalized,
     moralise_cn,
     network_violations,
     ones_factor,
     require_valid,
+    triangulate_mn,
+    variable_elimination,
 )
 from helpers import (
     chain_bn,
@@ -43,6 +52,7 @@ from helpers import (
     random_bn,
     random_cn,
     random_mn,
+    reference_sum_product,
 )
 
 
@@ -310,6 +320,13 @@ class TestSumProduct:
         )
 
 
+def star_mn(leaves: int) -> MarkovNetwork:
+    names = ("c",) + tuple(f"l{i}" for i in range(leaves))
+    edges = {frozenset(("c", leaf)) for leaf in names[1:]}
+    factors = {e: Factor(("c", (set(e) - {"c"}).pop()), [0.5] * 4) for e in edges}
+    return MarkovNetwork(OrderedUGraph(names, edges), binary_vt(*names), factors)
+
+
 class TestResultOutsideDoubleRange:
     """Every message fits in a double, but Z itself may not."""
 
@@ -335,10 +352,132 @@ class TestResultOutsideDoubleRange:
     def test_many_messages_into_one_bucket(self):
         # Each of 1100 leaves sends the message (1, 1) to the centre, kept
         # as (0.5, 0.5) times 2; multiplied unscaled, 0.5**1100 underflows.
-        names = ("c",) + tuple(f"l{i}" for i in range(1100))
-        vt = binary_vt(*names)
-        edges = {frozenset(("c", leaf)) for leaf in names[1:]}
-        factors = {e: Factor(("c", (set(e) - {"c"}).pop()), [0.5] * 4) for e in edges}
-        mn = MarkovNetwork(OrderedUGraph(names, edges), vt, factors)
+        mn = star_mn(1100)
         assert mn_partition(mn) == 2.0
         assert marginal_distribution(mn, ["c"]).values.tolist() == [1.0, 1.0]
+
+
+class TestSumProductOnArrays:
+    """The sweep on plain arrays against the sweep on ``Factor`` objects."""
+
+    MAKERS = {"bayesian": random_bn, "markov": random_mn, "chordal": random_cn}
+
+    @staticmethod
+    def assert_bit_identical(net, keep):
+        kept, table, exponent = chordalnet.networks._sum_product(net, keep)
+        want_kept, want_table, want_exponent = reference_sum_product(net, keep)
+        assert kept == want_kept
+        assert table.shape == want_table.shape
+        assert table.tobytes() == want_table.tobytes()
+        assert exponent == want_exponent
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MAKERS)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_the_factor_sweep_bit_for_bit(self, kind, seed, data):
+        # Cards 2 to 10 on at most 4 vertices: tables of up to 10,000 entries.
+        net = self.MAKERS[kind](np.random.default_rng(seed), n_max=4, max_card=10)
+        names = net.graph.vertices
+        keep = data.draw(
+            st.one_of(
+                st.just(set()), st.just(set(names)), st.sets(st.sampled_from(names))
+            )
+        )
+        self.assert_bit_identical(net, keep)
+
+    def test_many_messages_into_one_bucket(self):
+        net = star_mn(1100)
+        for keep in (set(), {"c"}, {"l7"}):
+            self.assert_bit_identical(net, keep)
+
+    def test_subnormal_entries_round_as_in_the_factor_sweep(self):
+        # A rescale by a power of two rounds subnormal entries, so a skipped
+        # or extra rescale shows in the last bits of these tables.
+        names = ("x0", "x1", "x2")
+        vt = VariableTable(tuple((v, ("0", "1", "2")) for v in names))
+        pairs = [("x0", "x1"), ("x1", "x2")]
+        graph = OrderedUGraph(names, {frozenset(p) for p in pairs})
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            tiny = rng.integers(1, 8, size=(2, 9)) * 5e-324
+            values = np.where(rng.random((2, 9)) < 0.5, tiny, rng.uniform(1, 3, (2, 9)))
+            factors = {frozenset(p): Factor(p, v) for p, v in zip(pairs, values)}
+            for keep in (set(), {"x0"}):
+                self.assert_bit_identical(MarkovNetwork(graph, vt, factors), keep)
+
+    @pytest.mark.parametrize("low, high", [(1.0, 3.0), (0.01, 0.1)])
+    def test_chains_whose_mass_leaves_double_range(self, low, high):
+        mn = chain_mn(np.random.default_rng(600), 600, low, high)
+        for keep in (set(), {"x0"}):
+            self.assert_bit_identical(mn, keep)
+
+
+class TestValidateOnce:
+    """A network that passed validation is not checked again; it cannot
+    change, and a failure is never remembered."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The networks passed to ``network_violations``, call by call."""
+        seen = []
+        original = chordalnet.networks.network_violations
+
+        def spy(net):
+            seen.append(net)
+            return original(net)
+
+        for module in (chordalnet.networks, chordalnet.serial):
+            monkeypatch.setattr(module, "network_violations", spy)
+        return seen
+
+    def test_a_loaded_network_is_checked_once(self, checked, fixtures_dir):
+        mn = load_network(str(fixtures_dir / "misconception.json"))
+        mn_to_bn(mn)
+        assert checked == [mn]
+
+    def test_transform_outputs_are_checked(self, checked, misconception):
+        cn = triangulate_mn(misconception)
+        variable_elimination(cn)
+        variable_elimination(cn)
+        triangulate_mn(misconception)
+        assert checked == [misconception, cn]
+
+    def test_repeated_queries_check_once(self, checked):
+        rng = np.random.default_rng(5)
+        mn, bn = chain_mn(rng, 8), chain_bn(rng, 8)
+        for _ in range(3):
+            mn_partition(mn)
+            marginal_distribution(mn, ["x0"])
+            marginal_distribution(bn, ["x3", "x5"])
+        assert checked == [mn, bn]
+
+    def test_an_invalid_network_fails_on_every_call(self, checked):
+        vt = binary_vt("A", "B")
+        bn = BayesianNetwork(OrderedDag(("A", "B")), vt, {"A": Kernel("A", (), [0.5, 0.5])})
+        for call in (require_valid, require_valid, bn_joint, bn_joint):
+            with pytest.raises(NetworkValidationError, match="vertex B has no kernel"):
+                call(bn)
+        assert checked == [bn] * 4
+
+    def test_tables_cannot_be_replaced(self, misconception, bear):
+        with pytest.raises(TypeError):
+            bear.kernels["A"] = bear.kernels["B"]
+        clique = next(iter(misconception.factors))
+        with pytest.raises(TypeError):
+            misconception.factors[clique] = misconception.factors[clique]
+        with pytest.raises(TypeError):
+            del triangulate_mn(misconception).kernels["A"]
+
+    def test_every_kind_survives_a_pickle_round_trip(self, misconception, bear):
+        for net in (bear, misconception, triangulate_mn(misconception)):
+            require_valid(net)
+            for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+                assert type(clone) is type(net)
+                assert dumps_network(clone) == dumps_network(net)
+                tables = getattr(clone, "kernels", None) or clone.factors
+                assert not any(t.values.flags.writeable for t in tables.values())
+                with pytest.raises(TypeError):
+                    tables[next(iter(tables))] = None
