@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
 failure (degenerate distribution, a graph precondition such as
 chordality, a document or computed table above
-``networks.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal
-or partition outside the range of a double).  Only ``joint`` builds the
+``networks.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal,
+partition or kernel built by ``triangulate``, ``ve`` or ``tr`` outside the
+range of a double).  Only ``joint`` builds the
 full table.  Reports go to stdout, diagnostics to stderr.  Identical input bytes always produce
 identical output bytes; paths may be ``-`` for stdin/stdout so commands
 compose in pipes.

@@ -18,6 +18,11 @@ kernel to a factor may transpose.
 
 Values are IEEE double precision.  Tables are immutable after construction
 and all operations are pure, so values can be shared across threads.
+The public constructors copy and check their values (:func:`_as_table`).
+The package's own code has one private way around that, :func:`_adopt`:
+it wraps a fresh float64 C-contiguous array that only the caller holds and
+has proven finite and nonnegative, without a copy or a scan, and still
+marks it read-only.
 A :class:`VariableTable` builds its names tuple, index and cardinalities
 once, at construction, outside its dataclass fields, so ``==``, ``hash``
 and ``repr`` ignore them.
@@ -93,7 +98,10 @@ def _as_table(values: object) -> np.ndarray:
     """A read-only, flat, validated copy of ``values``.
 
     Exactly one contiguous copy is made, also from a broadcast or strided
-    view, so a table never aliases its caller's array.
+    view, so a table never aliases its caller's array.  Every public
+    construction of a :class:`Factor` or :class:`Kernel` comes here;
+    only :func:`_adopt`, for arrays the package built and checked itself,
+    skips the copy and the scan.
     """
     arr = np.array(values, dtype=np.float64, order="C").ravel()
     # NaN fails both comparisons.
@@ -144,6 +152,26 @@ class Kernel:
 
     def __reduce__(self):
         return Kernel, (self.child, self.parents, self.values, self.stochastic)
+
+
+def _adopt(cls, values: np.ndarray, **fields):
+    """A :class:`Factor` or :class:`Kernel` of type ``cls`` around ``values``
+    itself, flattened without a copy and marked read-only, with ``fields``
+    (tuples for ``vars`` and ``parents``) set as given.
+
+    For the package's own code only.  ``values`` must be a fresh float64,
+    C-contiguous array, not a view, that no one else holds, and the caller
+    must have proven every entry finite and nonnegative: nothing is
+    copied or scanned here.
+    """
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert values.base is None and values.flags.writeable
+    table = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(table, name, value)
+    values.setflags(write=False)
+    object.__setattr__(table, "values", values.reshape(-1))
+    return table
 
 
 def check_factor(f: Factor, vt: VariableTable) -> None:
@@ -218,18 +246,27 @@ def _spread(
     return np.reshape(values, [vt._card[u] if u in vars else 1 for u in onto])
 
 
-def _product(
+def _compact_product(
     tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
-) -> np.ndarray:
-    """The exact product of ``tables`` shaped by ``onto``, multiplied left to
-    right and so rounded as a chain of :func:`factor_product` calls.  It is
-    a read-only broadcast view, all ones for no tables: the :class:`Factor`
-    or :class:`Kernel` built from it makes the only copy."""
+) -> np.ndarray | float:
+    """The exact product of ``tables`` with one axis per variable of
+    ``onto``, of size 1 where no table mentions it, multiplied left to
+    right and so rounded as a chain of :func:`factor_product` calls: a
+    fresh array, or ``1.0`` for no tables."""
     acc = 1.0
     for table in tables:
         # Broadcasting grows ``acc`` to the variables seen so far only.
         acc = acc * _spread(*table, onto, vt)
-    return np.broadcast_to(acc, vt.shape(onto))
+    return acc
+
+
+def _product(
+    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
+) -> np.ndarray:
+    """:func:`_compact_product` broadcast to the shape of ``onto``.  It is
+    a read-only view, all ones for no tables: the :class:`Factor` or
+    :class:`Kernel` built from it makes the only copy."""
+    return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
 
 
 def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:

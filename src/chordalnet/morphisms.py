@@ -48,6 +48,7 @@ from .networks import (
     _scaled_product,
     _tables,
     bn_joint,
+    marginal_distribution,
     mn_partition,
     network_distribution,
     require_valid,
@@ -477,20 +478,32 @@ def marginalization_morphism(net: Network, v: str) -> tuple[Network, NetworkMorp
     The target keeps only ``v`` with its marginal distribution; the vertex
     map sends the single target vertex to ``v``, eta is the identity at
     ``v`` and the deletion map (a single all-ones row) everywhere else.
+    The marginal is summed out by elimination, without the full joint, and
+    normalized for Markov and chordal networks.
+
+    Raises:
+        DegenerateDistributionError: if the network's product has zero
+            total mass.
     """
     if v not in net.graph.vertices:
         raise ValueError(f"unknown vertex {v}")
-    dist = network_distribution(net)
-    marg = factor_marginalize(dist, set(dist.vars) - {v}, net.vt)
+    values = marginal_distribution(net, [v]).values
+    if not isinstance(net, BayesianNetwork):
+        mass = float(values.sum())
+        if mass == 0.0:
+            raise DegenerateDistributionError(
+                "network is degenerate: the factor product is identically zero"
+            )
+        values = values / mass
     vt_v = VariableTable(((v, net.vt.states(v)),))
 
     target: Network
     if isinstance(net, MarkovNetwork):
         graph: OrderedDag | OrderedUGraph = OrderedUGraph((v,))
-        target = MarkovNetwork(graph, vt_v, {frozenset({v}): Factor((v,), marg.values)})
+        target = MarkovNetwork(graph, vt_v, {frozenset({v}): Factor((v,), values)})
     else:
         graph = OrderedDag((v,))
-        kernel = Kernel(v, (), marg.values, stochastic=True)
+        kernel = Kernel(v, (), values, stochastic=True)
         if isinstance(net, ChordalNetwork):
             target = ChordalNetwork(graph, vt_v, {v: kernel})
         else:

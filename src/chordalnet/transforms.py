@@ -38,7 +38,8 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
-    _product,
+    _adopt,
+    _compact_product,
     _spread,
     _Table,
     _stochastic_rows,
@@ -56,6 +57,7 @@ from .networks import (
     ChordalNetwork,
     DegenerateDistributionError,
     MarkovNetwork,
+    OutOfRangeError,
     _tables,
     require_valid,
 )
@@ -108,18 +110,17 @@ class EliminationTrace:
         return float(np.log(self._scalars()).sum()) + exponent * math.log(2.0)
 
 
-def _family_factors(
-    graph: OrderedDag, vt: VariableTable, kernels: dict[str, Kernel]
-) -> dict[frozenset[str], Factor]:
-    """Each kernel as a factor, keyed by its family clique {v} | parents(v).
-
-    In a topologically listed DAG the family of v has v as its maximum, so
-    distinct vertices give distinct families.
-    """
-    return {
-        frozenset({v, *graph.parents_of(v)}): kernel_to_factor(kernels[v], vt)
+def _moralise(net: BayesianNetwork | ChordalNetwork) -> MarkovNetwork:
+    """Each kernel as the factor of its family clique {v} | parents(v) on
+    the moral graph.  In a topologically listed DAG the family of v has v
+    as its maximum, so distinct vertices give distinct families."""
+    require_valid(net)
+    graph, vt = net.graph, net.vt
+    factors = {
+        frozenset({v, *graph.parents_of(v)}): kernel_to_factor(net.kernels[v], vt)
         for v in graph.vertices
     }
+    return MarkovNetwork(moralise_graph(graph), vt, factors)
 
 
 def moralise_bn(bn: BayesianNetwork) -> MarkovNetwork:
@@ -129,10 +130,7 @@ def moralise_bn(bn: BayesianNetwork) -> MarkovNetwork:
     other clique is left absent (all-ones).  The variable table is shared
     unchanged, and the normalized factor product equals ``bn_joint(bn)``.
     """
-    require_valid(bn)
-    return MarkovNetwork(
-        moralise_graph(bn.graph), bn.vt, _family_factors(bn.graph, bn.vt, bn.kernels)
-    )
+    return _moralise(bn)
 
 
 def moralise_cn(cn: ChordalNetwork) -> MarkovNetwork:
@@ -142,9 +140,25 @@ def moralise_cn(cn: ChordalNetwork) -> MarkovNetwork:
     kernels.  Chordality makes all co-parents adjacent already, so the
     moral graph adds no edge beyond undirecting.
     """
-    require_valid(cn)
-    return MarkovNetwork(
-        moralise_graph(cn.graph), cn.vt, _family_factors(cn.graph, cn.vt, cn.kernels)
+    return _moralise(cn)
+
+
+def _out_of_range(
+    v: str, tables: list[_Table], family: tuple[str, ...], vt: VariableTable
+) -> OutOfRangeError:
+    """The error for the table at ``v``, the product of ``tables`` over
+    ``family``, which leaves the range of a double.  Its ``log_mass``, the
+    natural log of that table's total mass, is summed in log space."""
+    with np.errstate(divide="ignore"):
+        logs = sum(np.log(_spread(*table, family, vt)) for table in tables)
+    logs = np.broadcast_to(logs, vt.shape(family))
+    peak = float(logs.max())
+    log_mass = peak + math.log(np.exp(logs - peak).sum()) if peak > -math.inf else peak
+    return OutOfRangeError(
+        f"table values must be finite and nonnegative: the table at vertex {v} "
+        f"is outside the range of a double; the natural log of its total mass "
+        f"is {log_mass:.17g}",
+        log_mass,
     )
 
 
@@ -155,10 +169,15 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     clique's maximal element; the kernel of a vertex is the pointwise
     product of the factors it consumed, extended constantly over any
     parents they do not cover.  The kernel product therefore equals the
-    factor product exactly.
+    factor product exactly.  Each kernel is one fresh array: the product
+    is checked before it is broadcast, and a single factor needs no check.
+
+    Raises:
+        OutOfRangeError: when the product of a vertex's factors overflows
+            a double; the error names the vertex.
     """
     require_valid(mn)
-    graph = triangulate_graph(mn.graph)
+    graph, vt = triangulate_graph(mn.graph), mn.vt
     consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
     for table in _tables(mn):
         # Table variables follow the declared order: the last is the maximum.
@@ -166,10 +185,18 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
 
     kernels: dict[str, Kernel] = {}
     for v in graph.vertices:
-        family = graph.parents_of(v) + (v,)
-        values = _product(consumed[v], family, mn.vt)
-        kernels[v] = Kernel(v, family[:-1], values, stochastic=False)
-    return ChordalNetwork(graph, mn.vt, kernels)
+        family, tables = graph.parents_of(v) + (v,), consumed[v]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = _compact_product(tables, family, vt)
+        # One valid table times 1.0 is exact, so only a product needs a check.
+        if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
+            raise _out_of_range(v, tables, family, vt)
+        shape = vt.shape(family)
+        values = acc if np.shape(acc) == shape else np.broadcast_to(acc, shape).copy()
+        kernels[v] = _adopt(
+            Kernel, values, child=v, parents=family[:-1], stochastic=False
+        )
+    return ChordalNetwork(graph, vt, kernels)
 
 
 def variable_elimination(
@@ -190,8 +217,9 @@ def variable_elimination(
     The sweep works on plain arrays: parents precede the child, so each
     kernel's flat layout is already that of its family table, and a mass
     is multiplied into its host by broadcasting.  That is one pass per
-    family table; only the returned kernels and masses are copied and
-    validated.
+    family table: the normaliser's rows and masses become the returned
+    kernels and masses without a copy, and one check of each mass's
+    maximum shows the whole family table in range.
 
     Returns the Bayesian network on the same graph plus the trace of
     ``(vertex, mass, absorbed_into, log2_scale)`` steps.
@@ -201,7 +229,10 @@ def variable_elimination(
             identically zero, which happens exactly when the kernel
             product has zero total mass; the error names the first such
             vertex in processing order.
-        ValueError: when a working table leaves the range of a double.
+        OutOfRangeError: when a working table leaves the range of a
+            double; a :class:`ValueError` whose message names the vertex
+            and whose ``log_mass`` is the natural log of that table's
+            total mass.
     """
     require_valid(cn)
     return _eliminate(cn)
@@ -213,17 +244,21 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[EliminationStep] = []
-    # An overflow in a host's table, or inf * 0 after one, is caught when
-    # the host's kernel and mass are built: they must be finite.
+    # An overflow in a host's table, or inf * 0 after one, is caught by the
+    # check of the host's mass below.
     with np.errstate(over="ignore", invalid="ignore"):
         for v in reversed(graph.vertices):
             parents = graph.parents_of(v)
             rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
-            kernels[v] = Kernel(v, parents, rows, stochastic=True)
-            lam = Factor(parents, mass)
+            # Working entries are >= 0, inf or NaN: a finite row sum proves
+            # its row finite, and NaN, which max propagates, fails the test.
+            peak = mass.max()
+            if not peak < math.inf:
+                raise _out_of_range(v, _working_tables(cn, v, steps), parents + (v,), vt)
+            kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
+            lam = _adopt(Factor, mass, vars=parents)
             # The mass is finite and nonnegative, so it is identically zero
             # exactly when its maximum is not positive.
-            peak = lam.values.max()
             if not peak > 0:
                 raise DegenerateDistributionError(
                     f"degenerate network: the mass table at vertex {v} is "
@@ -240,6 +275,20 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
             steps.append(EliminationStep(v, lam, host, shift))
     bn = BayesianNetwork(graph, vt, kernels)
     return bn, EliminationTrace(tuple(steps))
+
+
+def _working_tables(
+    cn: ChordalNetwork, v: str, steps: list[EliminationStep]
+) -> list[_Table]:
+    """The tables whose product was ``v``'s working table in the sweep: its
+    kernel and the scaled masses absorbed into it."""
+    kernel = cn.kernels[v]
+    absorbed = [
+        (s.lam.vars, np.ldexp(s.lam.values, -s.log2_scale))
+        for s in steps
+        if s.absorbed_into == v
+    ]
+    return [(kernel.parents + (v,), kernel.values), *absorbed]
 
 
 def elimination_marginal(cn: ChordalNetwork) -> Factor:
@@ -277,8 +326,10 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
         old = bn.kernels[v]
         family = graph.parents_of(v) + (v,)
         spread = _spread(old.parents + (v,), old.values, family, bn.vt)
-        values = np.broadcast_to(spread, bn.vt.shape(family))
-        kernels[v] = Kernel(v, family[:-1], values, stochastic=True)
+        values = np.broadcast_to(spread, bn.vt.shape(family)).copy()
+        kernels[v] = _adopt(
+            Kernel, values, child=v, parents=family[:-1], stochastic=True
+        )
     return BayesianNetwork(graph, bn.vt, kernels)
 
 

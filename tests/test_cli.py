@@ -1,13 +1,22 @@
 """Command line behaviour: transforms, reports, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
 import numpy as np
 
 import chordalnet.networks
-from chordalnet import dumps_network, load_network, marginal_distribution
+from chordalnet import (
+    ChordalNetwork,
+    Kernel,
+    OrderedDag,
+    VariableTable,
+    dumps_network,
+    load_network,
+    marginal_distribution,
+)
 from chordalnet.cli import _print_table, main
 from helpers import chain_bn, chain_mn, oracle_chain_log_partition, wide_document
 
@@ -95,6 +104,44 @@ class TestTransforms:
         assert code == 0 and err == ""
         golden = fixtures_dir.parent / "golden" / f"{command}_{fixture}.json"
         assert text.encode() == golden.read_bytes()
+
+
+class TestOutOfRangeKernels:
+    """A kernel that a transform builds outside the range of a double is a
+    semantic failure: exit 3, nothing on stdout, no numpy warning."""
+
+    PREFIX = "table values must be finite and nonnegative: "
+
+    def quiet_run(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, *argv)
+
+    @pytest.mark.parametrize("command", ["triangulate", "tr"])
+    def test_markov_product_overflow(self, capsys, fixtures_dir, command):
+        path = str(fixtures_dir / "out_of_range.json")
+        code, text, err = self.quiet_run(capsys, command, path)
+        assert code == 3 and text == ""
+        assert err.startswith(self.PREFIX) and "vertex B " in err
+        assert "Warning" not in err
+
+    def test_elimination_overflow(self, capsys, tmp_path):
+        # B passes A a mass of 1.9, and A's kernel is near the largest double.
+        vt = VariableTable((("A", ("a0", "a1")), ("B", ("b0", "b1"))))
+        cnw = ChordalNetwork(
+            OrderedDag(("A", "B"), {("A", "B")}),
+            vt,
+            {
+                "A": Kernel("A", (), [1.7e308, 1.7e308], stochastic=False),
+                "B": Kernel("B", ("A",), [1.5, 0.4, 1.5, 0.4], stochastic=False),
+            },
+        )
+        path = tmp_path / "cn.json"
+        path.write_text(dumps_network(cnw))
+        code, text, err = self.quiet_run(capsys, "ve", str(path))
+        assert code == 3 and text == ""
+        assert err.startswith(self.PREFIX) and "vertex A " in err
+        assert "Warning" not in err
 
 
 class TestReports:

@@ -24,6 +24,7 @@ from chordalnet import (
     ones_factor,
     propto_equal,
 )
+from chordalnet.factors import _adopt
 from helpers import (
     MISCONCEPTION_STATES,
     MISCONCEPTION_TABLES,
@@ -425,3 +426,30 @@ def test_unknown_variable_is_named_by_card_and_shape():
     for lookup in (lambda: vt.card("Q"), lambda: vt.shape(("A", "Q"))):
         with pytest.raises(KeyError, match="unknown variable Q"):
             lookup()
+
+
+class TestAdopt:
+    """The private constructor wraps the caller's fresh array itself."""
+
+    def test_wraps_without_a_copy_and_seals(self):
+        rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+        k = _adopt(Kernel, rows, child="B", parents=("A",), stochastic=True)
+        assert (k.child, k.parents, k.stochastic) == ("B", ("A",), True)
+        assert k.values.shape == (4,) and np.shares_memory(k.values, rows)
+        assert not rows.flags.writeable and not k.values.flags.writeable
+        f = _adopt(Factor, np.array([2.0, 3.0]), vars=("A",))
+        assert f.vars == ("A",) and f.values.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(4.0)[::2],  # a strided view
+            np.ones((2, 2)).T.copy(order="F"),  # not C-contiguous
+            np.arange(4),  # not float64
+            np.ones(4).reshape(2, 2),  # a view of another array
+        ],
+        ids=["strided", "fortran", "int", "view"],
+    )
+    def test_refuses_arrays_that_are_not_fresh(self, values):
+        with pytest.raises(AssertionError):
+            _adopt(Factor, values, vars=("A",))

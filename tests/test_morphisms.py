@@ -43,6 +43,7 @@ from chordalnet import (
 )
 from helpers import (
     bear_bn,
+    oracle_chain_marginal,
     oracle_mn_table,
     random_bn,
     random_cn,
@@ -144,6 +145,34 @@ class TestMarginalizationMorphism:
         target, m = marginalization_morphism(misconception, "C")
         assert isinstance(target, MarkovNetwork)
         assert morphism_violations(m, misconception, target) == []
+
+
+class TestMarginalizationWithoutJoint:
+    def test_thirty_chain_matches_forward_oracle(self):
+        # The joint has 2**30 entries, above the table cap.
+        bn = random_chain_bn(np.random.default_rng(3), 30)
+        for v in ("x0", "x14", "x29"):
+            target, m = marginalization_morphism(bn, v)
+            np.testing.assert_allclose(
+                target.kernels[v].values, oracle_chain_marginal(bn, v), rtol=0, atol=1e-12
+            )
+            assert m.alpha.vertex_map == {v: v}
+
+    def test_markov_and_chordal_marginals_are_normalized(self):
+        rng = np.random.default_rng(211)
+        for _ in range(20):
+            for net in (random_mn(rng), random_cn(rng)):
+                v = net.graph.vertices[int(rng.integers(len(net.graph.vertices)))]
+                target, _ = marginalization_morphism(net, v)
+                got = (
+                    target.factors[frozenset({v})]
+                    if isinstance(net, MarkovNetwork)
+                    else target.kernels[v]
+                ).values
+                dist = network_distribution(net)
+                axes = tuple(i for i, u in enumerate(dist.vars) if u != v)
+                want = dist.values.reshape(net.vt.shape(dist.vars)).sum(axis=axes)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestCompose:

@@ -7,6 +7,9 @@ claims run at acceptance scale in test_acceptance.py; here they run on
 smaller seeded samples.
 """
 
+import math
+import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +29,7 @@ from chordalnet import (
     MarkovNetwork,
     OrderedDag,
     OrderedUGraph,
+    OutOfRangeError,
     VariableTable,
     bn_joint,
     check_hom,
@@ -34,6 +38,7 @@ from chordalnet import (
     factor_entry,
     is_ordered_chordal,
     kernel_to_factor,
+    load_network,
     mn_partition,
     mn_to_bn,
     mn_unnormalized,
@@ -384,6 +389,133 @@ class TestEliminationAgainstReference:
             variable_elimination(cnw)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             reference_variable_elimination(cnw)
+
+
+class TestOutOfRangeTables:
+    """A table that the transforms build and that leaves the range of a
+    double raises :class:`OutOfRangeError`, quietly, naming its vertex;
+    ``log_mass`` is the natural log of that table's total mass."""
+
+    PREFIX = "^table values must be finite and nonnegative: "
+
+    def test_triangulate_product_overflow(self, fixtures_dir):
+        # The factors on {A, B} and {B} hold 1e200 each: B's kernel is 1e400.
+        mn = load_network(fixtures_dir / "out_of_range.json")
+        for transform in (triangulate_mn, mn_to_bn):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRangeError, match=self.PREFIX) as info:
+                    transform(mn)
+            assert "vertex B " in str(info.value)
+            assert info.value.log_mass == pytest.approx(
+                400 * math.log(10) + math.log(4), rel=1e-12
+            )
+
+    def test_host_overflow(self):
+        # B's mass (1.9, 1.9) is absorbed unscaled into A's kernel, whose
+        # entries are near the largest double, so A's working table overflows.
+        cnw = ChordalNetwork(
+            OrderedDag(("A", "B"), {("A", "B")}),
+            binary_vt("A", "B"),
+            {
+                "A": Kernel("A", (), [1.7e308, 1.7e308], stochastic=False),
+                "B": Kernel("B", ("A",), [1.5, 0.4, 1.5, 0.4], stochastic=False),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match=self.PREFIX) as info:
+                variable_elimination(cnw)
+        assert "vertex A " in str(info.value)
+        assert info.value.log_mass == pytest.approx(
+            math.log(2 * 1.7 * 1.9) + 308 * math.log(10), rel=1e-12
+        )
+
+    def test_mass_only_overflow(self):
+        # The rows are (0.5, 0.5), but the mass 2e308 overflows.
+        cnw = ChordalNetwork(
+            OrderedDag(("A",)),
+            binary_vt("A"),
+            {"A": Kernel("A", (), [1e308, 1e308], stochastic=False)},
+        )
+        with pytest.raises(ValueError, match=self.PREFIX) as info:
+            variable_elimination(cnw)
+        assert info.value.log_mass == pytest.approx(
+            math.log(2) + 308 * math.log(10), rel=1e-12
+        )
+
+    def test_overflow_then_zero_is_caught(self):
+        # C's mass (1.9, 1.9) overflows A's table, and B's mass (1, 0) then
+        # makes A's second entry inf * 0 = NaN.  In log space that entry is
+        # log 0, so the total is A's first entry alone.
+        vt = binary_vt("A", "B", "C")
+        graph = OrderedDag(("A", "B", "C"), {("A", "B"), ("A", "C")})
+        kernels = {
+            "A": Kernel("A", (), [1.7e308, 1.7e308], stochastic=False),
+            "B": Kernel("B", ("A",), [0.5, 0.5, 0.0, 0.0], stochastic=False),
+            "C": Kernel("C", ("A",), [1.5, 0.4, 1.5, 0.4], stochastic=False),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="vertex A ") as info:
+                variable_elimination(ChordalNetwork(graph, vt, kernels))
+        assert info.value.log_mass == pytest.approx(
+            math.log(1.7 * 1.9) + 308 * math.log(10), rel=1e-12
+        )
+
+
+def adopted_tables(cnw, mn, bn):
+    """Every table that the transforms return for these inputs."""
+    out = []
+    for net in (variable_elimination(cnw)[0], triangulate_mn(mn), triangulate_bn(bn)):
+        out.extend(k.values for k in net.kernels.values())
+    out.extend(step.lam.values for step in variable_elimination(cnw)[1].steps)
+    return out
+
+
+class TestAdoptedTables:
+    """The kernels and masses that the transforms build around their own
+    arrays are as private and as immutable as copied ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 0.0]))
+    def test_read_only_flat_and_unshared(self, seed, keep):
+        rng = np.random.default_rng(seed)
+        cnw = random_cn(rng, n_max=5, max_card=4)
+        mn = random_mn(rng, n_max=5, max_card=4)
+        # Some vertices consume no factor, one factor or several.
+        mn = MarkovNetwork(
+            mn.graph, mn.vt, {c: f for c, f in mn.factors.items() if rng.random() < keep}
+        )
+        bn = random_bn(rng, n_max=5, max_card=4)
+        inputs = [k.values for k in (*cnw.kernels.values(), *bn.kernels.values())]
+        inputs += [f.values for f in mn.factors.values()]
+        try:
+            tables = adopted_tables(cnw, mn, bn)
+        except DegenerateDistributionError:
+            return
+        for i, values in enumerate(tables):
+            assert values.dtype == np.float64 and values.ndim == 1
+            assert values.flags.c_contiguous and not values.flags.writeable
+            assert values.base is None or not values.base.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            assert not any(np.shares_memory(values, x) for x in inputs)
+            assert not any(np.shares_memory(values, x) for x in tables[i + 1 :])
+
+    def test_pickle_round_trips(self, misconception):
+        bn, trace = variable_elimination(triangulate_mn(misconception))
+        nets = (bn, triangulate_mn(misconception), triangulate_bn(bear_bn()))
+        for net in nets:
+            back = pickle.loads(pickle.dumps(net))
+            for v, k in net.kernels.items():
+                assert back.kernels[v].values.tobytes() == k.values.tobytes()
+                assert not back.kernels[v].values.flags.writeable
+        back = pickle.loads(pickle.dumps(trace))
+        for a, b in zip(back.steps, trace.steps):
+            assert a.lam.vars == b.lam.vars
+            assert a.lam.values.tobytes() == b.lam.values.tobytes()
+            assert not a.lam.values.flags.writeable
 
 
 class TestValidation:
