@@ -69,13 +69,11 @@ from .serial import (
     load_network,
     loads_network,
     network_to_document,
-    save_network,
 )
 from .transforms import (
     EliminationStep,
     EliminationTrace,
     VStructureWitness,
-    elimination_marginal,
     mn_to_bn,
     moralise_bn,
     moralise_cn,

@@ -113,24 +113,21 @@ def _print_table(net: Network, vars: tuple[str, ...], values) -> None:
 
 def _cmd_transform(args) -> int:
     net = _load(args.input)
-    try:
-        if args.command == "moralise":
-            _expect(net, (BayesianNetwork,), "moralise", "bayesian")
-            result: Network = moralise_bn(net)
-        elif args.command == "triangulate":
-            _expect(net, (MarkovNetwork,), "triangulate", "markov")
-            result = triangulate_mn(net)
-        elif args.command == "ve":
-            _expect(net, (ChordalNetwork,), "ve", "chordal")
-            result, _ = variable_elimination(net)
-        elif args.command == "tr":
-            _expect(net, (MarkovNetwork,), "tr", "markov")
-            result = mn_to_bn(net)
-        else:
-            _expect(net, (BayesianNetwork,), "trmor", "bayesian")
-            result = triangulate_bn(net)
-    except DegenerateDistributionError as exc:
-        raise CliError(SEMANTIC_EXIT, str(exc)) from exc
+    if args.command == "moralise":
+        _expect(net, (BayesianNetwork,), "moralise", "bayesian")
+        result: Network = moralise_bn(net)
+    elif args.command == "triangulate":
+        _expect(net, (MarkovNetwork,), "triangulate", "markov")
+        result = triangulate_mn(net)
+    elif args.command == "ve":
+        _expect(net, (ChordalNetwork,), "ve", "chordal")
+        result, _ = variable_elimination(net)
+    elif args.command == "tr":
+        _expect(net, (MarkovNetwork,), "tr", "markov")
+        result = mn_to_bn(net)
+    else:
+        _expect(net, (BayesianNetwork,), "trmor", "bayesian")
+        result = triangulate_bn(net)
     _emit(result, args.output)
     return 0
 

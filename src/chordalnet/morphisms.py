@@ -33,27 +33,24 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _adopt,
     _product,
+    _stochastic_rows,
     _Table,
-    factor_marginalize,
-    normalize_to_kernel,
 )
-from .graphs import GraphHom, OrderedDag, OrderedUGraph, check_hom, identity_hom, is_ordered_chordal
+from .graphs import GraphHom, OrderedDag, OrderedUGraph, check_hom, identity_hom
 from .networks import (
     BayesianNetwork,
     ChordalNetwork,
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
-    _scaled_product,
+    _sum_product,
     _tables,
-    bn_joint,
-    marginal_distribution,
-    mn_partition,
     network_distribution,
     require_valid,
 )
-from .transforms import variable_elimination
+from .transforms import _eliminate, _family_marginals, triangulate_bn, triangulate_mn
 
 STOCHASTIC_TOL = 1e-9
 PRESERVATION_TOL = 1e-9
@@ -343,16 +340,28 @@ def _reweighted_kernels(
     return out
 
 
-def _conditional_factorization(
-    graph: OrderedDag, vt: VariableTable, posterior: Factor
-) -> dict[str, Kernel]:
-    """Kernels from the posterior's own conditionals along the graph."""
-    kernels: dict[str, Kernel] = {}
-    for v in graph.vertices:
-        family = sorted({v, *graph.parents_of(v)}, key=vt.index)
-        fam = factor_marginalize(posterior, set(posterior.vars) - set(family), vt)
-        kernels[v], _ = normalize_to_kernel(fam, v, vt)
-    return kernels
+def _own_kernel(
+    v: str, own: tuple[str, ...], bn: BayesianNetwork, family: np.ndarray
+) -> Kernel:
+    """The kernel of ``v`` given ``own``, some of its parents in ``bn``, an
+    elimination result on a triangulation, from ``v``'s family marginal.
+
+    Earlier vertices are non-descendants, so the distribution factors over
+    the graph before triangulation exactly when every vertex is independent
+    of its fill parents given its own, which is checked on the marginal.
+    """
+    parents = bn.graph.parents_of(v)
+    if own == parents:
+        return bn.kernels[v]
+    fill = tuple(i for i, u in enumerate(parents) if u not in own)
+    rows, _ = _stochastic_rows(family.sum(axis=fill))
+    expected = family.sum(axis=-1, keepdims=True) * np.expand_dims(rows, fill)
+    if float(np.abs(family - expected).max()) > PRESERVATION_TOL:
+        raise ValueError(
+            "the updated distribution does not factor over this graph; "
+            "evidence on a collider family needs a chordal graph"
+        )
+    return _adopt(Kernel, rows, child=v, parents=own, stochastic=True)
 
 
 def pearl_update(
@@ -365,10 +374,15 @@ def pearl_update(
     relabelled through the permutations, and renormalized once at the
     network level (never per vertex, which would destroy the per-vertex
     factorization of the witnessing morphism).  For Markov networks the
-    weights join the singleton-clique factors; for directed kinds the
-    reweighted kernels are re-normalized by the elimination sweep when the
-    graph is ordered chordal, and from the posterior's own conditionals
-    otherwise.
+    weights join the singleton-clique factors.
+
+    Every kind takes one path, linear in the total size of the family
+    tables of the triangulated graph: the weighted network is triangulated
+    (a chordal one is its own triangulation), eliminated, and every family
+    marginal found by one forward pass.  A directed vertex keeps its
+    elimination kernel, or, when triangulation gave it parents, gets the
+    normalized marginal over its own family after a check that the
+    posterior does not depend on the added parents.
 
     Returns the updated network and a morphism from the input to it.  When
     every weight vector is constant the morphism components are the
@@ -416,59 +430,37 @@ def pearl_update(
             base = factors.get(key, Factor((v,), np.ones(net.vt.card(v))))
             factors[key] = Factor((v,), base.values * w)
         updated = MarkovNetwork(net.graph, net.vt, factors)
-        if mn_partition(updated) == 0.0:
-            raise DegenerateDistributionError(
-                "update annihilates the joint: the factor product is zero"
-            )
+        chordal = triangulate_mn(updated)
     else:
-        reweighted = _reweighted_kernels(net, sigmas, weights)
-        if is_ordered_chordal(net.graph):
-            cn = ChordalNetwork(net.graph, net.vt, reweighted)
-            try:
-                bn, _ = variable_elimination(cn)
-            except DegenerateDistributionError as exc:
-                raise DegenerateDistributionError(
-                    f"update annihilates the joint: {exc}", vertex=exc.vertex
-                ) from exc
-            kernels = bn.kernels
-        else:
-            vars = net.graph.vertices
-            tables = [(reweighted[v].parents + (v,), reweighted[v].values) for v in vars]
-            # The scale 2**exponent of the product cancels in the normalization.
-            prod, _ = _scaled_product(tables, net.vt, vars)
-            mass = float(prod.sum())
-            if mass == 0.0:
-                raise DegenerateDistributionError(
-                    "update annihilates the joint: the weighted product is zero"
-                )
-            posterior = Factor(vars, prod / mass)
-            kernels = _conditional_factorization(net.graph, net.vt, posterior)
-            check = bn_joint(BayesianNetwork(net.graph, net.vt, kernels))
-            if float(np.abs(check.values - posterior.values).max()) > PRESERVATION_TOL:
-                raise ValueError(
-                    "the updated distribution does not factor over this graph; "
-                    "evidence on a collider family needs a chordal graph"
-                )
-        if isinstance(net, ChordalNetwork):
-            updated = ChordalNetwork(net.graph, net.vt, kernels)
-        else:
-            updated = BayesianNetwork(net.graph, net.vt, kernels)
+        directed = net if isinstance(net, ChordalNetwork) else triangulate_bn(net)
+        reweighted = _reweighted_kernels(directed, sigmas, weights)
+        chordal = ChordalNetwork(directed.graph, net.vt, reweighted)
+    try:
+        bn, _ = _eliminate(chordal)
+    except DegenerateDistributionError as exc:
+        raise DegenerateDistributionError(
+            f"update annihilates the joint: {exc}", vertex=exc.vertex
+        ) from exc
+    marginals = _family_marginals(bn)
+    if not isinstance(net, MarkovNetwork):
+        kernels = {
+            v: _own_kernel(v, net.graph.parents_of(v), bn, marginals[v])
+            for v in net.graph.vertices
+        }
+        updated = type(net)(net.graph, net.vt, kernels)
 
     relabel_only = all(
         float(w.max() - w.min()) == 0.0 and w[0] > 0.0 for w in weights.values()
     )
     eta: dict[str, np.ndarray] = {}
-    if relabel_only:
-        for v in net.graph.vertices:
-            card = net.vt.card(v)
-            mat = np.zeros((card, card))
-            mat[sigmas[v], np.arange(card)] = 1.0
-            eta[v] = mat
-    else:
-        dist = network_distribution(updated)
-        for v in net.graph.vertices:
-            marg = factor_marginalize(dist, set(dist.vars) - {v}, net.vt)
-            eta[v] = np.tile(marg.values[:, None], (1, net.vt.card(v)))
+    for v in net.graph.vertices:
+        card = net.vt.card(v)
+        if relabel_only:
+            eta[v] = np.zeros((card, card))
+            eta[v][sigmas[v], np.arange(card)] = 1.0
+        else:
+            marg = marginals[v].reshape(-1, card).sum(axis=0)
+            eta[v] = np.tile(marg[:, None], (1, card))
     return updated, NetworkMorphism(identity_hom(net.graph), eta)
 
 
@@ -479,7 +471,9 @@ def marginalization_morphism(net: Network, v: str) -> tuple[Network, NetworkMorp
     map sends the single target vertex to ``v``, eta is the identity at
     ``v`` and the deletion map (a single all-ones row) everywhere else.
     The marginal is summed out by elimination, without the full joint, and
-    normalized for Markov and chordal networks.
+    normalized for Markov and chordal networks, where the power-of-two
+    scale of the sum cancels: a total mass outside the range of a double
+    still gives the marginal.
 
     Raises:
         DegenerateDistributionError: if the network's product has zero
@@ -487,14 +481,17 @@ def marginalization_morphism(net: Network, v: str) -> tuple[Network, NetworkMorp
     """
     if v not in net.graph.vertices:
         raise ValueError(f"unknown vertex {v}")
-    values = marginal_distribution(net, [v]).values
-    if not isinstance(net, BayesianNetwork):
-        mass = float(values.sum())
+    require_valid(net)
+    _, table, exponent = _sum_product(net, {v})
+    if isinstance(net, BayesianNetwork):
+        values = np.ldexp(table, exponent)
+    else:
+        mass = float(table.sum())
         if mass == 0.0:
             raise DegenerateDistributionError(
                 "network is degenerate: the factor product is identically zero"
             )
-        values = values / mass
+        values = table / mass
     vt_v = VariableTable(((v, net.vt.states(v)),))
 
     target: Network

@@ -486,12 +486,3 @@ def load_network(source: str | IO[str]) -> Network:
     with open(source, "r", encoding="utf-8") as fh:
         return loads_network(fh.read())
 
-
-def save_network(net: Network, destination: str | IO[str]) -> None:
-    """Write the canonical document of ``net`` to a path or stream."""
-    text = dumps_network(net)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    with open(destination, "w", encoding="utf-8") as fh:
-        fh.write(text)

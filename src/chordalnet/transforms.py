@@ -291,12 +291,26 @@ def _working_tables(
     return [(kernel.parents + (v,), kernel.values), *absorbed]
 
 
-def elimination_marginal(cn: ChordalNetwork) -> Factor:
-    """The normalized marginal of the smallest vertex after elimination."""
-    if not cn.graph.vertices:
-        raise ValueError("network has no vertices")
-    bn, _ = variable_elimination(cn)
-    return kernel_to_factor(bn.kernels[cn.graph.vertices[0]], cn.vt)
+def _family_marginals(bn: BayesianNetwork) -> dict[str, np.ndarray]:
+    """Every family marginal p(parents(v), v) of a Bayesian network on an
+    ordered chordal graph, shaped over ``parents + (v,)``, in one forward
+    pass (Lauritzen & Spiegelhalter 1988): chordality puts the parents of
+    ``v`` in the family of its largest parent, whose marginal gives
+    p(parents(v)), and p(family(v)) = p(parents(v)) * k(v | parents(v)).
+    """
+    graph, vt = bn.graph, bn.vt
+    out: dict[str, np.ndarray] = {}
+    for v in graph.vertices:
+        parents = graph.parents_of(v)
+        kernel = bn.kernels[v].values.reshape(vt.shape(parents + (v,)))
+        if not parents:
+            out[v] = kernel
+            continue
+        host = parents[-1]
+        family = graph.parents_of(host) + (host,)
+        drop = tuple(i for i, u in enumerate(family) if u not in parents)
+        out[v] = out[host].sum(axis=drop)[..., None] * kernel
+    return out
 
 
 def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:

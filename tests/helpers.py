@@ -569,6 +569,74 @@ def oracle_chain_log_partition(mn: MarkovNetwork) -> float:
     return float(np.logaddexp.reduce(alpha))
 
 
+def oracle_chain_log_marginal(mn: MarkovNetwork, v: str) -> np.ndarray:
+    """The normalized marginal of one :func:`chain_mn` vertex: transfer-matrix
+    products from both ends in log space, so any log Z is in range."""
+    names = mn.graph.vertices
+    logs = [np.log(mn.factors[frozenset(p)].values.reshape(2, 2)) for p in zip(names, names[1:])]
+    i = names.index(v)
+    forward, backward = np.zeros(2), np.zeros(2)
+    for log_f in logs[:i]:
+        forward = np.logaddexp.reduce(forward[:, None] + log_f, axis=0)
+    for log_f in reversed(logs[i:]):
+        backward = np.logaddexp.reduce(log_f + backward[None, :], axis=1)
+    total = forward + backward
+    return np.exp(total - np.logaddexp.reduce(total))
+
+
+def oracle_chain_posterior(
+    bn: BayesianNetwork, weights: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The posterior kernels and one-vertex marginals of a :func:`chain_bn`
+    chain under per-vertex evidence weights, by forward-backward.
+
+    The backward message into x_t is the weighted mass of everything after
+    it, normalized at each step; the posterior kernel row of x_t is its
+    weighted kernel row times that message, normalized, and the marginals
+    are propagated forward through the posterior kernels."""
+    names = bn.graph.vertices
+    weighted = {v: bn.kernels[v].values.reshape(-1, 2) * weights.get(v, 1.0) for v in names}
+    kernels, message = {}, np.ones(2)
+    for v in reversed(names):
+        rows = weighted[v] * message
+        kernels[v] = rows / rows.sum(axis=1, keepdims=True)
+        message = rows.sum(axis=1) / rows.sum()
+    marginals, p = {}, np.ones(1)
+    for v in names:
+        p = p @ kernels[v]
+        marginals[v] = p
+    return kernels, marginals
+
+
+def oracle_posterior(bn: BayesianNetwork, weights: dict[str, np.ndarray]) -> np.ndarray:
+    """The normalized posterior under per-vertex evidence weights, as a grid
+    over the vertices, by multiplying kernel entries and weights per
+    assignment."""
+    names = bn.graph.vertices
+    grid = np.array(
+        [
+            np.prod(
+                [kernel_value(bn.kernels[v], bn.vt, a) * weights[v][a[v]] for v in names]
+            )
+            for a in index_assignments(bn.vt, names)
+        ]
+    ).reshape(bn.vt.shape(names))
+    return grid / grid.sum()
+
+
+def oracle_factors_over(graph: OrderedDag, grid: np.ndarray, tol: float) -> bool:
+    """Whether a distribution grid over ``graph``'s vertices equals, within
+    ``tol`` pointwise, the product of its own conditionals along the graph."""
+    names = graph.vertices
+    product = np.ones_like(grid)
+    for i, v in enumerate(names):
+        family = {names.index(u) for u in graph.parents_of(v)} | {i}
+        fam = grid.sum(axis=tuple(j for j in range(len(names)) if j not in family), keepdims=True)
+        par = fam.sum(axis=i, keepdims=True)
+        product = product * np.divide(fam, par, out=np.zeros_like(fam), where=par > 0)
+    return float(np.abs(product - grid).max()) <= tol
+
+
 def oracle_chain_marginal(bn: BayesianNetwork, v: str) -> np.ndarray:
     """The marginal of one :func:`chain_bn` vertex by forward propagation."""
     p = np.ones(1)

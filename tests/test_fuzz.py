@@ -32,7 +32,7 @@ JUNK = st.one_of(
     st.floats(),
     st.text(max_size=3),
     st.lists(st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=2)), max_size=3),
-)
+).map(copy.deepcopy)  # a document may mutate the value, never the shared constant
 
 
 def _paths(node, path=()):

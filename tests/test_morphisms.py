@@ -18,6 +18,7 @@ from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
     DegenerateDistributionError,
+    Factor,
     GraphHom,
     Kernel,
     MarkovNetwork,
@@ -25,7 +26,6 @@ from chordalnet import (
     OrderedDag,
     OrderedUGraph,
     PearlVertexUpdate,
-    TableTooLargeError,
     VariableTable,
     bn_joint,
     compose_morphisms,
@@ -37,14 +37,23 @@ from chordalnet import (
     moralise_bn,
     morphism_violations,
     network_distribution,
+    normalize_to_kernel,
     pearl_update,
     transfer_matrix,
     triangulate_mn,
+    vstructure_counterexample,
 )
+from chordalnet.morphisms import PRESERVATION_TOL
 from helpers import (
     bear_bn,
+    chain_mn,
+    oracle_bn_joint,
+    oracle_chain_log_marginal,
     oracle_chain_marginal,
+    oracle_chain_posterior,
+    oracle_factors_over,
     oracle_mn_table,
+    oracle_posterior,
     random_bn,
     random_cn,
     random_mn,
@@ -173,6 +182,21 @@ class TestMarginalizationWithoutJoint:
                 axes = tuple(i for i, u in enumerate(dist.vars) if u != v)
                 want = dist.values.reshape(net.vt.shape(dist.vars)).sum(axis=axes)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_total_mass_out_of_range_still_gives_the_marginal(self):
+        # log Z is about 823, beyond a double; the normalized marginal is not.
+        mn = chain_mn(np.random.default_rng(600), 600, 1.0, 3.0)
+        for net in (mn, triangulate_mn(mn)):
+            for v in ("x0", "x299", "x599"):
+                target, _ = marginalization_morphism(net, v)
+                got = (
+                    target.factors[frozenset({v})]
+                    if isinstance(net, MarkovNetwork)
+                    else target.kernels[v]
+                ).values
+                np.testing.assert_allclose(
+                    got, oracle_chain_log_marginal(mn, v), rtol=0, atol=1e-12
+                )
 
 
 class TestCompose:
@@ -447,8 +471,9 @@ class TestPearlUpdate:
         with pytest.raises(ValueError, match="chordal"):
             pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
 
-    def test_non_chordal_posterior_is_capped(self, monkeypatch):
-        # The collider A -> C <- B followed by C -> D -> E -> F: 64 entries.
+    def test_non_chordal_posterior_is_checked_without_the_joint(self, monkeypatch):
+        # The collider A -> C <- B followed by C -> D -> E -> F: the joint has
+        # 64 entries, above the cap, and no table of the check has more than 8.
         names = ("A", "B", "C", "D", "E", "F")
         edges = {("A", "C"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F")}
         kernels = {
@@ -460,7 +485,7 @@ class TestPearlUpdate:
             kernels[child] = Kernel(child, (parent,), [0.9, 0.1, 0.2, 0.8])
         bn = BayesianNetwork(OrderedDag(names, edges), binary_vt(*names), kernels)
         monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
-        with pytest.raises(TableTooLargeError, match="64 entries"):
+        with pytest.raises(ValueError, match="does not factor"):
             pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
 
     def test_chordal_network_update_keeps_kind(self):
@@ -506,6 +531,94 @@ class TestPearlUpdate:
             want = dist.values.reshape([2, 2, 2, 2])
             axes = tuple(j for j in range(4) if j != i)
             np.testing.assert_allclose(got.sum(axis=axes), want.sum(axis=axes), atol=1e-9)
+
+
+def check_update_against_oracle(bn, weights):
+    """``pearl_update`` against the dense posterior: the same "does not
+    factor" verdict, and when it factors, the joint and eta within 1e-12."""
+    posterior = oracle_posterior(bn, weights)
+    updates = {v: PearlVertexUpdate(weight=w) for v, w in weights.items()}
+    if not oracle_factors_over(bn.graph, posterior, PRESERVATION_TOL):
+        with pytest.raises(ValueError, match="does not factor"):
+            pearl_update(bn, updates)
+        return
+    updated, m = pearl_update(bn, updates)
+    np.testing.assert_allclose(oracle_bn_joint(updated), posterior.ravel(), rtol=0, atol=1e-12)
+    for i, v in enumerate(bn.graph.vertices):
+        marginal = posterior.sum(axis=tuple(j for j in range(posterior.ndim) if j != i))
+        want = np.tile(marginal[:, None], (1, bn.vt.card(v)))
+        np.testing.assert_allclose(m.eta[v], want, rtol=0, atol=1e-12)
+
+
+class TestPearlUpdateWithoutJoint:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_collider_evidence_matches_dense_posterior(self, seed):
+        rng = np.random.default_rng(seed)
+        bn = random_bn(rng, n_max=5)
+        # Evidence always on a vertex with the most parents, a collider when
+        # there is one; soft or indicator evidence elsewhere at random.
+        collider = max(bn.graph.vertices, key=lambda v: len(bn.graph.parents_of(v)))
+        weights = {}
+        for v in bn.graph.vertices:
+            card = bn.vt.card(v)
+            if v == collider or rng.random() < 0.4:
+                weights[v] = rng.uniform(0.05, 1.0, size=card)
+            elif rng.random() < 0.3:
+                weights[v] = np.eye(card)[int(rng.integers(card))]
+            else:
+                weights[v] = np.ones(card)
+        check_update_against_oracle(bn, weights)
+
+    def test_vstructure_counterexample(self):
+        witness = vstructure_counterexample()
+        c_given_ab, _ = normalize_to_kernel(witness.joint, "C", witness.vt)
+        bn = BayesianNetwork(
+            witness.dag,
+            witness.vt,
+            {"A": Kernel("A", (), [0.5, 0.5]), "B": Kernel("B", (), [0.5, 0.5]), "C": c_given_ab},
+        )
+        ones = np.ones(2)
+        # Evidence on the collider makes A and B dependent; on a root it does not.
+        for weights in (
+            {"A": ones, "B": ones, "C": np.array([1.0, 0.0])},
+            {"A": np.array([0.2, 0.7]), "B": ones, "C": ones},
+        ):
+            check_update_against_oracle(bn, weights)
+        with pytest.raises(ValueError, match="does not factor"):
+            pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
+
+    @pytest.mark.parametrize("n", [30, 2000])
+    def test_long_chain_matches_forward_backward(self, n):
+        # The joint of either chain is far above the table cap.
+        rng = np.random.default_rng(3)
+        bn = random_chain_bn(rng, n)
+        names = bn.graph.vertices
+        weights = {v: rng.uniform(0.1, 1.0, size=2) for v in names[::7]}
+        weights[names[-1]] = np.array([0.3, 1.0])
+        updated, m = pearl_update(
+            bn, {v: PearlVertexUpdate(weight=w) for v, w in weights.items()}
+        )
+        kernels, marginals = oracle_chain_posterior(bn, weights)
+        for v in names:
+            np.testing.assert_allclose(
+                updated.kernels[v].values.reshape(-1, 2), kernels[v], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(m.eta[v][:, 0], marginals[v], rtol=0, atol=1e-12)
+
+    def test_markov_update_that_annihilates_the_joint(self):
+        vt = binary_vt("A", "B")
+        mn = MarkovNetwork(
+            OrderedUGraph(("A", "B"), {frozenset(("A", "B"))}),
+            vt,
+            {frozenset(("A", "B")): Factor(("A", "B"), [1.0, 0.0, 0.0, 1.0])},
+        )
+        updates = {
+            "A": PearlVertexUpdate(weight=np.array([1.0, 0.0])),
+            "B": PearlVertexUpdate(weight=np.array([0.0, 1.0])),
+        }
+        with pytest.raises(DegenerateDistributionError, match="annihilates"):
+            pearl_update(mn, updates)
 
 
 class TestMorphismsSurviveTransforms:

@@ -34,7 +34,6 @@ from chordalnet import (
     bn_joint,
     check_hom,
     cn_product,
-    elimination_marginal,
     factor_entry,
     is_ordered_chordal,
     kernel_to_factor,
@@ -543,10 +542,17 @@ class TestValidation:
         assert calls == ["ChordalNetwork"]
 
 
+def first_kernel(cn):
+    """The kernel of the smallest vertex after elimination: its normalized
+    marginal."""
+    bn, _ = variable_elimination(cn)
+    return bn.kernels[cn.graph.vertices[0]]
+
+
 class TestEliminationMarginal:
     def test_misconception_marginal(self, misconception):
-        marg = elimination_marginal(triangulate_mn(misconception))
-        assert marg.vars == ("A",)
+        marg = first_kernel(triangulate_mn(misconception))
+        assert (marg.child, marg.parents) == ("A", ())
         assert marg.values[0] == pytest.approx(0.1806, abs=1e-4)
         assert marg.values[1] == pytest.approx(0.8194, abs=1e-4)
 
@@ -555,7 +561,7 @@ class TestEliminationMarginal:
         cnw = ChordalNetwork(
             OrderedDag(("A",)), vt, {"A": Kernel("A", (), [2.0, 6.0], stochastic=False)}
         )
-        assert np.array_equal(elimination_marginal(cnw).values, [0.25, 0.75])
+        assert np.array_equal(first_kernel(cnw).values, [0.25, 0.75])
 
     def test_deterministic_chain_gives_point_mass(self):
         vt = binary_vt("A", "B")
@@ -567,7 +573,7 @@ class TestEliminationMarginal:
                 "B": Kernel("B", ("A",), [1.0, 0.0, 1.0, 0.0], stochastic=False),
             },
         )
-        assert np.array_equal(elimination_marginal(cnw).values, [1.0, 0.0])
+        assert np.array_equal(first_kernel(cnw).values, [1.0, 0.0])
 
     def test_equals_marginal_of_normalized_joint(self):
         rng = np.random.default_rng(83)
@@ -577,7 +583,7 @@ class TestEliminationMarginal:
             normalized = product.values / product.values.sum()
             grid = normalized.reshape(cnw.vt.shape(product.vars))
             first_axis_marginal = grid.reshape(grid.shape[0], -1).sum(axis=1)
-            marg = elimination_marginal(cnw)
+            marg = first_kernel(cnw)
             assert np.max(np.abs(marg.values - first_axis_marginal)) <= 1e-9
 
 
