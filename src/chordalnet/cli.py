@@ -30,7 +30,7 @@ from .networks import (
     TableTooLargeError,
     marginal_distribution,
 )
-from .serial import DocumentError, dumps_network, load_network
+from .serial import KIND_NAMES, DocumentError, dumps_network, load_network
 from .transforms import (
     mn_to_bn,
     moralise_bn,
@@ -78,21 +78,13 @@ def _emit(net: Network, out: str | None) -> None:
         raise CliError(VALIDATION_EXIT, f"cannot write {out}: {exc}") from exc
 
 
-def _expect(net: Network, kinds: tuple[type, ...], command: str, wanted: str) -> None:
+def _expect(net: Network, kinds: tuple[type, ...], command: str) -> None:
     if not isinstance(net, kinds):
+        wanted = " or ".join(KIND_NAMES[kind] for kind in kinds)
+        got = KIND_NAMES[type(net)]
         raise CliError(
-            VALIDATION_EXIT,
-            f"{command} needs a {wanted} document, got kind "
-            f"{_kind_name(net)!r}",
+            VALIDATION_EXIT, f"{command} needs a {wanted} document, got kind {got!r}"
         )
-
-
-def _kind_name(net: Network) -> str:
-    if isinstance(net, BayesianNetwork):
-        return "bayesian"
-    if isinstance(net, MarkovNetwork):
-        return "markov"
-    return "chordal"
 
 
 def _split_vars(raw: str, net: Network, option: str) -> list[str]:
@@ -114,19 +106,19 @@ def _print_table(net: Network, vars: tuple[str, ...], values) -> None:
 def _cmd_transform(args) -> int:
     net = _load(args.input)
     if args.command == "moralise":
-        _expect(net, (BayesianNetwork,), "moralise", "bayesian")
+        _expect(net, (BayesianNetwork,), "moralise")
         result: Network = moralise_bn(net)
     elif args.command == "triangulate":
-        _expect(net, (MarkovNetwork,), "triangulate", "markov")
+        _expect(net, (MarkovNetwork,), "triangulate")
         result = triangulate_mn(net)
     elif args.command == "ve":
-        _expect(net, (ChordalNetwork,), "ve", "chordal")
+        _expect(net, (ChordalNetwork,), "ve")
         result, _ = variable_elimination(net)
     elif args.command == "tr":
-        _expect(net, (MarkovNetwork,), "tr", "markov")
+        _expect(net, (MarkovNetwork,), "tr")
         result = mn_to_bn(net)
     else:
-        _expect(net, (BayesianNetwork,), "trmor", "bayesian")
+        _expect(net, (BayesianNetwork,), "trmor")
         result = triangulate_bn(net)
     _emit(result, args.output)
     return 0
@@ -156,7 +148,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_jtree(args) -> int:
     net = _load(args.input)
-    _expect(net, (BayesianNetwork, ChordalNetwork), "jtree", "bayesian or chordal")
+    _expect(net, (BayesianNetwork, ChordalNetwork), "jtree")
     try:
         tree = junction_tree(net.graph)
     except ValueError as exc:
@@ -179,10 +171,10 @@ def _cmd_separation(args) -> int:
     z = _split_vars(args.given, net, "--given") if args.given else []
     try:
         if args.command == "dsep":
-            _expect(net, (BayesianNetwork, ChordalNetwork), "dsep", "bayesian or chordal")
+            _expect(net, (BayesianNetwork, ChordalNetwork), "dsep")
             verdict = d_separated(net.graph, x, y, z)
         else:
-            _expect(net, (MarkovNetwork,), "usep", "markov")
+            _expect(net, (MarkovNetwork,), "usep")
             verdict = u_separated(net.graph, x, y, z)
     except ValueError as exc:
         raise CliError(VALIDATION_EXIT, str(exc)) from exc
@@ -191,18 +183,8 @@ def _cmd_separation(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(VALIDATION_EXIT, f"cannot read {args.input}: {exc}") from exc
-    from .serial import loads_network
-
     try:
-        loads_network(text)  # loading already runs full network validation
+        _load(args.input)  # loading already runs full network validation
     except DocumentError as exc:
         for line in exc.violations:
             print(line)
@@ -277,11 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except DocumentError as exc:
-        for line in exc.violations:
-            print(line, file=sys.stderr)
-        return VALIDATION_EXIT
-    except NetworkValidationError as exc:
+    except (DocumentError, NetworkValidationError) as exc:
         for line in exc.violations:
             print(line, file=sys.stderr)
         return VALIDATION_EXIT

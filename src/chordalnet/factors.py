@@ -252,11 +252,13 @@ def _compact_product(
     """The exact product of ``tables`` with one axis per variable of
     ``onto``, of size 1 where no table mentions it, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls: a
-    fresh array, or ``1.0`` for no tables."""
+    fresh array for two or more tables, a view of the values for one,
+    and ``1.0`` for none."""
     acc = 1.0
-    for table in tables:
+    for i, table in enumerate(tables):
+        spread = _spread(*table, onto, vt)
         # Broadcasting grows ``acc`` to the variables seen so far only.
-        acc = acc * _spread(*table, onto, vt)
+        acc = acc * spread if i else spread
     return acc
 
 

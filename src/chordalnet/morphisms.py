@@ -22,6 +22,7 @@ Kronecker product taken in source order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iter_product
@@ -29,6 +30,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import networks
 from .factors import (
     Factor,
     Kernel,
@@ -38,19 +40,29 @@ from .factors import (
     _stochastic_rows,
     _Table,
 )
-from .graphs import GraphHom, OrderedDag, OrderedUGraph, check_hom, identity_hom
+from .graphs import (
+    GraphHom,
+    OrderedDag,
+    OrderedUGraph,
+    check_hom,
+    identity_hom,
+    moralise_graph,
+    triangulate_graph,
+)
 from .networks import (
     BayesianNetwork,
     ChordalNetwork,
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
-    _sum_product,
+    TableTooLargeError,
+    _check_entries,
+    _normalized,
     _tables,
     network_distribution,
     require_valid,
 )
-from .transforms import _eliminate, _family_marginals, triangulate_bn, triangulate_mn
+from .transforms import _eliminate, _family_marginals, _out_of_range, _triangulate
 
 STOCHASTIC_TOL = 1e-9
 PRESERVATION_TOL = 1e-9
@@ -79,14 +91,29 @@ def identity_morphism(net: Network) -> NetworkMorphism:
     )
 
 
+def _kronecker(mats: list[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of ``mats``, refused before it is built when
+    its size, the product of theirs, exceeds ``networks.MAX_TABLE_ENTRIES``."""
+    entries = math.prod(mat.size for mat in mats)
+    if entries > networks.MAX_TABLE_ENTRIES:
+        raise TableTooLargeError(
+            f"a Kronecker product of {len(mats)} eta components would have "
+            f"{entries:,} entries, more than the cap of {networks.MAX_TABLE_ENTRIES:,}"
+        )
+    return reduce(np.kron, mats, np.ones((1, 1)))
+
+
 def transfer_matrix(m: NetworkMorphism, src: Network) -> np.ndarray:
     """The tensor product of the eta components, in source vertex order.
 
     Applied to the flat source joint it yields a flat table in the target's
     canonical layout.
+
+    Raises:
+        TableTooLargeError: if its size, the product of the eta sizes,
+            would exceed ``networks.MAX_TABLE_ENTRIES``.
     """
-    mats = [m.eta[v] for v in src.graph.vertices]
-    return reduce(np.kron, mats, np.ones((1, 1)))
+    return _kronecker([m.eta[v] for v in src.graph.vertices])
 
 
 def morphism_violations(
@@ -158,7 +185,7 @@ def compose_morphisms(f: NetworkMorphism, g: NetworkMorphism) -> NetworkMorphism
 
     Vertex maps compose target-to-source; each eta component of ``f`` is
     followed by the Kronecker product of the ``g`` components sitting over
-    its output block.
+    its output block, refused like :func:`transfer_matrix` when too large.
     """
     if f.alpha.source != g.alpha.target:
         raise ValueError(
@@ -172,8 +199,7 @@ def compose_morphisms(f: NetworkMorphism, g: NetworkMorphism) -> NetworkMorphism
     eta: dict[str, np.ndarray] = {}
     for v in f.alpha.target.vertices:
         mids = f.alpha.preimage(v)
-        block = reduce(np.kron, [g.eta[u] for u in mids], np.ones((1, 1)))
-        eta[v] = block @ f.eta[v]
+        eta[v] = _kronecker([g.eta[u] for u in mids]) @ f.eta[v]
     return NetworkMorphism(alpha, eta)
 
 
@@ -217,6 +243,7 @@ def _regrouped_kernels(
         pa_src = src_graph.parents_of(v)
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
         tables = [(tgt.kernels[w].parents + (w,), tgt.kernels[w].values) for w in group]
+        _check_entries(input_block + group, tgt.vt)
         values = _product(tables, input_block + group, tgt.vt)
         kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
@@ -236,6 +263,7 @@ def _regrouped_factors(
     for image, tables in groups.items():
         members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
+        _check_entries(axes, tgt.vt)
         out[frozenset(members)] = Factor(members, _product(tables, axes, tgt.vt))
     return out
 
@@ -251,6 +279,10 @@ def decompose_morphism(
     product of the target domains over its preimage.  The syntactic part
     reuses the original vertex map with identity eta components.  Their
     composition reproduces ``m`` exactly.
+
+    Raises:
+        ValueError: if ``m`` is not a morphism from ``src`` to ``tgt``.
+        TableTooLargeError: if a regrouped table exceeds the table cap.
     """
     violations = morphism_violations(m, src, tgt)
     if violations:
@@ -262,17 +294,9 @@ def decompose_morphism(
             for v in src.graph.vertices
         )
     )
-    intermediate: Network
-    if isinstance(src, MarkovNetwork):
-        intermediate = MarkovNetwork(
-            src.graph, mid_vt, _regrouped_factors(src.graph, tgt, m.alpha)
-        )
-    else:
-        kernels = _regrouped_kernels(src.graph, tgt, m.alpha)
-        if isinstance(src, ChordalNetwork):
-            intermediate = ChordalNetwork(src.graph, mid_vt, kernels)
-        else:
-            intermediate = BayesianNetwork(src.graph, mid_vt, kernels)
+    markov = isinstance(src, MarkovNetwork)
+    regroup = _regrouped_factors if markov else _regrouped_kernels
+    intermediate = type(src)(src.graph, mid_vt, regroup(src.graph, tgt, m.alpha))
 
     semantic = NetworkMorphism(identity_hom(src.graph), dict(m.eta))
     syntactic = NetworkMorphism(
@@ -322,24 +346,6 @@ def _weights(weight: np.ndarray | None, card: int, vertex: str) -> np.ndarray:
     return arr
 
 
-def _reweighted_kernels(
-    net: BayesianNetwork | ChordalNetwork,
-    sigmas: dict[str, np.ndarray],
-    weights: dict[str, np.ndarray],
-) -> dict[str, Kernel]:
-    """Weight each kernel's child axis, then relabel all axes."""
-    out: dict[str, Kernel] = {}
-    for v in net.graph.vertices:
-        k = net.kernels[v]
-        grid = k.values.reshape(net.vt.shape(k.parents) + (net.vt.card(v),))
-        grid = grid * weights[v]
-        grid = np.take(grid, np.argsort(sigmas[v]), axis=-1)
-        for axis, p in enumerate(k.parents):
-            grid = np.take(grid, np.argsort(sigmas[p]), axis=axis)
-        out[v] = Kernel(v, k.parents, grid.ravel(), stochastic=False)
-    return out
-
-
 def _own_kernel(
     v: str, own: tuple[str, ...], bn: BayesianNetwork, family: np.ndarray
 ) -> Kernel:
@@ -373,12 +379,14 @@ def pearl_update(
     distribution is the old one multiplied pointwise by every weight,
     relabelled through the permutations, and renormalized once at the
     network level (never per vertex, which would destroy the per-vertex
-    factorization of the witnessing morphism).  For Markov networks the
-    weights join the singleton-clique factors.
+    factorization of the witnessing morphism).
 
     Every kind takes one path, linear in the total size of the family
-    tables of the triangulated graph: the weighted network is triangulated
-    (a chordal one is its own triangulation), eliminated, and every family
+    tables of the triangulated graph.  The network's tables are relabelled
+    as the factors of a Markov network on its graph, moralised first if
+    directed (each kernel on its family clique), and the weights join the
+    singleton-clique factors; that network is triangulated (a chordal
+    graph is its own triangulation), eliminated, and every family
     marginal found by one forward pass.  A directed vertex keeps its
     elimination kernel, or, when triangulation gave it parents, gets the
     normalized marginal over its own family after a check that the
@@ -394,6 +402,8 @@ def pearl_update(
 
     Raises:
         DegenerateDistributionError: if the update annihilates the joint.
+        OutOfRangeError: if a weighted table overflows a double; the error
+            names the vertex.
         ValueError: if a directed graph's posterior does not factor over it
             (possible for colliders under evidence), or on malformed
             update data.
@@ -414,27 +424,29 @@ def pearl_update(
                 vertex=v,
             )
 
-    updated: Network
-    if isinstance(net, MarkovNetwork):
-        factors: dict[frozenset[str], Factor] = {}
-        for clique, f in net.factors.items():
-            grid = f.values.reshape(net.vt.shape(f.vars))
-            for axis, u in enumerate(f.vars):
-                grid = np.take(grid, np.argsort(sigmas[u]), axis=axis)
-            factors[clique] = Factor(f.vars, grid.ravel())
-        for v in net.graph.vertices:
-            w = weights[v][np.argsort(sigmas[v])]
-            if np.all(w == 1.0):
-                continue
-            key = frozenset({v})
-            base = factors.get(key, Factor((v,), np.ones(net.vt.card(v))))
-            factors[key] = Factor((v,), base.values * w)
-        updated = MarkovNetwork(net.graph, net.vt, factors)
-        chordal = triangulate_mn(updated)
-    else:
-        directed = net if isinstance(net, ChordalNetwork) else triangulate_bn(net)
-        reweighted = _reweighted_kernels(directed, sigmas, weights)
-        chordal = ChordalNetwork(directed.graph, net.vt, reweighted)
+    # Relabelled copies of valid tables and checked weights need no check.
+    orders = {v: np.argsort(sigma) for v, sigma in sigmas.items()}
+    factors: dict[frozenset[str], Factor] = {}
+    for vars, values in _tables(net):
+        grid = values.reshape(net.vt.shape(vars))
+        for axis, u in enumerate(vars):
+            grid = grid.take(orders[u], axis=axis)
+        factors[frozenset(vars)] = _adopt(Factor, grid, vars=vars)
+    for v in net.graph.vertices:
+        w = weights[v][orders[v]]
+        if (w == 1.0).all():
+            continue
+        key, values = frozenset({v}), w
+        if key in factors:
+            base = factors[key].values
+            with np.errstate(over="ignore"):
+                values = base * w
+            if not values.max() < math.inf:
+                raise _out_of_range(v, [((v,), base), ((v,), w)], (v,), net.vt)
+        factors[key] = _adopt(Factor, values, vars=(v,))
+    graph = net.graph if isinstance(net, MarkovNetwork) else moralise_graph(net.graph)
+    updated: Network = MarkovNetwork(graph, net.vt, factors)  # valid by construction
+    chordal = _triangulate(updated, triangulate_graph(graph), ChordalNetwork)
     try:
         bn, _ = _eliminate(chordal)
     except DegenerateDistributionError as exc:
@@ -482,29 +494,16 @@ def marginalization_morphism(net: Network, v: str) -> tuple[Network, NetworkMorp
     if v not in net.graph.vertices:
         raise ValueError(f"unknown vertex {v}")
     require_valid(net)
-    _, table, exponent = _sum_product(net, {v})
-    if isinstance(net, BayesianNetwork):
-        values = np.ldexp(table, exponent)
-    else:
-        mass = float(table.sum())
-        if mass == 0.0:
-            raise DegenerateDistributionError(
-                "network is degenerate: the factor product is identically zero"
-            )
-        values = table / mass
+    values = _normalized(net, {v}).values
     vt_v = VariableTable(((v, net.vt.states(v)),))
-
-    target: Network
+    graph: OrderedDag | OrderedUGraph
     if isinstance(net, MarkovNetwork):
-        graph: OrderedDag | OrderedUGraph = OrderedUGraph((v,))
-        target = MarkovNetwork(graph, vt_v, {frozenset({v}): Factor((v,), values)})
+        graph = OrderedUGraph((v,))
+        tables: dict = {frozenset({v}): Factor((v,), values)}
     else:
         graph = OrderedDag((v,))
-        kernel = Kernel(v, (), values, stochastic=True)
-        if isinstance(net, ChordalNetwork):
-            target = ChordalNetwork(graph, vt_v, {v: kernel})
-        else:
-            target = BayesianNetwork(graph, vt_v, {v: kernel})
+        tables = {v: Kernel(v, (), values, stochastic=True)}
+    target = type(net)(graph, vt_v, tables)
 
     alpha = GraphHom(graph, net.graph, {v: v})
     eta = {

@@ -381,21 +381,31 @@ def network_distribution(net: Network) -> Factor:
     """The probability distribution of any network kind, as a factor.
 
     Bayesian networks return their joint; Markov and chordal networks
-    return their normalized product.
+    return their normalized product, also when its total mass is outside
+    the range of a double.
 
     Raises:
         TableTooLargeError: if the table would exceed ``MAX_TABLE_ENTRIES``.
         DegenerateDistributionError: if the product has zero total mass.
     """
-    table = marginal_distribution(net, list(net.graph.vertices))
+    require_valid(net)
+    return _normalized(net, set(net.graph.vertices))
+
+
+def _normalized(net: Network, keep: set[str]) -> Factor:
+    """The distribution of a network known valid, marginalized onto
+    ``keep``.  Other kinds than Bayesian are divided by their total mass,
+    where the power-of-two scale of the sum cancels, so a total mass
+    outside the range of a double still gives the result."""
+    kept, table, exponent = _sum_product(net, keep)
     if isinstance(net, BayesianNetwork):
-        return table
-    mass = float(table.values.sum())
+        return _in_range(kept, table, exponent)
+    mass = float(table.sum())
     if mass == 0.0:
         raise DegenerateDistributionError(
             "network is degenerate: the factor product is identically zero"
         )
-    return Factor(table.vars, table.values / mass)
+    return Factor(kept, table / mass)
 
 
 def marginal_distribution(net: Network, vars: list[str]) -> Factor:

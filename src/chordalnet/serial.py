@@ -56,7 +56,13 @@ from .networks import (
     network_violations,
 )
 
-KINDS = ("bayesian", "markov", "chordal")
+# The document kind of each network type.
+KIND_NAMES = {
+    BayesianNetwork: "bayesian",
+    MarkovNetwork: "markov",
+    ChordalNetwork: "chordal",
+}
+KINDS = tuple(KIND_NAMES.values())
 
 # A table refuses a negative, NaN or infinite value with ValueError, and
 # an integer beyond the range of a double with OverflowError.
@@ -376,11 +382,8 @@ def document_to_network(doc: Any) -> Network:
         )
         if kernels is None:
             raise DocumentError(errors)
-        net = (
-            BayesianNetwork(dag, vt, kernels)
-            if kind == "bayesian"
-            else ChordalNetwork(dag, vt, kernels)
-        )
+        kernel_kind = BayesianNetwork if kind == "bayesian" else ChordalNetwork
+        net = kernel_kind(dag, vt, kernels)
 
     errors.extend(network_violations(net))
     if errors:
@@ -411,7 +414,6 @@ def network_to_document(net: Network) -> dict:
     states = dict(vt.entries)
     variables = [{"name": name, "states": list(labels)} for name, labels in vt.entries]
     if isinstance(net, MarkovNetwork):
-        kind = "markov"
         edges = [
             [u, w] for u in vt.names for w in net.graph.neighbours_of(u) if pos[u] < pos[w]
         ]
@@ -425,13 +427,13 @@ def network_to_document(net: Network) -> dict:
             )
             tables.append({"clique": list(members), "rows": rows})
     else:
-        kind = "bayesian" if isinstance(net, BayesianNetwork) else "chordal"
         edges = [[u, w] for u in vt.names for w in net.graph.children_of(u)]
         tables = []
         for v in net.graph.vertices:
             k = net.kernels[v]
             rows = _document_rows(k.values, k.parents, v, states)
             tables.append({"child": v, "parents": list(k.parents), "rows": rows})
+    kind = KIND_NAMES[type(net)]
     return {"kind": kind, "variables": variables, "edges": edges, "tables": tables}
 
 

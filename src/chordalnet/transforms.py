@@ -1,6 +1,6 @@
 """Distribution-preserving transformations between the network kinds.
 
-Four total conversions are provided, plus a fast path:
+Four total conversions are provided, plus the Bayesian triangulation:
 
 * :func:`moralise_bn` (Bayesian to Markov) re-keys each kernel onto its
   family clique in the moralised graph; the normalized factor product then
@@ -18,9 +18,10 @@ Four total conversions are provided, plus a fast path:
   absorbed masses, is the partition constant, which is what the final
   normalization divides out.
 * :func:`mn_to_bn` is the composition of the previous two.
-* :func:`triangulate_bn` (Bayesian to Bayesian) rebuilds a network over
-  its triangulated moral graph without touching the numbers: each kernel
-  is broadcast constantly over its newly acquired parents.
+* :func:`triangulate_bn` (Bayesian to Bayesian) is :func:`triangulate_mn`
+  pre-composed with moralisation.  Each vertex consumes only its own
+  kernel, so the numbers are untouched: each kernel is broadcast
+  constantly over its newly acquired parents.
 
 All functions validate their input and are pure; working state inside the
 elimination sweep is private to the call.
@@ -57,6 +58,7 @@ from .networks import (
     ChordalNetwork,
     DegenerateDistributionError,
     MarkovNetwork,
+    Network,
     OutOfRangeError,
     _tables,
     require_valid,
@@ -177,26 +179,38 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
             a double; the error names the vertex.
     """
     require_valid(mn)
-    graph, vt = triangulate_graph(mn.graph), mn.vt
+    return _triangulate(mn, triangulate_graph(mn.graph), ChordalNetwork)
+
+
+def _triangulate(net: Network, graph: OrderedDag, kind: type) -> Network:
+    """The kernels of :func:`triangulate_mn` for the tables of a network
+    known valid, over ``graph``, a triangulation of its (moral) graph, as a
+    network of type ``kind``; stochastic when ``kind`` is Bayesian."""
+    vt = net.vt
     consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
-    for table in _tables(mn):
+    for table in _tables(net):
         # Table variables follow the declared order: the last is the maximum.
         consumed[table[0][-1]].append(table)
 
+    stochastic = kind is BayesianNetwork
     kernels: dict[str, Kernel] = {}
-    for v in graph.vertices:
-        family, tables = graph.parents_of(v) + (v,), consumed[v]
-        with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow, or inf * 0 after one, is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in graph.vertices:
+            family, tables = graph.parents_of(v) + (v,), consumed[v]
             acc = _compact_product(tables, family, vt)
-        # One valid table times 1.0 is exact, so only a product needs a check.
-        if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
-            raise _out_of_range(v, tables, family, vt)
-        shape = vt.shape(family)
-        values = acc if np.shape(acc) == shape else np.broadcast_to(acc, shape).copy()
-        kernels[v] = _adopt(
-            Kernel, values, child=v, parents=family[:-1], stochastic=False
-        )
-    return ChordalNetwork(graph, vt, kernels)
+            # A single valid table is in range, so only a product needs a check.
+            if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
+                raise _out_of_range(v, tables, family, vt)
+            shape = vt.shape(family)
+            fresh = len(tables) > 1 and np.shape(acc) == shape
+            values = acc if fresh else np.empty(shape)
+            if not fresh:
+                values[...] = acc  # one table or none, copied once
+            kernels[v] = _adopt(
+                Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
+            )
+    return kind(graph, vt, kernels)
 
 
 def variable_elimination(
@@ -329,22 +343,14 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
 def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
     """Re-express a Bayesian network over its triangulated moral graph.
 
-    Kernel values are kept and broadcast constantly over each vertex's new
-    parents, so the outputs stay stochastic and the joint is unchanged.
-    Applying the operation twice equals applying it once.
+    This is :func:`triangulate_mn` of the moralisation: kernel values are
+    kept and broadcast constantly over each vertex's new parents, so the
+    outputs stay stochastic and the joint is unchanged.  Applying the
+    operation twice equals applying it once.
     """
     require_valid(bn)
     graph = triangulate_graph(moralise_graph(bn.graph))
-    kernels: dict[str, Kernel] = {}
-    for v in graph.vertices:
-        old = bn.kernels[v]
-        family = graph.parents_of(v) + (v,)
-        spread = _spread(old.parents + (v,), old.values, family, bn.vt)
-        values = np.broadcast_to(spread, bn.vt.shape(family)).copy()
-        kernels[v] = _adopt(
-            Kernel, values, child=v, parents=family[:-1], stochastic=True
-        )
-    return BayesianNetwork(graph, bn.vt, kernels)
+    return _triangulate(bn, graph, BayesianNetwork)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command line behaviour: transforms, reports, exit codes, determinism."""
 
+import io
 import json
 import warnings
 
@@ -321,6 +322,32 @@ class TestCheckAndExitCodes:
 
     def test_missing_file_is_exit_two(self, capsys):
         assert run(capsys, "joint", "/nonexistent/net.json")[0] == 2
+
+    def test_check_reads_stdin_and_reports_on_stdout(
+        self, capsys, monkeypatch, bear_path
+    ):
+        doc = json.loads(open(bear_path).read())
+        doc["tables"][2]["parents"] = None
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, text, err = run(capsys, "check", "-")
+        assert code == 2 and err == ""
+        assert text.startswith("tables[2].parents: must be a list of vertex names")
+
+    def test_check_missing_file_is_exit_two(self, capsys):
+        code, text, err = run(capsys, "check", "/nonexistent/net.json")
+        assert code == 2 and text == ""
+        assert err.startswith("cannot read /nonexistent/net.json: ")
+
+    @pytest.mark.parametrize(
+        "command, wanted",
+        [("trmor", "bayesian"), ("ve", "chordal"), ("jtree", "bayesian or chordal")],
+    )
+    def test_wrong_kind_names_both_kinds(
+        self, capsys, misconception_path, command, wanted
+    ):
+        code, _, err = run(capsys, command, misconception_path)
+        assert code == 2
+        assert err == f"{command} needs a {wanted} document, got kind 'markov'\n"
 
     def test_check_parents_null_is_exit_two(self, capsys, tmp_path, bear_path):
         doc = json.loads(open(bear_path).read())

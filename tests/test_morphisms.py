@@ -7,6 +7,9 @@ concrete families the library constructs (identities, marginalizations,
 update witnesses) plus hand-made contractions.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,16 +28,20 @@ from chordalnet import (
     NetworkMorphism,
     OrderedDag,
     OrderedUGraph,
+    OutOfRangeError,
     PearlVertexUpdate,
+    TableTooLargeError,
     VariableTable,
     bn_joint,
     compose_morphisms,
     decompose_morphism,
     identity_morphism,
+    load_network,
     marginalization_morphism,
     mn_to_bn,
     mn_unnormalized,
     moralise_bn,
+    moralise_cn,
     morphism_violations,
     network_distribution,
     normalize_to_kernel,
@@ -197,6 +204,76 @@ class TestMarginalizationWithoutJoint:
                 np.testing.assert_allclose(
                     got, oracle_chain_log_marginal(mn, v), rtol=0, atol=1e-12
                 )
+
+
+class TestTotalMassOutOfRange:
+    """The factors on {A, B} and {B} hold 1e200 each: the product's total
+    mass is 4e400, beyond a double, but the distribution is uniform."""
+
+    def test_distribution_is_normalized_in_range(self, fixtures_dir):
+        mn = load_network(fixtures_dir / "out_of_range.json")
+        assert network_distribution(mn).values.tolist() == [0.25] * 4
+
+    def test_identity_morphism_has_no_violation(self, fixtures_dir):
+        mn = load_network(fixtures_dir / "out_of_range.json")
+        assert morphism_violations(identity_morphism(mn), mn, mn) == []
+
+
+class TestTableCaps:
+    def test_transfer_matrix_is_refused_before_it_is_built(self):
+        # 13 binary vertices: 4**13 = 2**26 entries, above the cap of 2**24.
+        names = tuple(f"x{i}" for i in range(13))
+        bn = BayesianNetwork(
+            OrderedDag(names),
+            binary_vt(*names),
+            {v: Kernel(v, (), [0.5, 0.5]) for v in names},
+        )
+        with pytest.raises(TableTooLargeError, match="67,108,864 entries"):
+            transfer_matrix(identity_morphism(bn), bn)
+
+    def test_transfer_matrix_cap_is_the_network_cap(self, monkeypatch):
+        bn = chain_bn()
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 15)
+        with pytest.raises(TableTooLargeError, match="16 entries"):
+            transfer_matrix(identity_morphism(bn), bn)
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        assert np.array_equal(transfer_matrix(identity_morphism(bn), bn), np.eye(4))
+
+    def test_composed_blocks_are_capped(self, monkeypatch):
+        # g's 4x4 component over X is f's whole output block for X.
+        tgt = chain_bn()
+        src = BayesianNetwork(
+            OrderedDag(("X",)),
+            VariableTable((("X", ("(0,0)", "(0,1)", "(1,0)", "(1,1)")),)),
+            {"X": Kernel("X", (), bn_joint(tgt).values)},
+        )
+        g = NetworkMorphism(
+            GraphHom(tgt.graph, src.graph, {"A": "X", "B": "X"}), {"X": np.eye(4)}
+        )
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 15)
+        with pytest.raises(TableTooLargeError, match="16 entries"):
+            compose_morphisms(identity_morphism(src), g)
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        composed = compose_morphisms(identity_morphism(src), g)
+        assert np.array_equal(composed.eta["X"], np.eye(4))
+
+    def test_regrouped_tables_are_capped(self, monkeypatch):
+        # A and B bundled onto X regroup into one table of 4 entries.  In
+        # decompose_morphism the preservation check meets the cap first,
+        # on the target's full table, which is never smaller.
+        tgt = chain_bn()
+        src = OrderedDag(("X",))
+        mn = moralise_bn(tgt)
+        usrc = OrderedUGraph(("X",))
+        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 3)
+        with pytest.raises(TableTooLargeError, match="4 entries"):
+            chordalnet.morphisms._regrouped_kernels(
+                src, tgt, GraphHom(tgt.graph, src, {"A": "X", "B": "X"})
+            )
+        with pytest.raises(TableTooLargeError, match="4 entries"):
+            chordalnet.morphisms._regrouped_factors(
+                usrc, mn, GraphHom(mn.graph, usrc, {"A": "X", "B": "X"})
+            )
 
 
 class TestCompose:
@@ -487,6 +564,31 @@ class TestPearlUpdate:
         monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
         with pytest.raises(ValueError, match="does not factor"):
             pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
+
+    @pytest.mark.parametrize("vertex", ["A", "B"])
+    @pytest.mark.parametrize("moral", [False, True], ids=["chordal", "markov"])
+    def test_weighted_table_overflow_names_the_vertex(self, vertex, moral):
+        # A weight of 1e10 on a table entry of 1e300 leaves a double: at A
+        # it merges into A's own singleton table, at B it meets B's table
+        # in the triangulation.
+        cnw = ChordalNetwork(
+            OrderedDag(("A", "B"), {("A", "B")}),
+            binary_vt("A", "B"),
+            {
+                "A": Kernel("A", (), [1e300, 1.0], stochastic=False),
+                "B": Kernel("B", ("A",), [1e300, 1.0, 1.0, 1.0], stochastic=False),
+            },
+        )
+        net = moralise_cn(cnw) if moral else cnw
+        update = {vertex: PearlVertexUpdate(weight=np.array([1e10, 1.0]))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                OutOfRangeError, match="^table values must be finite and nonnegative: "
+            ) as info:
+                pearl_update(net, update)
+        assert f"vertex {vertex} " in str(info.value)
+        assert info.value.log_mass == pytest.approx(310 * math.log(10), rel=1e-12)
 
     def test_chordal_network_update_keeps_kind(self):
         vt = binary_vt("A", "B")

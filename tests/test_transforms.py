@@ -662,6 +662,21 @@ class TestTriangulateBn:
             for v in bn.graph.vertices:
                 assert np.array_equal(twice.kernels[v].values, once.kernels[v].values)
 
+    def test_is_triangulate_mn_of_the_moralisation(self):
+        # Triangulation pre-composed with moralisation: the same graph and
+        # the same kernel values, kernel for kernel, flagged stochastic.
+        rng = np.random.default_rng(109)
+        for _ in range(40):
+            bn = random_bn(rng, n_max=7)
+            out = triangulate_bn(bn)
+            via_mn = triangulate_mn(moralise_bn(bn))
+            assert out.graph == via_mn.graph
+            for v in bn.graph.vertices:
+                got, want = out.kernels[v], via_mn.kernels[v]
+                assert got.stochastic
+                assert got.parents == want.parents
+                assert got.values.tobytes() == want.values.tobytes()
+
     def test_roundtrip_identity_on_chordal_networks(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
