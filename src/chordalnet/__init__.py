@@ -4,30 +4,26 @@ moralisation, triangulation and variable elimination."""
 from .factors import (
     Factor,
     Kernel,
+    TableTooLargeError,
     VariableTable,
     enumerate_assignments,
     factor_entry,
     factor_marginalize,
     factor_product,
-    factor_restrict,
     kernel_to_factor,
     normalize_to_kernel,
-    ones_factor,
-    propto_equal,
 )
 from .graphs import (
     ClusterTree,
     GraphHom,
     OrderedDag,
     OrderedUGraph,
-    all_cliques,
     check_hom,
     d_separated,
     decontract_hom,
     identity_hom,
     is_ordered_chordal,
     junction_tree,
-    maximal_cliques,
     moralise_graph,
     running_intersection_holds,
     triangulate_graph,
@@ -52,7 +48,6 @@ from .networks import (
     MarkovNetwork,
     NetworkValidationError,
     OutOfRangeError,
-    TableTooLargeError,
     bn_joint,
     cn_product,
     marginal_distribution,

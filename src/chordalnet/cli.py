@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
 failure (degenerate distribution, a graph precondition such as
 chordality, a document or computed table above
-``networks.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal,
+``factors.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal,
 partition or kernel built by ``triangulate``, ``ve`` or ``tr`` outside the
-range of a double).  Only ``joint`` builds the
-full table.  Reports go to stdout, diagnostics to stderr.  Identical input bytes always produce
-identical output bytes; paths may be ``-`` for stdin/stdout so commands
-compose in pipes.
+range of a double).  ``tr``, ``triangulate`` and ``trmor`` refuse a
+triangulated family table above the cap before it is allocated, naming
+its vertex, and write no output.  Only ``joint`` builds the full table.
+Reports go to stdout, diagnostics to stderr.  Identical input bytes always
+produce identical output bytes; paths may be ``-`` for stdin/stdout so
+commands compose in pipes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .factors import enumerate_assignments
+from .factors import TableTooLargeError, enumerate_assignments
 from .graphs import d_separated, junction_tree, running_intersection_holds, u_separated
 from .networks import (
     BayesianNetwork,
@@ -27,7 +29,6 @@ from .networks import (
     Network,
     NetworkValidationError,
     OutOfRangeError,
-    TableTooLargeError,
     marginal_distribution,
 )
 from .serial import KIND_NAMES, DocumentError, dumps_network, load_network

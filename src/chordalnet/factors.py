@@ -23,6 +23,8 @@ The package's own code has one private way around that, :func:`_adopt`:
 it wraps a fresh float64 C-contiguous array that only the caller holds and
 has proven finite and nonnegative, without a copy or a scan, and still
 marks it read-only.
+The one table cap, :data:`MAX_TABLE_ENTRIES`, and its one check,
+:func:`_check_entries`, live here: every dense table is checked before it is built.
 A :class:`VariableTable` builds its names tuple, index and cardinalities
 once, at construction, outside its dataclass fields, so ``==``, ``hash``
 and ``repr`` ignore them.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -228,11 +230,28 @@ def _grid(f: Factor, vt: VariableTable) -> np.ndarray:
     return f.values.reshape(vt.shape(f.vars))
 
 
-def ones_factor(vt: VariableTable, vars: Iterable[str]) -> Factor:
-    """The all-ones factor over ``vars`` (the unit of the product)."""
-    names = tuple(sorted(set(vars), key=vt.index))
-    size = int(np.prod(vt.shape(names), dtype=np.int64)) if names else 1
-    return Factor(names, np.ones(size))
+class TableTooLargeError(ValueError):
+    """A dense table would have more than :data:`MAX_TABLE_ENTRIES` entries."""
+
+
+# The most entries a dense table may have before anything is multiplied:
+# 2**24 doubles are 128 MiB, and a product briefly holds a few such arrays.
+MAX_TABLE_ENTRIES = 1 << 24
+
+
+def _check_entries(
+    sizes: Sequence[int], where: str = "", what: str = "a table over {} variables"
+) -> None:
+    """Refuse a dense table with one axis of each of ``sizes`` when it has
+    more than :data:`MAX_TABLE_ENTRIES` entries.  The message starts with
+    ``where``, the table's place (a vertex, a document table), and names
+    the table by ``what``, formatted with the number of axes."""
+    entries = math.prod(sizes)
+    if entries > MAX_TABLE_ENTRIES:
+        raise TableTooLargeError(
+            f"{where}{': ' if where else ''}{what.format(len(sizes))} would have "
+            f"{entries:,} entries, more than the cap of {MAX_TABLE_ENTRIES:,}"
+        )
 
 
 _Table = tuple[tuple[str, ...], np.ndarray]  # sorted variables, flat or shaped values
@@ -247,13 +266,15 @@ def _spread(
 
 
 def _compact_product(
-    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
+    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable, where: str = ""
 ) -> np.ndarray | float:
     """The exact product of ``tables`` with one axis per variable of
     ``onto``, of size 1 where no table mentions it, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls: a
     fresh array for two or more tables, a view of the values for one,
-    and ``1.0`` for none."""
+    and ``1.0`` for none.  Every caller builds the full table over
+    ``onto``, so that table is first checked against the cap."""
+    _check_entries(vt.shape(onto), where)
     acc = 1.0
     for i, table in enumerate(tables):
         spread = _spread(*table, onto, vt)
@@ -276,6 +297,9 @@ def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:
 
     Shared variables are identified: the value at a joint assignment is the
     product of the two factors at its restrictions.
+
+    Raises:
+        TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
     """
     check_factor(a, vt)
     check_factor(b, vt)
@@ -297,26 +321,11 @@ def factor_marginalize(f: Factor, drop: Iterable[str], vt: VariableTable) -> Fac
     return Factor(keep, _grid(f, vt).sum(axis=axes).ravel())
 
 
-def factor_restrict(
-    f: Factor, assignment: Mapping[str, str], vt: VariableTable
-) -> Factor:
-    """Slice ``f`` at a partial assignment of state labels."""
-    check_factor(f, vt)
-    unknown = set(assignment) - set(f.vars)
-    if unknown:
-        raise ValueError(f"cannot restrict on unknown variables {sorted(unknown)}")
-    index = tuple(
-        vt.state_index(v, assignment[v]) if v in assignment else slice(None)
-        for v in f.vars
-    )
-    keep = tuple(v for v in f.vars if v not in assignment)
-    return Factor(keep, _grid(f, vt)[index].ravel())
-
-
 def factor_entry(f: Factor, assignment: Mapping[str, str], vt: VariableTable) -> float:
     """The single value of ``f`` at a full assignment of its variables."""
-    restricted = factor_restrict(f, {v: assignment[v] for v in f.vars}, vt)
-    return float(restricted.values[0])
+    check_factor(f, vt)
+    index = tuple(vt.state_index(v, assignment[v]) for v in f.vars)
+    return float(_grid(f, vt)[index])
 
 
 def enumerate_assignments(
@@ -384,20 +393,3 @@ def kernel_to_factor(k: Kernel, vt: VariableTable) -> Factor:
     grid = k.values.reshape(vt.shape(k.parents) + (vt.card(k.child),))
     grid = np.moveaxis(grid, -1, joint.index(k.child))
     return Factor(joint, grid.ravel())
-
-
-def propto_equal(a: Factor, b: Factor, tol: float) -> bool:
-    """Whether some positive scale makes the two tables equal within ``tol``.
-
-    The scale is chosen as ``sum(b) / sum(a)``; two identically zero tables
-    compare equal, and a zero table never matches a nonzero one.
-    """
-    if a.vars != b.vars:
-        raise ValueError(f"variable mismatch: {a.vars} vs {b.vars}")
-    sa, sb = float(a.values.sum()), float(b.values.sum())
-    if sa == 0.0 and sb == 0.0:
-        return True
-    if sa == 0.0 or sb == 0.0:
-        return False
-    lam = sb / sa
-    return bool(np.max(np.abs(lam * a.values - b.values), initial=0.0) <= tol)

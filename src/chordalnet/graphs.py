@@ -353,41 +353,6 @@ def u_separated(
     return True
 
 
-def all_cliques(h: OrderedUGraph) -> list[tuple[str, ...]]:
-    """All nonempty complete vertex subsets of ``h``.
-
-    Each clique is a tuple sorted by the vertex order; the list is sorted by
-    size and then lexicographically by vertex positions.  Singletons are
-    always included.  Enumeration is by ordered backtracking, fine for the
-    desk-scale graphs this package targets.
-    """
-    verts = h.vertices
-    out: list[tuple[str, ...]] = []
-
-    def extend(clique: tuple[str, ...], start: int) -> None:
-        for i in range(start, len(verts)):
-            v = verts[i]
-            if all(h.has_edge(u, v) for u in clique):
-                bigger = clique + (v,)
-                out.append(bigger)
-                extend(bigger, i + 1)
-
-    extend((), 0)
-    out.sort(key=lambda c: (len(c), tuple(map(h.position, c))))
-    return out
-
-
-def maximal_cliques(h: OrderedUGraph) -> list[tuple[str, ...]]:
-    """The inclusion-maximal entries of :func:`all_cliques`."""
-    cliques = all_cliques(h)
-    sets = [set(c) for c in cliques]
-    return [
-        c
-        for c, cs in zip(cliques, sets)
-        if not any(cs < other for other in sets)
-    ]
-
-
 @dataclass(frozen=True)
 class ClusterTree:
     """A tree over vertex clusters, labelled with separator sets.

@@ -30,12 +30,13 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from . import networks
 from .factors import (
     Factor,
     Kernel,
+    TableTooLargeError,
     VariableTable,
     _adopt,
+    _check_entries,
     _product,
     _stochastic_rows,
     _Table,
@@ -55,8 +56,6 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
-    TableTooLargeError,
-    _check_entries,
     _normalized,
     _tables,
     network_distribution,
@@ -93,13 +92,9 @@ def identity_morphism(net: Network) -> NetworkMorphism:
 
 def _kronecker(mats: list[np.ndarray]) -> np.ndarray:
     """The Kronecker product of ``mats``, refused before it is built when
-    its size, the product of theirs, exceeds ``networks.MAX_TABLE_ENTRIES``."""
-    entries = math.prod(mat.size for mat in mats)
-    if entries > networks.MAX_TABLE_ENTRIES:
-        raise TableTooLargeError(
-            f"a Kronecker product of {len(mats)} eta components would have "
-            f"{entries:,} entries, more than the cap of {networks.MAX_TABLE_ENTRIES:,}"
-        )
+    its size, the product of theirs, exceeds ``factors.MAX_TABLE_ENTRIES``."""
+    what = "a Kronecker product of {} eta components"
+    _check_entries([mat.size for mat in mats], what=what)
     return reduce(np.kron, mats, np.ones((1, 1)))
 
 
@@ -111,7 +106,7 @@ def transfer_matrix(m: NetworkMorphism, src: Network) -> np.ndarray:
 
     Raises:
         TableTooLargeError: if its size, the product of the eta sizes,
-            would exceed ``networks.MAX_TABLE_ENTRIES``.
+            would exceed ``factors.MAX_TABLE_ENTRIES``.
     """
     return _kronecker([m.eta[v] for v in src.graph.vertices])
 
@@ -123,6 +118,10 @@ def morphism_violations(
 
     The distribution-preservation check reports the maximum pointwise
     deviation when it fails.
+
+    Raises:
+        TableTooLargeError: if a distribution to compare would exceed
+            ``factors.MAX_TABLE_ENTRIES``; that is not a violation.
     """
     out: list[str] = []
     if m.alpha.source != tgt.graph:
@@ -164,7 +163,9 @@ def morphism_violations(
     try:
         src_dist = network_distribution(src)
         tgt_dist = network_distribution(tgt)
-    except (DegenerateDistributionError, ValueError) as exc:
+    except TableTooLargeError:
+        raise
+    except ValueError as exc:
         return [f"cannot check distribution preservation: {exc}"]
     # The transfer matrix, never built, applied one source axis at a time:
     # contracting the leading axis appends its target block at the end.
@@ -243,7 +244,6 @@ def _regrouped_kernels(
         pa_src = src_graph.parents_of(v)
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
         tables = [(tgt.kernels[w].parents + (w,), tgt.kernels[w].values) for w in group]
-        _check_entries(input_block + group, tgt.vt)
         values = _product(tables, input_block + group, tgt.vt)
         kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
@@ -263,7 +263,6 @@ def _regrouped_factors(
     for image, tables in groups.items():
         members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
-        _check_entries(axes, tgt.vt)
         out[frozenset(members)] = Factor(members, _product(tables, axes, tgt.vt))
     return out
 
@@ -282,7 +281,8 @@ def decompose_morphism(
 
     Raises:
         ValueError: if ``m`` is not a morphism from ``src`` to ``tgt``.
-        TableTooLargeError: if a regrouped table exceeds the table cap.
+        TableTooLargeError: if a network distribution that the validation
+            of ``m`` needs, or a regrouped table, exceeds the table cap.
     """
     violations = morphism_violations(m, src, tgt)
     if violations:
@@ -402,6 +402,8 @@ def pearl_update(
 
     Raises:
         DegenerateDistributionError: if the update annihilates the joint.
+        TableTooLargeError: if a family table of the triangulation would
+            exceed ``factors.MAX_TABLE_ENTRIES``; the error names the vertex.
         OutOfRangeError: if a weighted table overflows a double; the error
             names the vertex.
         ValueError: if a directed graph's posterior does not factor over it

@@ -28,6 +28,7 @@ from .factors import (
     Factor,
     Kernel,
     VariableTable,
+    _check_entries,
     _spread,
     _Table,
     check_factor,
@@ -193,27 +194,6 @@ def require_valid(net: Network) -> None:
         raise NetworkValidationError(violations)
 
 
-class TableTooLargeError(ValueError):
-    """A dense table would have more than :data:`MAX_TABLE_ENTRIES` entries."""
-
-
-# The most entries a dense table may have before anything is multiplied:
-# 2**24 doubles are 128 MiB, and a product briefly holds a few such arrays.
-MAX_TABLE_ENTRIES = 1 << 24
-
-
-def _check_entries(vars: tuple[str, ...], vt: VariableTable, where: str = "") -> None:
-    """Refuse a table over ``vars`` of more than :data:`MAX_TABLE_ENTRIES`;
-    the message starts with ``where``, the table's place in a document."""
-    entries = math.prod(vt.shape(vars))
-    if entries > MAX_TABLE_ENTRIES:
-        raise TableTooLargeError(
-            f"{where}{': ' if where else ''}a table over {len(vars)} variables "
-            f"would have {entries:,} entries, more than the cap of "
-            f"{MAX_TABLE_ENTRIES:,}"
-        )
-
-
 def _scaled_product(
     tables: list[_Table], vt: VariableTable, vars: tuple[str, ...]
 ) -> tuple[np.ndarray, int]:
@@ -224,7 +204,7 @@ def _scaled_product(
     seen so far, and is rescaled by a power of two, which is exact, after
     every multiplication, so no number of tables underflows or overflows.
     """
-    _check_entries(vars, vt)
+    _check_entries(vt.shape(vars))
     acc, exponent = 1.0, 0
     for table in tables:
         acc = acc * _spread(*table, vars, vt)
@@ -333,7 +313,7 @@ def bn_joint(bn: BayesianNetwork) -> Factor:
     rounding) because the kernels are stochastic and the order topological.
 
     Raises:
-        TableTooLargeError: if the joint would exceed ``MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if the joint would exceed ``factors.MAX_TABLE_ENTRIES``.
     """
     return marginal_distribution(bn, list(bn.graph.vertices))
 
@@ -342,7 +322,7 @@ def cn_product(cn: ChordalNetwork) -> Factor:
     """The unnormalized kernel product of a chordal network.
 
     Raises:
-        TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if the product would exceed ``factors.MAX_TABLE_ENTRIES``.
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero product underflows to zero.
     """
@@ -356,7 +336,7 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
     unchanged (exactly, as a function) by making those explicit.
 
     Raises:
-        TableTooLargeError: if the product would exceed ``MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if the product would exceed ``factors.MAX_TABLE_ENTRIES``.
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero product underflows to zero.
     """
@@ -385,7 +365,7 @@ def network_distribution(net: Network) -> Factor:
     the range of a double.
 
     Raises:
-        TableTooLargeError: if the table would exceed ``MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if the table would exceed ``factors.MAX_TABLE_ENTRIES``.
         DegenerateDistributionError: if the product has zero total mass.
     """
     require_valid(net)
@@ -422,7 +402,7 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     is not checked again.
 
     Raises:
-        TableTooLargeError: if a product would exceed ``MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``.
         OutOfRangeError: if the largest entry overflows a double, or every
             entry of a nonzero marginal underflows to zero.
     """

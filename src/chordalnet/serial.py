@@ -45,14 +45,13 @@ from typing import Any, IO
 
 import numpy as np
 
-from .factors import Factor, Kernel, VariableTable
+from .factors import Factor, Kernel, VariableTable, _check_entries
 from .graphs import OrderedDag, OrderedUGraph
 from .networks import (
     BayesianNetwork,
     ChordalNetwork,
     MarkovNetwork,
     Network,
-    _check_entries,
     network_violations,
 )
 
@@ -162,7 +161,7 @@ def _parse_rows(
     """The values of a table's rows, one list per conditioning assignment in
     canonical order, or ``None`` after appending every row problem."""
     # Before listing the assignments, which costs as much as the table.
-    _check_entries(given_vars + (out_var,), vt, where)
+    _check_entries(vt.shape(given_vars + (out_var,)), where)
     if not isinstance(rows, list):
         errors.append(f"{where}.rows: must be a list")
         return None
@@ -346,7 +345,7 @@ def document_to_network(doc: Any) -> Network:
     Raises:
         DocumentError: listing every structural and semantic violation.
         TableTooLargeError: if a table would have more than
-            ``networks.MAX_TABLE_ENTRIES`` entries; raised before its rows
+            ``factors.MAX_TABLE_ENTRIES`` entries; raised before its rows
             are read.
     """
     errors: list[str] = []

@@ -175,6 +175,9 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     is checked before it is broadcast, and a single factor needs no check.
 
     Raises:
+        TableTooLargeError: when a vertex's family table would exceed
+            ``factors.MAX_TABLE_ENTRIES``; raised before it is allocated,
+            and the error names the vertex.
         OutOfRangeError: when the product of a vertex's factors overflows
             a double; the error names the vertex.
     """
@@ -198,7 +201,7 @@ def _triangulate(net: Network, graph: OrderedDag, kind: type) -> Network:
     with np.errstate(over="ignore", invalid="ignore"):
         for v in graph.vertices:
             family, tables = graph.parents_of(v) + (v,), consumed[v]
-            acc = _compact_product(tables, family, vt)
+            acc = _compact_product(tables, family, vt, f"vertex {v}")
             # A single valid table is in range, so only a product needs a check.
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
                 raise _out_of_range(v, tables, family, vt)
@@ -334,6 +337,7 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
     input.
 
     Raises:
+        TableTooLargeError: as :func:`triangulate_mn`.
         DegenerateDistributionError: for degenerate input (Z = 0).
     """
     bn, _ = _eliminate(triangulate_mn(mn))
@@ -346,7 +350,8 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
     This is :func:`triangulate_mn` of the moralisation: kernel values are
     kept and broadcast constantly over each vertex's new parents, so the
     outputs stay stochastic and the joint is unchanged.  Applying the
-    operation twice equals applying it once.
+    operation twice equals applying it once.  A family table above the
+    cap raises :class:`TableTooLargeError` as in :func:`triangulate_mn`.
     """
     require_valid(bn)
     graph = triangulate_graph(moralise_graph(bn.graph))

@@ -457,6 +457,30 @@ def oracle_running_intersection(tree) -> bool:
 # seeded random corpora
 
 
+def all_cliques(h: OrderedUGraph) -> list[tuple[str, ...]]:
+    """All nonempty complete vertex subsets of ``h``.
+
+    Each clique is a tuple sorted by the vertex order; the list is sorted by
+    size and then lexicographically by vertex positions.  Singletons are
+    always included.  Enumeration is by ordered backtracking, fine for the
+    desk-scale graphs this package targets.
+    """
+    verts = h.vertices
+    out: list[tuple[str, ...]] = []
+
+    def extend(clique: tuple[str, ...], start: int) -> None:
+        for i in range(start, len(verts)):
+            v = verts[i]
+            if all(h.has_edge(u, v) for u in clique):
+                bigger = clique + (v,)
+                out.append(bigger)
+                extend(bigger, i + 1)
+
+    extend((), 0)
+    out.sort(key=lambda c: (len(c), tuple(map(h.position, c))))
+    return out
+
+
 def random_dag(rng: np.random.Generator, n_max: int = 6, p: float = 0.4) -> OrderedDag:
     n = int(rng.integers(1, n_max + 1))
     names = tuple(f"V{i}" for i in range(n))
@@ -508,8 +532,6 @@ def random_bn(rng: np.random.Generator, n_max: int = 6, max_card: int = 3) -> Ba
 
 
 def random_mn(rng: np.random.Generator, n_max: int = 5, max_card: int = 3) -> MarkovNetwork:
-    from chordalnet import all_cliques
-
     graph = random_ugraph(rng, n_max)
     vt = random_vt(rng, graph.vertices, max_card)
     factors = {}
@@ -557,6 +579,19 @@ def chain_bn(rng: np.random.Generator, n: int) -> BayesianNetwork:
         table /= table.sum(axis=1, keepdims=True)
         kernels[v] = Kernel(v, parents, table.ravel())
     return BayesianNetwork(OrderedDag(names, set(zip(names, names[1:]))), vt, kernels)
+
+
+def hub_last_star(n_leaves: int) -> MarkovNetwork:
+    """The binary star with leaves ``L0 ... L{n-1}`` declared first and the
+    hub ``H`` last, one agreement factor per edge.  Triangulating along
+    this order makes the leaves a clique, so the family of ``Lk`` has
+    ``k + 1`` variables and the hub's has every vertex.
+    ``tests/fixtures/hub_last.json`` is ``dumps_network(hub_last_star(40))``."""
+    names = tuple(f"L{i}" for i in range(n_leaves)) + ("H",)
+    vt = VariableTable(tuple((v, ("0", "1")) for v in names))
+    pairs = [(v, "H") for v in names[:-1]]
+    factors = {frozenset(p): Factor(p, [2.0, 1.0, 1.0, 2.0]) for p in pairs}
+    return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
 
 
 def oracle_chain_log_partition(mn: MarkovNetwork) -> float:

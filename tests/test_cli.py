@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-import chordalnet.networks
+import chordalnet.factors
 from chordalnet import (
     ChordalNetwork,
     Kernel,
@@ -19,7 +19,13 @@ from chordalnet import (
     marginal_distribution,
 )
 from chordalnet.cli import _print_table, main
-from helpers import chain_bn, chain_mn, oracle_chain_log_partition, wide_document
+from helpers import (
+    chain_bn,
+    chain_mn,
+    hub_last_star,
+    oracle_chain_log_partition,
+    wide_document,
+)
 
 
 def run(capsys, *argv):
@@ -312,13 +318,31 @@ class TestCheckAndExitCodes:
         self, capsys, tmp_path, monkeypatch, command, n_parents, cap, entries
     ):
         if cap is not None:
-            monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", cap)
+            monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", cap)
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(wide_document("bayesian", n_parents)))
         code, text, err = run(capsys, command, str(path))
         assert code == 3 and text == ""
         assert f"{entries} entries" in err
         assert err.startswith(f"tables[{n_parents}]: a table over")
+
+    @pytest.mark.parametrize("command", ["tr", "triangulate"])
+    def test_family_above_the_cap_is_exit_three(
+        self, capsys, fixtures_dir, tmp_path, command
+    ):
+        # Leaves first, hub last: leaf L24's family has 25 binary variables.
+        out = tmp_path / "out.json"
+        path = str(fixtures_dir / "hub_last.json")
+        code, text, err = run(capsys, command, path, "-o", str(out))
+        assert code == 3 and text == "" and not out.exists()
+        assert err == (
+            "vertex L24: a table over 25 variables would have 33,554,432 "
+            "entries, more than the cap of 16,777,216\n"
+        )
+
+    def test_hub_last_fixture_is_the_forty_leaf_star(self, fixtures_dir):
+        text = (fixtures_dir / "hub_last.json").read_text()
+        assert text == dumps_network(hub_last_star(40))
 
     def test_missing_file_is_exit_two(self, capsys):
         assert run(capsys, "joint", "/nonexistent/net.json")[0] == 2

@@ -1,4 +1,4 @@
-"""Factor algebra: products, marginals, normalization, proportionality.
+"""Factor algebra: products, marginals, normalization, the table cap.
 
 Algebraic invariants run under hypothesis on randomly generated variable
 tables and factors; worked expectations come from the misconception tables
@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chordalnet.factors
 from chordalnet import (
     Factor,
     Kernel,
+    TableTooLargeError,
     VariableTable,
     enumerate_assignments,
     factor_entry,
     factor_marginalize,
     factor_product,
-    factor_restrict,
     kernel_to_factor,
     normalize_to_kernel,
-    ones_factor,
-    propto_equal,
 )
 from chordalnet.factors import _adopt
 from helpers import (
@@ -128,18 +127,29 @@ class TestProduct:
 
     def test_all_ones_is_unit(self):
         f = mfactor("A", "D")
-        p = factor_product(ones_factor(VT, ("A", "D")), f, VT)
+        p = factor_product(Factor(("A", "D"), np.ones(4)), f, VT)
         assert p.vars == f.vars
         assert np.array_equal(p.values, f.values)
 
     def test_full_misconception_product_entry(self):
-        p = ones_factor(VT, ())
+        p = Factor((), np.ones(1))
         for pair in MISCONCEPTION_TABLES:
             p = factor_product(p, mfactor(*pair), VT)
         assert factor_entry(p, {"A": "a", "B": "b", "C": "c", "D": "d"}, VT) == 100000.0
         # every entry agrees with the dict-arithmetic oracle
         for assignment in misconception_assignments():
             assert factor_entry(p, assignment, VT) == misconception_product(assignment)
+
+    def test_product_above_the_cap_is_refused(self, monkeypatch):
+        # Two factors over disjoint binary triples: a product of 64 entries.
+        vt = VariableTable(tuple((f"X{i}", ("0", "1")) for i in range(6)))
+        f = Factor(("X0", "X1", "X2"), np.ones(8))
+        g = Factor(("X3", "X4", "X5"), np.ones(8))
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 63)
+        with pytest.raises(TableTooLargeError, match="64 entries, more than the cap of 63"):
+            factor_product(f, g, vt)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 64)
+        assert factor_product(f, g, vt).values.size == 64
 
     @settings(max_examples=120, deadline=None)
     @given(table_and_factors())
@@ -163,7 +173,7 @@ class TestProduct:
     @given(table_and_factors(n_factors=1))
     def test_unit(self, data):
         vt, (f,) = data
-        p = factor_product(f, ones_factor(vt, f.vars), vt)
+        p = factor_product(f, Factor(f.vars, np.ones(f.values.size)), vt)
         assert np.array_equal(p.values, f.values)
 
 
@@ -174,7 +184,7 @@ class TestMarginalize:
         assert m.vars == f.vars and np.array_equal(m.values, f.values)
 
     def test_misconception_ac_marginal(self):
-        p = ones_factor(VT, ())
+        p = Factor((), np.ones(1))
         for pair in MISCONCEPTION_TABLES:
             p = factor_product(p, mfactor(*pair), VT)
         m = factor_marginalize(p, {"B", "D"}, VT)
@@ -188,7 +198,7 @@ class TestMarginalize:
         assert factor_entry(m, {"A": "a", "C": "c"}, VT) == expected
 
     def test_uniform_symmetry(self):
-        f = ones_factor(VT, ("A", "B"))
+        f = Factor(("A", "B"), np.ones(4))
         m = factor_marginalize(f, {"B"}, VT)
         assert np.array_equal(m.values, [2.0, 2.0])
 
@@ -244,7 +254,7 @@ class TestNormalizeToKernel:
 
     def test_child_before_parent_in_global_order(self):
         # conditioning A on D exercises the transpose path
-        f = ones_factor(VT, ("A", "D"))
+        f = Factor(("A", "D"), np.ones(4))
         g, _ = normalize_to_kernel(f, "A", VT)
         assert g.parents == ("D",)
         assert np.array_equal(g.values, [0.5, 0.5, 0.5, 0.5])
@@ -339,45 +349,6 @@ class TestNoAliasing:
         assert t.values.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
-class TestProptoEqual:
-    def test_scaling(self):
-        f = mfactor("A", "B")
-        g = Factor(f.vars, 2.0 * f.values)
-        assert propto_equal(f, g, 1e-9)
-        assert propto_equal(g, f, 1e-9)
-
-    def test_perturbation_fails(self):
-        f = mfactor("A", "B")
-        bumped = f.values.copy()
-        bumped[0] += 10 * 1e-9 * bumped.max()
-        assert not propto_equal(f, Factor(f.vars, bumped), 1e-9)
-
-    def test_unnormalized_vs_normalized_joint(self):
-        p = ones_factor(VT, ())
-        for pair in MISCONCEPTION_TABLES:
-            p = factor_product(p, mfactor(*pair), VT)
-        normalized = Factor(p.vars, p.values / p.values.sum())
-        assert propto_equal(p, normalized, 1e-9)
-
-    def test_zero_factors(self):
-        z = Factor(("A",), [0.0, 0.0])
-        f = Factor(("A",), [1.0, 2.0])
-        assert propto_equal(z, Factor(("A",), [0.0, 0.0]), 1e-9)
-        assert not propto_equal(z, f, 1e-9)
-
-    def test_var_mismatch_is_error(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            propto_equal(mfactor("A", "B"), mfactor("B", "C"), 1e-9)
-
-    def test_transitive_on_scaled_chain(self):
-        f = mfactor("C", "D")
-        g = Factor(f.vars, 3.0 * f.values)
-        h = Factor(f.vars, 0.25 * g.values)
-        assert propto_equal(f, g, 1e-9)
-        assert propto_equal(g, h, 1e-9)
-        assert propto_equal(f, h, 1e-9)
-
-
 class TestKernelConversions:
     def test_parentless_kernel_keeps_values(self):
         k = Kernel("A", (), [0.3, 0.7])
@@ -386,13 +357,12 @@ class TestKernelConversions:
 
     def test_restrict_misconception_row(self):
         f = mfactor("A", "B")
-        row = factor_restrict(f, {"A": "a"}, VT)
-        assert row.vars == ("B",)
-        assert np.array_equal(row.values, [10.0, 1.0])
+        row = [factor_entry(f, {"A": "a", "B": b}, VT) for b in ("b", "nb")]
+        assert row == [10.0, 1.0]
 
     def test_restrict_unknown_state_is_error(self):
         with pytest.raises(ValueError, match="no state"):
-            factor_restrict(mfactor("A", "B"), {"A": "zzz"}, VT)
+            factor_entry(mfactor("A", "B"), {"A": "zzz", "B": "b"}, VT)
 
     def test_kernel_factor_normalize_roundtrip(self):
         values = np.array([0.2, 0.8, 0.6, 0.4, 0.5, 0.5, 0.9, 0.1])

@@ -15,20 +15,19 @@ from chordalnet import (
     GraphHom,
     OrderedDag,
     OrderedUGraph,
-    all_cliques,
     check_hom,
     d_separated,
     decontract_hom,
     identity_hom,
     is_ordered_chordal,
     junction_tree,
-    maximal_cliques,
     moralise_graph,
     running_intersection_holds,
     triangulate_graph,
     u_separated,
 )
 from helpers import (
+    all_cliques,
     oracle_d_separated,
     oracle_running_intersection,
     oracle_triangulation_edge,
@@ -438,6 +437,7 @@ class TestImapDirection:
 
 
 class TestCliques:
+    # ``helpers.all_cliques`` chooses the factor cliques of ``random_mn``.
     def test_single_edge(self):
         h = OrderedUGraph(("A", "B"), udag(("A", "B")))
         assert all_cliques(h) == [("A",), ("B",), ("A", "B")]
@@ -468,10 +468,6 @@ class TestCliques:
                     if all(h.has_edge(u, v) for u, v in combinations(sub, 2)):
                         expected.add(frozenset(sub))
             assert got == expected
-
-    def test_maximal_cliques_filter(self):
-        h = OrderedUGraph(("A", "B", "C"), udag(("A", "B"), ("B", "C")))
-        assert maximal_cliques(h) == [("A", "B"), ("B", "C")]
 
 
 class TestJunctionTree:

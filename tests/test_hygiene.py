@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and one module
+holds the table cap.
 
 A leftover import (``reduce``, ``factor_product``, ``np``) is the usual
 trace of code moved behind a shared helper.  The check parses each
@@ -36,3 +37,43 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+CAP = "MAX_TABLE_ENTRIES"
+
+
+def cap_uses(source: str) -> list[int]:
+    """Lines on which code, not a docstring, names the table cap."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == CAP)
+        or (isinstance(node, ast.Attribute) and node.attr == CAP)
+        or (isinstance(node, ast.alias) and CAP in (node.name, node.asname))
+    )
+
+
+def test_the_check_sees_a_use_of_the_cap():
+    source = (
+        '"""MAX_TABLE_ENTRIES"""\n'
+        "from .factors import MAX_TABLE_ENTRIES\n"
+        "factors.MAX_TABLE_ENTRIES\n"
+    )
+    assert cap_uses(source) == [2, 3]
+
+
+def test_the_table_cap_lives_in_factors_only():
+    # One module holds the cap, so no second copy can be patched or checked.
+    factors = ast.parse((SRC / "factors.py").read_text(encoding="utf-8"))
+    assigned = [
+        target.id
+        for node in factors.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    ]
+    assert CAP in assigned
+    others = sorted(p for p in SRC.glob("*.py") if p.name != "factors.py")
+    assert {p.name: cap_uses(p.read_text(encoding="utf-8")) for p in others} == {
+        p.name: [] for p in others
+    }

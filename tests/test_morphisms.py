@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chordalnet.factors
 import chordalnet.morphisms
-import chordalnet.networks
 from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
@@ -233,10 +233,10 @@ class TestTableCaps:
 
     def test_transfer_matrix_cap_is_the_network_cap(self, monkeypatch):
         bn = chain_bn()
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 15)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 15)
         with pytest.raises(TableTooLargeError, match="16 entries"):
             transfer_matrix(identity_morphism(bn), bn)
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 16)
         assert np.array_equal(transfer_matrix(identity_morphism(bn), bn), np.eye(4))
 
     def test_composed_blocks_are_capped(self, monkeypatch):
@@ -250,10 +250,10 @@ class TestTableCaps:
         g = NetworkMorphism(
             GraphHom(tgt.graph, src.graph, {"A": "X", "B": "X"}), {"X": np.eye(4)}
         )
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 15)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 15)
         with pytest.raises(TableTooLargeError, match="16 entries"):
             compose_morphisms(identity_morphism(src), g)
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 16)
         composed = compose_morphisms(identity_morphism(src), g)
         assert np.array_equal(composed.eta["X"], np.eye(4))
 
@@ -265,7 +265,7 @@ class TestTableCaps:
         src = OrderedDag(("X",))
         mn = moralise_bn(tgt)
         usrc = OrderedUGraph(("X",))
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 3)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 3)
         with pytest.raises(TableTooLargeError, match="4 entries"):
             chordalnet.morphisms._regrouped_kernels(
                 src, tgt, GraphHom(tgt.graph, src, {"A": "X", "B": "X"})
@@ -274,6 +274,24 @@ class TestTableCaps:
             chordalnet.morphisms._regrouped_factors(
                 usrc, mn, GraphHom(mn.graph, usrc, {"A": "X", "B": "X"})
             )
+
+    def test_distribution_above_the_cap_is_raised_not_reported(self, monkeypatch):
+        # A refusal to build the 32-entry distribution is not a violation.
+        bn = random_chain_bn(np.random.default_rng(3), 5)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 16)
+        with pytest.raises(TableTooLargeError, match="32 entries"):
+            morphism_violations(identity_morphism(bn), bn, bn)
+        with pytest.raises(TableTooLargeError, match="32 entries"):
+            decompose_morphism(identity_morphism(bn), bn, bn)
+
+    @pytest.mark.parametrize("make", [random_chain_bn, chain_mn], ids=["bn", "mn"])
+    def test_pearl_update_family_above_the_cap(self, monkeypatch, make):
+        # x0's family has 2 entries, x1's has 4.
+        net = make(np.random.default_rng(3), 5)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 2)
+        update = {"x4": PearlVertexUpdate(weight=np.array([1.0, 0.0]))}
+        with pytest.raises(TableTooLargeError, match="^vertex x1: .* 4 entries"):
+            pearl_update(net, update)
 
 
 class TestCompose:
@@ -561,7 +579,7 @@ class TestPearlUpdate:
         for parent, child in (("C", "D"), ("D", "E"), ("E", "F")):
             kernels[child] = Kernel(child, (parent,), [0.9, 0.1, 0.2, 0.8])
         bn = BayesianNetwork(OrderedDag(names, edges), binary_vt(*names), kernels)
-        monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 16)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 16)
         with pytest.raises(ValueError, match="does not factor"):
             pearl_update(bn, {"C": PearlVertexUpdate(weight=np.array([1.0, 0.0]))})
 

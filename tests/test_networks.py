@@ -22,7 +22,6 @@ from chordalnet import (
     OutOfRangeError,
     TableTooLargeError,
     VariableTable,
-    all_cliques,
     bn_joint,
     cn_product,
     dumps_network,
@@ -34,12 +33,12 @@ from chordalnet import (
     mn_unnormalized,
     moralise_cn,
     network_violations,
-    ones_factor,
     require_valid,
     triangulate_mn,
     variable_elimination,
 )
 from helpers import (
+    all_cliques,
     chain_bn,
     chain_mn,
     misconception_assignments,
@@ -175,7 +174,7 @@ class TestMnTables:
     def test_explicit_all_ones_changes_nothing(self, misconception):
         padded = dict(misconception.factors)
         for v in misconception.graph.vertices:
-            padded[frozenset({v})] = ones_factor(misconception.vt, (v,))
+            padded[frozenset({v})] = Factor((v,), np.ones(2))
         mn = MarkovNetwork(misconception.graph, misconception.vt, padded)
         assert np.array_equal(
             mn_unnormalized(mn).values, mn_unnormalized(misconception).values

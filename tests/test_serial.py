@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chordalnet.networks
+import chordalnet.factors
 from chordalnet import (
     DocumentError,
     ChordalNetwork,
@@ -77,7 +77,7 @@ def test_wide_table_is_refused_before_its_rows_are_listed():
 
 @pytest.mark.parametrize("kind", ["bayesian", "markov"])
 def test_table_cap_applies_on_load(monkeypatch, kind):
-    monkeypatch.setattr(chordalnet.networks, "MAX_TABLE_ENTRIES", 1 << 10)
+    monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 1 << 10)
     with pytest.raises(TableTooLargeError, match="8,192 entries"):
         loads_network(json.dumps(wide_document(kind, 12)))
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chordalnet.factors
 import chordalnet.transforms
 
 from chordalnet import (
@@ -30,6 +31,7 @@ from chordalnet import (
     OrderedDag,
     OrderedUGraph,
     OutOfRangeError,
+    TableTooLargeError,
     VariableTable,
     bn_joint,
     check_hom,
@@ -51,7 +53,9 @@ from chordalnet import (
 )
 from helpers import (
     bear_bn,
+    chain_bn,
     chain_mn,
+    hub_last_star,
     oracle_chain_log_partition,
     oracle_mn_table,
     random_bn,
@@ -461,6 +465,38 @@ class TestOutOfRangeTables:
         assert info.value.log_mass == pytest.approx(
             math.log(1.7 * 1.9) + 308 * math.log(10), rel=1e-12
         )
+
+
+class TestTableCap:
+    """Every family table of a triangulation is checked against
+    ``factors.MAX_TABLE_ENTRIES`` before it is allocated, and a refusal
+    names the family's vertex."""
+
+    @pytest.mark.parametrize(
+        "transform, make",
+        [(triangulate_mn, chain_mn), (mn_to_bn, chain_mn), (triangulate_bn, chain_bn)],
+        ids=["triangulate_mn", "mn_to_bn", "triangulate_bn"],
+    )
+    def test_chain_family_above_the_cap(self, monkeypatch, transform, make):
+        # x0's family has 2 entries, x1's has 4.
+        net = make(np.random.default_rng(5), 5)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 2)
+        with pytest.raises(
+            TableTooLargeError,
+            match="^vertex x1: a table over 2 variables would have 4 entries, "
+            "more than the cap of 2$",
+        ):
+            transform(net)
+
+    @pytest.mark.parametrize("transform", [triangulate_mn, mn_to_bn])
+    def test_hub_last_star(self, monkeypatch, transform):
+        # The leaves' families have 2, 4, 8 and 16 entries, the hub's 32.
+        mn = hub_last_star(4)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 16)
+        with pytest.raises(TableTooLargeError, match="^vertex H: .* 32 entries"):
+            transform(mn)
+        monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 32)
+        assert transform(mn).graph.parents_of("H") == ("L0", "L1", "L2", "L3")
 
 
 def adopted_tables(cnw, mn, bn):
