@@ -191,40 +191,6 @@ def check_factor(f: Factor, vt: VariableTable) -> None:
         )
 
 
-def kernel_violations(k: Kernel, vt: VariableTable, tol: float = 1e-9) -> list[str]:
-    """All ways in which ``k`` fails its invariants against ``vt``."""
-    out: list[str] = []
-    known = vt._index.keys()
-    if k.child not in known:
-        return [f"kernel child {k.child} is not a declared variable"]
-    if not set(k.parents) <= known:
-        return [
-            f"kernel for {k.child} has undeclared parents "
-            f"{sorted(set(k.parents) - known)}"
-        ]
-    idx = [vt.index(p) for p in k.parents]
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        out.append(f"kernel for {k.child} has unsorted parents {k.parents}")
-    if k.child in k.parents:
-        out.append(f"kernel for {k.child} lists the child as a parent")
-    expected = math.prod(vt.shape(k.parents + (k.child,)))
-    if k.values.size != expected:
-        out.append(
-            f"kernel for {k.child} has {k.values.size} values, expected {expected}"
-        )
-        return out
-    if k.stochastic:
-        cols = k.values.reshape(-1, vt.card(k.child)).sum(axis=1)
-        bad = np.abs(cols - 1.0) > tol
-        if np.any(bad):
-            out.append(
-                f"kernel for {k.child} is flagged stochastic but "
-                f"{int(bad.sum())} column(s) do not sum to 1 "
-                f"(worst deviation {float(np.abs(cols - 1.0).max()):.3g})"
-            )
-    return out
-
-
 def _grid(f: Factor, vt: VariableTable) -> np.ndarray:
     """The factor's values reshaped to one axis per variable."""
     return f.values.reshape(vt.shape(f.vars))
@@ -266,15 +232,14 @@ def _spread(
 
 
 def _compact_product(
-    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable, where: str = ""
+    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray | float:
     """The exact product of ``tables`` with one axis per variable of
     ``onto``, of size 1 where no table mentions it, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls: a
     fresh array for two or more tables, a view of the values for one,
     and ``1.0`` for none.  Every caller builds the full table over
-    ``onto``, so that table is first checked against the cap."""
-    _check_entries(vt.shape(onto), where)
+    ``onto`` and has checked it against the cap."""
     acc = 1.0
     for i, table in enumerate(tables):
         spread = _spread(*table, onto, vt)
@@ -286,9 +251,10 @@ def _compact_product(
 def _product(
     tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray:
-    """:func:`_compact_product` broadcast to the shape of ``onto``.  It is
-    a read-only view, all ones for no tables: the :class:`Factor` or
-    :class:`Kernel` built from it makes the only copy."""
+    """The cap check, then :func:`_compact_product` broadcast to the shape
+    of ``onto``: a read-only view, all ones for no tables, so the
+    :class:`Factor` or :class:`Kernel` built from it makes the only copy."""
+    _check_entries(vt.shape(onto))
     return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
 
 

@@ -385,8 +385,8 @@ def pearl_update(
     tables of the triangulated graph.  The network's tables are relabelled
     as the factors of a Markov network on its graph, moralised first if
     directed (each kernel on its family clique), and the weights join the
-    singleton-clique factors; that network is triangulated (a chordal
-    graph is its own triangulation), eliminated, and every family
+    singleton-clique factors; those tables are triangulated (a chordal
+    network's graph is its own triangulation), eliminated, and every family
     marginal found by one forward pass.  A directed vertex keeps its
     elimination kernel, or, when triangulation gave it parents, gets the
     normalized marginal over its own family after a check that the
@@ -446,9 +446,12 @@ def pearl_update(
             if not values.max() < math.inf:
                 raise _out_of_range(v, [((v,), base), ((v,), w)], (v,), net.vt)
         factors[key] = _adopt(Factor, values, vars=(v,))
-    graph = net.graph if isinstance(net, MarkovNetwork) else moralise_graph(net.graph)
-    updated: Network = MarkovNetwork(graph, net.vt, factors)  # valid by construction
-    chordal = _triangulate(updated, triangulate_graph(graph), ChordalNetwork)
+    graph = moralise_graph(net.graph) if isinstance(net, BayesianNetwork) else net.graph
+    if not isinstance(net, ChordalNetwork):  # a chordal graph is its own triangulation
+        graph = triangulate_graph(graph)
+    # In ``_tables`` order per vertex: a new weight factor sorts last.
+    tables = [(f.vars, f.values) for f in factors.values()]
+    chordal = _triangulate(tables, net.vt, graph, ChordalNetwork)
     try:
         bn, _ = _eliminate(chordal)
     except DegenerateDistributionError as exc:
@@ -456,7 +459,9 @@ def pearl_update(
             f"update annihilates the joint: {exc}", vertex=exc.vertex
         ) from exc
     marginals = _family_marginals(bn)
-    if not isinstance(net, MarkovNetwork):
+    if isinstance(net, MarkovNetwork):
+        updated: Network = MarkovNetwork(net.graph, net.vt, factors)  # valid as built
+    else:
         kernels = {
             v: _own_kernel(v, net.graph.parents_of(v), bn, marginals[v])
             for v in net.graph.vertices

@@ -32,7 +32,6 @@ from .factors import (
     _spread,
     _Table,
     check_factor,
-    kernel_violations,
 )
 from .graphs import OrderedDag, OrderedUGraph, is_ordered_chordal
 
@@ -132,7 +131,17 @@ def _kernel_map_violations(
             continue
         if require_stochastic and not k.stochastic:
             out.append(f"kernel for {v} is not flagged stochastic")
-        out.extend(kernel_violations(k, net.vt))
+        size = math.prod(net.vt.shape(expected + (v,)))
+        if k.values.size != size:
+            out.append(f"kernel for {v} has {k.values.size} values, expected {size}")
+        elif k.stochastic:
+            dev = np.abs(k.values.reshape(-1, net.vt.card(v)).sum(axis=1) - 1.0)
+            if dev.max() > 1e-9:
+                out.append(
+                    f"kernel for {v} is flagged stochastic but "
+                    f"{int((dev > 1e-9).sum())} column(s) do not sum to 1 "
+                    f"(worst deviation {float(dev.max()):.3g})"
+                )
     return out
 
 
@@ -264,10 +273,8 @@ def _sum_product(
             message = product.sum(axis=family.index(v))
         else:
             rest, message = (), np.array(float(vt.card(v)))
-        peak = message.max()
-        if not (message.min() >= 0 and peak < math.inf):  # NaN fails both
-            raise ValueError("table values must be finite and nonnegative")
-        shift = math.frexp(peak)[1]
+        # A scaled product's maximum is below 1, so every message is finite.
+        shift = math.frexp(message.max())[1]
         exponent += shift
         place(rest, np.ldexp(message, -shift))
     kept = tuple(v for v in net.graph.vertices if v in keep)

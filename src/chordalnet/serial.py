@@ -114,7 +114,7 @@ def _parse_edges(
     if not isinstance(raw, list):
         errors.append("edges: must be a list of vertex pairs")
         return None
-    pos = {name: i for i, name in enumerate(vt.names)}
+    pos = vt._index
     out = []
     ok = True
     for i, item in enumerate(raw):
@@ -288,7 +288,7 @@ def _parse_clique_tables(
     if not isinstance(raw, list):
         errors.append("tables: must be a list")
         return None
-    pos = {name: i for i, name in enumerate(vt.names)}
+    pos = vt._index
     factors: dict[frozenset[str], Factor] = {}
     ok = True
     for i, item in enumerate(raw):
@@ -409,7 +409,7 @@ def _document_rows(
 def network_to_document(net: Network) -> dict:
     """Canonical document of a network: fixed key order, canonical sorting."""
     vt = net.vt
-    pos = {name: i for i, name in enumerate(vt.names)}
+    pos = vt._index
     states = dict(vt.entries)
     variables = [{"name": name, "states": list(labels)} for name, labels in vt.entries]
     if isinstance(net, MarkovNetwork):

@@ -40,6 +40,7 @@ from .factors import (
     Kernel,
     VariableTable,
     _adopt,
+    _check_entries,
     _compact_product,
     _spread,
     _Table,
@@ -60,6 +61,7 @@ from .networks import (
     MarkovNetwork,
     Network,
     OutOfRangeError,
+    _scaled_product,
     _tables,
     require_valid,
 )
@@ -71,9 +73,11 @@ class EliminationStep:
 
     ``absorbed_into`` is the vertex's largest parent, or ``None`` for a
     parentless vertex whose scalar mass contributes to the partition
-    constant directly.  ``lam`` is the mass as computed; the copy absorbed
-    into the host was multiplied by ``2 ** -log2_scale``, which brings its
-    maximum into [1, 2) and is exact.
+    constant directly.  ``lam`` is the mass as computed; the host's table
+    was multiplied by ``lam * 2 ** -log2_scale``, exact since the scale is
+    a power of two: the one that brings the mass's maximum into [1, 2),
+    plus, at every 64th mass absorbed into one host, the one that then
+    brings the host's maximum into [1, 2).
     """
 
     vertex: str
@@ -150,12 +154,11 @@ def _out_of_range(
 ) -> OutOfRangeError:
     """The error for the table at ``v``, the product of ``tables`` over
     ``family``, which leaves the range of a double.  Its ``log_mass``, the
-    natural log of that table's total mass, is summed in log space."""
-    with np.errstate(divide="ignore"):
-        logs = sum(np.log(_spread(*table, family, vt)) for table in tables)
-    logs = np.broadcast_to(logs, vt.shape(family))
-    peak = float(logs.max())
-    log_mass = peak + math.log(np.exp(logs - peak).sum()) if peak > -math.inf else peak
+    natural log of that table's total mass, is read off the scaled product;
+    it is ``-inf`` when the exact product is zero and ``inf * 0`` hid it."""
+    table, exponent = _scaled_product(tables, vt, family)
+    total = float(np.broadcast_to(table, vt.shape(family)).sum())
+    log_mass = math.log(total) + exponent * math.log(2.0) if total else -math.inf
     return OutOfRangeError(
         f"table values must be finite and nonnegative: the table at vertex {v} "
         f"is outside the range of a double; the natural log of its total mass "
@@ -176,22 +179,26 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
 
     Raises:
         TableTooLargeError: when a vertex's family table would exceed
-            ``factors.MAX_TABLE_ENTRIES``; raised before it is allocated,
-            and the error names the vertex.
+            ``factors.MAX_TABLE_ENTRIES``; raised before any family table
+            is built, and the error names the vertex.
         OutOfRangeError: when the product of a vertex's factors overflows
             a double; the error names the vertex.
     """
     require_valid(mn)
-    return _triangulate(mn, triangulate_graph(mn.graph), ChordalNetwork)
+    return _triangulate(_tables(mn), mn.vt, triangulate_graph(mn.graph), ChordalNetwork)
 
 
-def _triangulate(net: Network, graph: OrderedDag, kind: type) -> Network:
-    """The kernels of :func:`triangulate_mn` for the tables of a network
-    known valid, over ``graph``, a triangulation of its (moral) graph, as a
-    network of type ``kind``; stochastic when ``kind`` is Bayesian."""
-    vt = net.vt
+def _triangulate(
+    tables: list[_Table], vt: VariableTable, graph: OrderedDag, kind: type
+) -> Network:
+    """The kernels of :func:`triangulate_mn` for ``tables``, each vertex's
+    in :func:`networks._tables` order, over ``graph``, a triangulation of
+    their (moral) graph, as a network of type ``kind``; stochastic when
+    ``kind`` is Bayesian.  Every family is checked before any is built."""
+    for v in graph.vertices:
+        _check_entries(vt.shape(graph.parents_of(v) + (v,)), f"vertex {v}")
     consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
-    for table in _tables(net):
+    for table in tables:
         # Table variables follow the declared order: the last is the maximum.
         consumed[table[0][-1]].append(table)
 
@@ -201,7 +208,7 @@ def _triangulate(net: Network, graph: OrderedDag, kind: type) -> Network:
     with np.errstate(over="ignore", invalid="ignore"):
         for v in graph.vertices:
             family, tables = graph.parents_of(v) + (v,), consumed[v]
-            acc = _compact_product(tables, family, vt, f"vertex {v}")
+            acc = _compact_product(tables, family, vt)
             # A single valid table is in range, so only a product needs a check.
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
                 raise _out_of_range(v, tables, family, vt)
@@ -225,11 +232,12 @@ def variable_elimination(
     into a stochastic kernel and a mass table over the parents, with
     uniform fill on zero columns; the mass is multiplied into the largest
     parent's working table, which ordered chordality guarantees can host
-    it.  The absorbed copy is first rescaled by a power of two, so that
-    long networks neither overflow nor underflow; the kernels are
-    unchanged because normalization cancels the scale exactly.  Scalar
-    masses at parentless vertices, with the recorded scales, make up the
-    partition constant, divided out implicitly by the normalizations.
+    it.  The absorbed copy, and at every 64th absorption the host, are
+    rescaled by a power of two, so that neither a long network nor a host
+    with many children overflows or underflows; the kernels are unchanged
+    because normalization cancels the scale exactly.  Scalar masses at
+    parentless vertices, with the recorded scales, make up the partition
+    constant, divided out implicitly by the normalizations.
 
     The sweep works on plain arrays: parents precede the child, so each
     kernel's flat layout is already that of its family table, and a mass
@@ -261,6 +269,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[EliminationStep] = []
+    absorbed = dict.fromkeys(graph.vertices, 0)
     # An overflow in a host's table, or inf * 0 after one, is caught by the
     # check of the host's mass below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,7 +297,13 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
                 shift = math.frexp(peak)[1] - 1
                 family = graph.parents_of(host) + (host,)
                 spread = _spread(parents, np.ldexp(lam.values, -shift), family, vt)
-                working[host] = working[host].reshape(vt.shape(family)) * spread
+                table = working[host].reshape(vt.shape(family)) * spread
+                absorbed[host] += 1
+                if absorbed[host] % 64 == 0:
+                    rescale = math.frexp(table.max())[1] - 1
+                    np.ldexp(table, -rescale, out=table)
+                    shift += rescale
+                working[host] = table
             steps.append(EliminationStep(v, lam, host, shift))
     bn = BayesianNetwork(graph, vt, kernels)
     return bn, EliminationTrace(tuple(steps))
@@ -355,7 +370,7 @@ def triangulate_bn(bn: BayesianNetwork) -> BayesianNetwork:
     """
     require_valid(bn)
     graph = triangulate_graph(moralise_graph(bn.graph))
-    return _triangulate(bn, graph, BayesianNetwork)
+    return _triangulate(_tables(bn), bn.vt, graph, BayesianNetwork)
 
 
 @dataclass(frozen=True)

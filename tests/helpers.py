@@ -594,6 +594,19 @@ def hub_last_star(n_leaves: int) -> MarkovNetwork:
     return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
 
 
+def hub_first_star(n_leaves: int) -> MarkovNetwork:
+    """The binary star of :func:`hub_last_star` in the reverse order: the
+    hub ``H`` first, then ``L0 ... L{n-1}``.  Triangulation adds no fill,
+    and elimination absorbs every leaf's mass, (3, 3), into the hub, so
+    the hub's kernel is (1/2, 1/2), every leaf's is (2/3, 1/3 | 1/3, 2/3)
+    and log Z = ln 2 + n ln 3."""
+    names = ("H",) + tuple(f"L{i}" for i in range(n_leaves))
+    vt = VariableTable(tuple((v, ("0", "1")) for v in names))
+    pairs = [("H", v) for v in names[1:]]
+    factors = {frozenset(p): Factor(p, [2.0, 1.0, 1.0, 2.0]) for p in pairs}
+    return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
+
+
 def oracle_chain_log_partition(mn: MarkovNetwork) -> float:
     """log Z of a :func:`chain_mn` chain: a transfer-matrix product in log space."""
     names = mn.graph.vertices

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalnet import (
+    ClusterTree,
     GraphHom,
     OrderedDag,
     OrderedUGraph,
@@ -507,6 +508,16 @@ class TestJunctionTree:
         tree = junction_tree(g)
         assert len(tree.tree_edges) == len(tree.clusters) - 1
         assert running_intersection_holds(tree)
+
+    def test_running_intersection_can_fail(self):
+        # A is in the two end clusters of a path but not in the middle one.
+        tree = ClusterTree(
+            (("A", "B"), ("B", "C"), ("A", "C")),
+            frozenset({(0, 1), (1, 2)}),
+            {(0, 1): ("B",), (1, 2): ("C",)},
+        )
+        assert not running_intersection_holds(tree)
+        assert not oracle_running_intersection(tree)
 
     def test_running_intersection_on_random_chordal_graphs(self):
         rng = np.random.default_rng(43)

@@ -8,6 +8,7 @@ update witnesses) plus hand-made contractions.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -125,6 +126,28 @@ class TestValidate:
         bn = random_chain_bn(np.random.default_rng(16), 16)
         assert morphism_violations(identity_morphism(bn), bn, bn) == []
 
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            (None, "eta is missing a component for vertex B"),
+            (np.eye(3), r"eta\[B\] has shape \(3, 3\), expected \(2, 2\)"),
+            (
+                np.array([[1.5, 0.0], [-0.5, 1.0]]),
+                r"eta\[B\] has negative or non-finite entries",
+            ),
+        ],
+        ids=["missing", "shape", "sign"],
+    )
+    def test_malformed_eta_component_is_flagged(self, eta, message):
+        bn = chain_bn()
+        m = identity_morphism(bn)
+        if eta is None:
+            del m.eta["B"]
+        else:
+            m.eta["B"] = eta
+        violations = morphism_violations(m, bn, bn)
+        assert len(violations) == 1 and re.fullmatch(message, violations[0])
+
     def test_broken_preservation_is_reported_with_deviation(self):
         bn = chain_bn()
         m = identity_morphism(bn)
@@ -156,6 +179,15 @@ class TestMarginalizationMorphism:
             target.kernels["B"].values, joint.sum(axis=0), rtol=1e-12
         )
         assert morphism_violations(m, bn, target) == []
+
+    def test_zero_factor_is_degenerate(self):
+        mn = MarkovNetwork(
+            OrderedUGraph(("A",)),
+            binary_vt("A"),
+            {frozenset({"A"}): Factor(("A",), [0.0, 0.0])},
+        )
+        with pytest.raises(DegenerateDistributionError, match="identically zero"):
+            marginalization_morphism(mn, "A")
 
     def test_markov_network_target_keeps_kind(self, misconception):
         target, m = marginalization_morphism(misconception, "C")
@@ -629,6 +661,24 @@ class TestPearlUpdate:
             network_distribution(updated).values, conditioned.ravel(), atol=1e-12
         )
         assert morphism_violations(m, cnw, updated) == []
+
+    def test_chordal_graph_is_its_own_triangulation(self, monkeypatch):
+        cnw = triangulate_mn(chain_mn(np.random.default_rng(8), 6))
+        update = {"x5": PearlVertexUpdate(weight=np.array([1.0, 0.25]))}
+        want = pearl_update(moralise_cn(cnw), update)[0]
+
+        def refuse(*args):
+            raise AssertionError("a chordal graph was triangulated again")
+
+        monkeypatch.setattr(chordalnet.morphisms, "moralise_graph", refuse)
+        monkeypatch.setattr(chordalnet.morphisms, "triangulate_graph", refuse)
+        updated, m = pearl_update(cnw, update)
+        assert isinstance(updated, ChordalNetwork) and updated.graph == cnw.graph
+        np.testing.assert_allclose(
+            network_distribution(updated).values,
+            network_distribution(want).values,
+            rtol=1e-12,
+        )
 
     def test_markov_network_update(self, misconception):
         weight = np.array([0.8, 0.3])

@@ -13,6 +13,7 @@ import chordalnet.networks
 import chordalnet.serial
 from chordalnet import (
     BayesianNetwork,
+    DegenerateDistributionError,
     Factor,
     Kernel,
     MarkovNetwork,
@@ -32,6 +33,7 @@ from chordalnet import (
     mn_to_bn,
     mn_unnormalized,
     moralise_cn,
+    network_distribution,
     network_violations,
     require_valid,
     triangulate_mn,
@@ -112,6 +114,40 @@ class TestValidation:
             },
         )
         assert any("parents" in v for v in network_violations(bn))
+
+    @pytest.mark.parametrize(
+        "kernels, message",
+        [
+            (
+                {"A": Kernel("A", (), [0.2, 0.3, 0.5])},
+                "kernel for A has 3 values, expected 2",
+            ),
+            (
+                {"A": Kernel("A", (), [0.5, 0.5]), "Z": Kernel("Z", (), [1.0])},
+                "kernel given for unknown vertex Z",
+            ),
+            ({"A": Kernel("B", (), [0.5, 0.5])}, "kernel stored under A has child B"),
+            (
+                {"A": Kernel("A", (), [0.5, 0.5], stochastic=False)},
+                "kernel for A is not flagged stochastic",
+            ),
+        ],
+        ids=["size", "unknown", "child", "flag"],
+    )
+    def test_malformed_kernel_is_flagged(self, kernels, message):
+        bn = BayesianNetwork(OrderedDag(("A",)), binary_vt("A"), kernels)
+        assert network_violations(bn) == [message]
+
+    def test_markov_factor_of_the_wrong_size_is_flagged(self):
+        mn = MarkovNetwork(
+            OrderedUGraph(("A",)),
+            binary_vt("A"),
+            {frozenset({"A"}): Factor(("A",), [1.0, 2.0, 3.0])},
+        )
+        assert network_violations(mn) == [
+            "factor for clique ['A']: factor over ('A',) has 3 values, expected 2 "
+            "for the declared cardinalities"
+        ]
 
     def test_vt_graph_mismatch_is_flagged(self):
         vt = binary_vt("A", "B")
@@ -196,6 +232,8 @@ class TestMnTables:
             OrderedUGraph(("A",)), vt, {frozenset({"A"}): Factor(("A",), [0.0, 0.0])}
         )
         assert mn_partition(mn) == 0.0
+        with pytest.raises(DegenerateDistributionError, match="identically zero"):
+            network_distribution(mn)
 
     def test_misconception_not_degenerate(self, misconception):
         assert mn_partition(misconception) != 0.0

@@ -55,6 +55,7 @@ from helpers import (
     bear_bn,
     chain_bn,
     chain_mn,
+    hub_first_star,
     hub_last_star,
     oracle_chain_log_partition,
     oracle_mn_table,
@@ -393,6 +394,23 @@ class TestEliminationAgainstReference:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             reference_variable_elimination(cnw)
 
+    def test_host_with_many_children_stays_in_range(self):
+        # Each leaf absorbs (1.5, 1.5) into the hub; 1.5**2000 overflows
+        # unless the hub's own table is rescaled as it fills.
+        n = 2000
+        mn = hub_first_star(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bn = mn_to_bn(mn)
+            _, trace = variable_elimination(triangulate_mn(mn))
+        assert bn.kernels["H"].values.tolist() == [0.5, 0.5]
+        for v in mn.graph.vertices[1:]:
+            np.testing.assert_allclose(
+                bn.kernels[v].values, [2 / 3, 1 / 3, 1 / 3, 2 / 3], rtol=1e-15
+            )
+        log_z = math.log(2) + n * math.log(3)
+        assert trace.log_partition() == pytest.approx(log_z, rel=1e-12)
+
 
 class TestOutOfRangeTables:
     """A table that the transforms build and that leaves the range of a
@@ -497,6 +515,21 @@ class TestTableCap:
             transform(mn)
         monkeypatch.setattr(chordalnet.factors, "MAX_TABLE_ENTRIES", 32)
         assert transform(mn).graph.parents_of("H") == ("L0", "L1", "L2", "L3")
+
+    def test_no_family_is_built_before_a_refusal(self, monkeypatch):
+        # L24's family has 2**25 entries; the 24 smaller ones come first.
+        built = []
+        compact_product = chordalnet.transforms._compact_product
+
+        def counted(*args):
+            out = compact_product(*args)
+            built.append(args[1])
+            return out
+
+        monkeypatch.setattr(chordalnet.transforms, "_compact_product", counted)
+        with pytest.raises(TableTooLargeError, match="^vertex L24: "):
+            triangulate_mn(hub_last_star(40))
+        assert built == []
 
 
 def adopted_tables(cnw, mn, bn):
