@@ -16,6 +16,7 @@ commands compose in pipes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -193,7 +194,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process, on first use."""
     parser = _Parser(
         prog="chordalnet",
         description="Transform and query discrete graphical-model documents.",

@@ -28,12 +28,13 @@ label by label.
 
 Saving emits a canonical key order and round-trip-exact floats, so
 ``save(load(x))`` is byte-identical for canonical files.
-:func:`network_to_document` alone fixes the layout: key order, sorting and
-edge order.  The renderer only indents it: objects and lists that hold
-containers take one line per member, and every other list takes one line.
-Strings are encoded by ``json.encoder.encode_basestring_ascii`` and
-finite floats by ``float.__repr__``, as ``json.dumps`` encodes them; any
-other list of numbers takes one ``json.dumps`` call.
+:func:`dumps_network` alone fixes the layout: key order, sorting, edge
+order and indentation.  It writes each line of the fixed layout straight
+from the tables: objects and lists that hold containers take one line per
+member, and every other list takes one line.  Strings are encoded by
+``json.encoder.encode_basestring_ascii`` and the finite table values by
+``float.__repr__``, as ``json.dumps`` encodes them.
+:func:`network_to_document` is that text parsed back.
 """
 
 from __future__ import annotations
@@ -390,76 +391,22 @@ def document_to_network(doc: Any) -> Network:
     return net
 
 
-def _document_rows(
-    values: np.ndarray,
-    given_vars: tuple[str, ...],
-    out_var: str,
-    states: dict[str, tuple[str, ...]],
-) -> list[dict]:
-    """The rows of a table over ``given_vars + (out_var,)``, in canonical order."""
-    return [
-        {"given": list(given), "values": row}
+def _rows(values: np.ndarray, family: list[str], labels: dict[str, list[str]]) -> str:
+    """The rows of a table over ``family``, one per assignment of all but its
+    last variable, in canonical order; ``labels`` holds encoded states."""
+    return ",\n".join(
+        f'        {{\n          "given": [{", ".join(given)}],\n'
+        f'          "values": [{", ".join(map(float.__repr__, row))}]\n        }}'
         for given, row in zip(
-            iter_product(*(states[p] for p in given_vars)),
-            values.reshape(-1, len(states[out_var])).tolist(),
+            iter_product(*map(labels.get, family[:-1])),
+            values.reshape(-1, len(labels[family[-1]])).tolist(),
         )
-    ]
+    )
 
 
-def network_to_document(net: Network) -> dict:
-    """Canonical document of a network: fixed key order, canonical sorting."""
-    vt = net.vt
-    pos = vt._index
-    states = dict(vt.entries)
-    variables = [{"name": name, "states": list(labels)} for name, labels in vt.entries]
-    if isinstance(net, MarkovNetwork):
-        edges = [
-            [u, w] for u in vt.names for w in net.graph.neighbours_of(u) if pos[u] < pos[w]
-        ]
-        tables = []
-        for clique in sorted(
-            net.factors, key=lambda c: tuple(sorted(pos[v] for v in c))
-        ):
-            members = tuple(sorted(clique, key=pos.get))
-            rows = _document_rows(
-                net.factors[clique].values, members[:-1], members[-1], states
-            )
-            tables.append({"clique": list(members), "rows": rows})
-    else:
-        edges = [[u, w] for u in vt.names for w in net.graph.children_of(u)]
-        tables = []
-        for v in net.graph.vertices:
-            k = net.kernels[v]
-            rows = _document_rows(k.values, k.parents, v, states)
-            tables.append({"child": v, "parents": list(k.parents), "rows": rows})
-    kind = KIND_NAMES[type(net)]
-    return {"kind": kind, "variables": variables, "edges": edges, "tables": tables}
-
-
-def _render(obj: Any, indent: int) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict) and obj:
-        inner = "  " * (indent + 1)
-        parts = [
-            f"{inner}{encode_basestring_ascii(k)}: {_render(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
-    if isinstance(obj, list):
-        # isinstance(x, str) for every x, mapped in C.
-        if all(map(str.__instancecheck__, obj)):
-            return "[" + ", ".join(map(encode_basestring_ascii, obj)) + "]"
-        # Table values are finite, which json.dumps writes as float.__repr__.
-        if {*map(type, obj)} == {float}:
-            return "[" + ", ".join(map(float.__repr__, obj)) + "]"
-        if any(isinstance(x, (dict, list)) for x in obj):
-            inner = "  " * (indent + 1)
-            parts = [f"{inner}{_render(x, indent + 1)}" for x in obj]
-            return "[\n" + ",\n".join(parts) + "\n" + "  " * indent + "]"
-    # Anything else, such as a number, {} or a list of numbers, takes one
-    # line; json.dumps round-trips floats exactly (repr-based shortest form).
-    return json.dumps(obj)
+def _members(lines: list[str]) -> str:
+    """A top-level list of the document, one line per item."""
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
 def dumps_network(net: Network) -> str:
@@ -467,7 +414,51 @@ def dumps_network(net: Network) -> str:
 
     Leaf lists stay on one line so documents diff row by row.
     """
-    return _render(network_to_document(net), 0) + "\n"
+    vt, pos = net.vt, net.vt._index
+    name = {v: encode_basestring_ascii(v) for v in vt.names}
+    labels = {v: [*map(encode_basestring_ascii, s)] for v, s in vt.entries}
+    if isinstance(net, MarkovNetwork):
+        nbrs = net.graph.neighbours_of
+        pairs = [(u, w) for u in vt.names for w in nbrs(u) if pos[u] < pos[w]]
+        members = (sorted(c, key=pos.get) for c in net.factors)
+        cliques = sorted(members, key=lambda m: [*map(pos.get, m)])
+        heads = [
+            (f'"clique": [{", ".join(map(name.get, m))}]', net.factors[frozenset(m)], m)
+            for m in cliques
+        ]
+    else:
+        pairs = [(u, w) for u in vt.names for w in net.graph.children_of(u)]
+        heads = [
+            (
+                f'"child": {name[k.child]},\n'
+                f'      "parents": [{", ".join(map(name.get, k.parents))}]',
+                k,
+                [*k.parents, k.child],
+            )
+            for k in map(net.kernels.get, net.graph.vertices)
+        ]
+    variables = [
+        f'    {{\n      "name": {name[v]},\n'
+        f'      "states": [{", ".join(labels[v])}]\n    }}'
+        for v in vt.names
+    ]
+    edges = [f"    [{name[u]}, {name[w]}]" for u, w in pairs]
+    tables = [
+        f'    {{\n      {head},\n'
+        f'      "rows": [\n{_rows(t.values, family, labels)}\n      ]\n    }}'
+        for head, t, family in heads
+    ]
+    return (
+        f'{{\n  "kind": "{KIND_NAMES[type(net)]}",\n'
+        f'  "variables": {_members(variables)},\n'
+        f'  "edges": {_members(edges)},\n'
+        f'  "tables": {_members(tables)}\n}}\n'
+    )
+
+
+def network_to_document(net: Network) -> dict:
+    """Canonical document of a network, as :func:`dumps_network` writes it."""
+    return json.loads(dumps_network(net))
 
 
 def loads_network(text: str) -> Network:

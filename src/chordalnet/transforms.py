@@ -155,7 +155,8 @@ def _out_of_range(
     """The error for the table at ``v``, the product of ``tables`` over
     ``family``, which leaves the range of a double.  Its ``log_mass``, the
     natural log of that table's total mass, is read off the scaled product;
-    it is ``-inf`` when the exact product is zero and ``inf * 0`` hid it."""
+    it is ``-inf`` when the exact product is zero and ``inf * 0`` hid it,
+    which the sweep reports as a degenerate network instead."""
     table, exponent = _scaled_product(tables, vt, family)
     total = float(np.broadcast_to(table, vt.shape(family)).sum())
     log_mass = math.log(total) + exponent * math.log(2.0) if total else -math.inf
@@ -211,7 +212,9 @@ def _triangulate(
             acc = _compact_product(tables, family, vt)
             # A single valid table is in range, so only a product needs a check.
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
-                raise _out_of_range(v, tables, family, vt)
+                acc[np.isnan(acc)] = 0.0  # inf * 0: a factor, so the entry, is 0
+                if not acc.max() < math.inf:
+                    raise _out_of_range(v, tables, family, vt)
             shape = vt.shape(family)
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)
@@ -280,7 +283,10 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
             # its row finite, and NaN, which max propagates, fails the test.
             peak = mass.max()
             if not peak < math.inf:
-                raise _out_of_range(v, _working_tables(cn, v, steps), parents + (v,), vt)
+                error = _out_of_range(v, _working_tables(cn, v, steps), parents + (v,), vt)
+                if error.log_mass > -math.inf:  # else inf * 0 hid a zero table
+                    raise error
+                peak = 0.0
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
             lam = _adopt(Factor, mass, vars=parents)
             # The mass is finite and nonnegative, so it is identically zero

@@ -607,6 +607,23 @@ def hub_first_star(n_leaves: int) -> MarkovNetwork:
     return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
 
 
+def zero_behind_overflow_cn() -> ChordalNetwork:
+    """A binary chordal network with A the parent of B, C and D whose total
+    mass is exactly 0, though the sweep's float arithmetic does not show
+    it: D's mass (1.9, 1.9) overflows A's table, (1.7e308, 1.7e308), to
+    inf, and the masses of C, (0, 1), and B, (1, 0), then make both of its
+    entries inf * 0 = NaN."""
+    names = ("A", "B", "C", "D")
+    vt = VariableTable(tuple((v, ("0", "1")) for v in names))
+    graph = OrderedDag(names, {("A", v) for v in names[1:]})
+    rows = {"A": [1.7e308, 1.7e308], "B": [0.5, 0.5, 0.0, 0.0]}
+    rows.update(C=[0.0, 0.0, 0.5, 0.5], D=[1.5, 0.4, 1.5, 0.4])
+    kernels = {
+        v: Kernel(v, graph.parents_of(v), rows[v], stochastic=False) for v in names
+    }
+    return ChordalNetwork(graph, vt, kernels)
+
+
 def oracle_chain_log_partition(mn: MarkovNetwork) -> float:
     """log Z of a :func:`chain_mn` chain: a transfer-matrix product in log space."""
     names = mn.graph.vertices

@@ -18,13 +18,14 @@ from chordalnet import (
     load_network,
     marginal_distribution,
 )
-from chordalnet.cli import _print_table, main
+from chordalnet.cli import _print_table, build_parser, main
 from helpers import (
     chain_bn,
     chain_mn,
     hub_last_star,
     oracle_chain_log_partition,
     wide_document,
+    zero_behind_overflow_cn,
 )
 
 
@@ -307,6 +308,39 @@ class TestCheckAndExitCodes:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "ve", str(path))
         assert code == 3 and "degenerate" in err
+
+    def test_zero_total_behind_overflow_is_degenerate(self, capsys, tmp_path):
+        # Z is exactly 0, though A's working table is inf * 0 = NaN.
+        path = tmp_path / "hidden.json"
+        path.write_text(dumps_network(zero_behind_overflow_cn()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text, err = run(capsys, "ve", str(path))
+        assert code == 3 and text == ""
+        assert err == (
+            "degenerate network: the mass table at vertex A is identically zero\n"
+        )
+
+    def test_one_parser_serves_repeated_calls(self, capsys, tmp_path, fixtures_dir):
+        # main builds its parser once per process; each call must still
+        # behave as the first call of a fresh process would.
+        doc = json.loads((fixtures_dir / "bear.json").read_text())
+        doc["tables"][2]["parents"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        tr = ("tr", str(fixtures_dir / "misconception.json"))
+        calls = [("frobnicate",), tr, ("check", str(bad)), tr]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        repeated = [run(capsys, *argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        assert repeated == fresh
+        assert [code for code, _, _ in repeated] == [1, 0, 2, 0]
+        golden = (fixtures_dir.parent / "golden" / "tr_misconception.json").read_bytes()
+        assert repeated[1][1].encode() == repeated[3][1].encode() == golden
 
     @pytest.mark.parametrize(
         "n_parents, cap, entries",

@@ -271,6 +271,31 @@ def test_special_values_render_exactly():
     assert dumps_network(loads_network(text)) == text
 
 
+def _markov_without_factors():
+    vt = VariableTable((("A", ("0", "1")), ("B", ("x", "y", "z"))))
+    return MarkovNetwork(OrderedUGraph(vt.names, {frozenset("AB")}), vt, {})
+
+
+def _one_vertex_chordal():
+    vt = VariableTable((("A", ("0", "1")),))
+    kernel = Kernel("A", (), [0.25, 3.0], stochastic=False)
+    return ChordalNetwork(OrderedDag(vt.names), vt, {"A": kernel})
+
+
+@pytest.mark.parametrize(
+    "make, empty",
+    [(_markov_without_factors, '"tables": []'), (_one_vertex_chordal, '"edges": []')],
+    ids=["markov-no-factors", "one-vertex"],
+)
+def test_writer_edge_cases(make, empty):
+    net = make()
+    text = dumps_network(net)
+    assert text == reference_dumps(net)
+    assert f"\n  {empty}" in text
+    assert dumps_network(loads_network(text)) == text
+    assert network_to_document(net) == json.loads(text)
+
+
 @pytest.mark.parametrize("parents", [None, 3, "E", {"0": "E"}])
 def test_parents_that_are_not_a_list_are_a_document_error(fixtures_dir, parents):
     doc = json.loads((fixtures_dir / "bear.json").read_text())

@@ -40,6 +40,7 @@ from chordalnet import (
     is_ordered_chordal,
     kernel_to_factor,
     load_network,
+    marginal_distribution,
     mn_partition,
     mn_to_bn,
     mn_unnormalized,
@@ -64,6 +65,7 @@ from helpers import (
     random_mn,
     reference_triangulate_mn,
     reference_variable_elimination,
+    zero_behind_overflow_cn,
 )
 
 
@@ -483,6 +485,36 @@ class TestOutOfRangeTables:
         assert info.value.log_mass == pytest.approx(
             math.log(1.7 * 1.9) + 308 * math.log(10), rel=1e-12
         )
+
+    def test_zero_factor_after_product_overflow(self):
+        # C's factors from {A, C} and {B, C} multiply to 1e400 = inf where C
+        # is 0, and the factor on {C} then makes those entries inf * 0 = NaN.
+        # The exact entries are 0, so C's kernel is (0, 1) at every parent
+        # assignment and Z = 4.
+        vt = binary_vt("A", "B", "C")
+        graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+        factors = {
+            frozenset("C"): Factor(("C",), [0.0, 1.0]),
+            frozenset("AC"): Factor(("A", "C"), [1e200, 1.0, 1e200, 1.0]),
+            frozenset("BC"): Factor(("B", "C"), [1e200, 1.0, 1e200, 1.0]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cn = triangulate_mn(MarkovNetwork(graph, vt, factors))
+            _, trace = variable_elimination(cn)
+        assert cn.kernels["C"].values.tolist() == [0.0, 1.0] * 4
+        assert trace.partition_mass() == 4.0
+
+    def test_zero_total_behind_overflow_is_degenerate(self):
+        # A's working table is inf * 0 = NaN in both entries; its exact total
+        # mass, and so Z, is 0.
+        cnw = zero_behind_overflow_cn()
+        assert marginal_distribution(cnw, []).values.tolist() == [0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDistributionError, match="vertex A ") as info:
+                variable_elimination(cnw)
+        assert info.value.vertex == "A"
 
 
 class TestTableCap:
