@@ -1,6 +1,7 @@
 """Deterministic command line front end.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation failure, 3 semantic
+Exit codes: 0 success, 1 usage, 2 parse/validation failure (a document
+that is not UTF-8 or is nested too deeply to decode among them), 3 semantic
 failure (degenerate distribution, a graph precondition such as
 chordality, a document or computed table above
 ``factors.MAX_TABLE_ENTRIES``, ``check`` included, or a table, marginal,
@@ -105,24 +106,31 @@ def _print_table(net: Network, vars: tuple[str, ...], values) -> None:
         print(" ".join(assignment) + f" {values[i]:.6f}")
 
 
+# Each transform command: its help, the network type it reads, its conversion.
+_TRANSFORMS = {
+    "moralise": ("bayesian -> markov on the moral graph", BayesianNetwork, moralise_bn),
+    "triangulate": (
+        "markov -> chordal on the triangulated graph", MarkovNetwork, triangulate_mn
+    ),
+    "ve": (
+        "chordal -> bayesian by variable elimination",
+        ChordalNetwork,
+        lambda cn: variable_elimination(cn)[0],
+    ),
+    "tr": ("markov -> bayesian (triangulate then eliminate)", MarkovNetwork, mn_to_bn),
+    "trmor": (
+        "bayesian -> bayesian over the triangulated moral graph",
+        BayesianNetwork,
+        triangulate_bn,
+    ),
+}
+
+
 def _cmd_transform(args) -> int:
+    _, kind, convert = _TRANSFORMS[args.command]
     net = _load(args.input)
-    if args.command == "moralise":
-        _expect(net, (BayesianNetwork,), "moralise")
-        result: Network = moralise_bn(net)
-    elif args.command == "triangulate":
-        _expect(net, (MarkovNetwork,), "triangulate")
-        result = triangulate_mn(net)
-    elif args.command == "ve":
-        _expect(net, (ChordalNetwork,), "ve")
-        result, _ = variable_elimination(net)
-    elif args.command == "tr":
-        _expect(net, (MarkovNetwork,), "tr")
-        result = mn_to_bn(net)
-    else:
-        _expect(net, (BayesianNetwork,), "trmor")
-        result = triangulate_bn(net)
-    _emit(result, args.output)
+    _expect(net, (kind,), args.command)
+    _emit(convert(net), args.output)
     return 0
 
 
@@ -203,13 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (
-        ("moralise", "bayesian -> markov on the moral graph"),
-        ("triangulate", "markov -> chordal on the triangulated graph"),
-        ("ve", "chordal -> bayesian by variable elimination"),
-        ("tr", "markov -> bayesian (triangulate then eliminate)"),
-        ("trmor", "bayesian -> bayesian over the triangulated moral graph"),
-    ):
+    for name, (blurb, _, _) in _TRANSFORMS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("input", help="input document path, or - for stdin")
         p.add_argument("-o", "--output", default=None, help="output path, or - for stdout")

@@ -22,9 +22,12 @@ the last.  Row coverage must be total, every assignment exactly once.
 Missing Markov tables mean the all-ones factor.
 
 Loading validates everything and reports all problems at once with field
-context.  Each row's labels are looked up once, in a map from every
-assignment to its place in the table; only a row that misses is diagnosed
-label by label.
+context; a text that is not UTF-8, or is nested too deeply to decode, is
+refused with one line.  One loop reads the tables of every kind; only the
+reader of a table's head differs, child and parents checked against the
+graph, or a clique of known, distinct vertices in declaration order.  Each
+row's labels are looked up once, in a map from every assignment to its
+place in the table; only a row that misses is diagnosed label by label.
 
 Saving emits a canonical key order and round-trip-exact floats, so
 ``save(load(x))`` is byte-identical for canonical files.
@@ -47,7 +50,7 @@ from typing import Any, IO
 import numpy as np
 
 from .factors import Factor, Kernel, VariableTable, _check_entries
-from .graphs import OrderedDag, OrderedUGraph
+from .graphs import Graph, OrderedDag, OrderedUGraph
 from .networks import (
     BayesianNetwork,
     ChordalNetwork,
@@ -62,7 +65,6 @@ KIND_NAMES = {
     MarkovNetwork: "markov",
     ChordalNetwork: "chordal",
 }
-KINDS = tuple(KIND_NAMES.values())
 
 # A table refuses a negative, NaN or infinite value with ValueError, and
 # an integer beyond the range of a double with OverflowError.
@@ -152,17 +154,14 @@ def _parse_edges(
 
 
 def _parse_rows(
-    rows: Any,
-    given_vars: tuple[str, ...],
-    out_var: str,
-    vt: VariableTable,
-    where: str,
-    errors: list[str],
+    rows: Any, family: tuple[str, ...], vt: VariableTable, where: str, errors: list[str]
 ) -> list[list[float]] | None:
-    """The values of a table's rows, one list per conditioning assignment in
-    canonical order, or ``None`` after appending every row problem."""
+    """The values of a table's rows, one list per assignment of all but the
+    last variable of ``family`` in canonical order, or ``None`` after
+    appending every row problem."""
     # Before listing the assignments, which costs as much as the table.
-    _check_entries(vt.shape(given_vars + (out_var,)), where)
+    _check_entries(vt.shape(family), where)
+    given_vars, out_var = family[:-1], family[-1]
     if not isinstance(rows, list):
         errors.append(f"{where}.rows: must be a list")
         return None
@@ -227,70 +226,68 @@ def _parse_rows(
     return seen if ok else None
 
 
-def _parse_kernel_tables(
-    doc: dict, graph: OrderedDag, vt: VariableTable, stochastic: bool, errors: list[str]
-) -> dict[str, Kernel] | None:
-    raw = doc.get("tables")
-    if not isinstance(raw, list):
-        errors.append("tables: must be a list")
-        return None
-    kernels: dict[str, Kernel] = {}
-    ok = True
-    for i, item in enumerate(raw):
-        where = f"tables[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{where}: must be an object")
-            ok = False
-            continue
-        child = item.get("child")
-        parents = item.get("parents", [])
-        if not isinstance(child, str) or child not in vt._index:
-            errors.append(f"{where}.child: unknown variable {child!r}")
-            ok = False
-            continue
-        if child in kernels:
-            errors.append(f"{where}: duplicate table for {child}")
-            ok = False
-            continue
-        if not isinstance(parents, list):
-            errors.append(f"{where}.parents: must be a list of vertex names")
-            ok = False
-            continue
-        expected_parents = graph.parents_of(child)
-        if tuple(parents) != expected_parents:
-            errors.append(
-                f"{where}.parents: {parents} does not match the graph parents "
-                f"{list(expected_parents)} of {child} (in declaration order)"
-            )
-            ok = False
-            continue
-        values = _parse_rows(
-            item.get("rows"), expected_parents, child, vt, where, errors
+# A table's head: its key in the network's table mapping (the child, or
+# the clique's members), its family with the last variable conditioned on
+# the rest, and the fault found, if any.
+_Head = tuple[str | tuple[str, ...] | None, tuple[str, ...], str | None]
+
+
+def _child_head(item: dict, vt: VariableTable, graph: OrderedDag, where: str) -> _Head:
+    """A known child keys the table even when its parents are wrong, so a
+    repeated child is reported before its parents."""
+    child = item.get("child")
+    if not isinstance(child, str) or child not in vt._index:
+        return None, (), f"{where}.child: unknown variable {child!r}"
+    parents = item.get("parents", [])
+    if not isinstance(parents, list):
+        return child, (), f"{where}.parents: must be a list of vertex names"
+    expected = graph.parents_of(child)
+    if tuple(parents) != expected:
+        return child, (), (
+            f"{where}.parents: {parents} does not match the graph parents "
+            f"{list(expected)} of {child} (in declaration order)"
         )
-        if values is None:
-            ok = False
-            continue
-        try:
-            kernels[child] = Kernel(child, expected_parents, values, stochastic)
-        except _BAD_VALUES:
-            errors.append(f"{where}: values must be finite and nonnegative")
-            ok = False
-    for v in graph.vertices:
-        if v not in kernels:
-            errors.append(f"tables: missing table for vertex {v}")
-            ok = False
-    return kernels if ok else None
+    return child, (*expected, child), None
 
 
-def _parse_clique_tables(
-    doc: dict, vt: VariableTable, errors: list[str]
-) -> dict[frozenset[str], Factor] | None:
-    raw = doc.get("tables", [])
-    if not isinstance(raw, list):
-        errors.append("tables: must be a list")
-        return None
+def _clique_head(item: dict, vt: VariableTable, graph: Graph, where: str) -> _Head:
+    """Known, distinct vertices in declaration order, so that each clique
+    has one key."""
+    clique = item.get("clique")
+    if (
+        not isinstance(clique, list)
+        or not clique
+        or not all(isinstance(x, str) for x in clique)
+    ):
+        return None, (), f"{where}.clique: must be a nonempty list of vertex names"
     pos = vt._index
-    factors: dict[frozenset[str], Factor] = {}
+    unknown = [x for x in clique if x not in pos]
+    if unknown:
+        return None, (), f"{where}.clique: unknown vertices {unknown}"
+    members = tuple(clique)
+    if members != tuple(sorted(members, key=pos.get)) or len(set(members)) != len(
+        members
+    ):
+        return None, (), (
+            f"{where}.clique: must list distinct vertices in declaration order"
+        )
+    return members, members, None
+
+
+def _parse_tables(
+    doc: dict, vt: VariableTable, graph: Graph, net_type: type, errors: list[str]
+) -> dict | None:
+    """The tables of a document, in a mapping ``net_type`` takes, or
+    ``None`` after appending every table problem."""
+    directed = net_type is not MarkovNetwork
+    # A Markov document may leave its tables out: all-ones factors.
+    raw = doc.get("tables", None if directed else [])
+    if not isinstance(raw, list):
+        errors.append("tables: must be a list")
+        return None
+    read_head = _child_head if directed else _clique_head
+    stochastic = net_type is BayesianNetwork
+    tables: dict[str | tuple[str, ...], Kernel | Factor] = {}
     ok = True
     for i, item in enumerate(raw):
         where = f"tables[{i}]"
@@ -298,46 +295,33 @@ def _parse_clique_tables(
             errors.append(f"{where}: must be an object")
             ok = False
             continue
-        clique = item.get("clique")
-        if (
-            not isinstance(clique, list)
-            or not clique
-            or not all(isinstance(x, str) for x in clique)
-        ):
-            errors.append(f"{where}.clique: must be a nonempty list of vertex names")
+        key, family, fault = read_head(item, vt, graph, where)
+        if key in tables:
+            name = key if directed else f"clique {list(key)}"
+            fault = f"{where}: duplicate table for {name}"
+        if fault is not None:
+            errors.append(fault)
             ok = False
             continue
-        unknown = [x for x in clique if x not in pos]
-        if unknown:
-            errors.append(f"{where}.clique: unknown vertices {unknown}")
-            ok = False
-            continue
-        members = tuple(clique)
-        if members != tuple(sorted(members, key=pos.get)) or len(set(members)) != len(
-            members
-        ):
-            errors.append(
-                f"{where}.clique: must list distinct vertices in declaration order"
-            )
-            ok = False
-            continue
-        key = frozenset(members)
-        if key in factors:
-            errors.append(f"{where}: duplicate table for clique {list(members)}")
-            ok = False
-            continue
-        values = _parse_rows(
-            item.get("rows"), members[:-1], members[-1], vt, where, errors
-        )
+        values = _parse_rows(item.get("rows"), family, vt, where, errors)
         if values is None:
             ok = False
             continue
         try:
-            factors[key] = Factor(members, values)
+            tables[key] = (
+                Kernel(family[-1], family[:-1], values, stochastic)
+                if directed
+                else Factor(family, values)
+            )
         except _BAD_VALUES:
             errors.append(f"{where}: values must be finite and nonnegative")
             ok = False
-    return factors if ok else None
+    if directed:
+        for v in graph.vertices:
+            if v not in tables:
+                errors.append(f"tables: missing table for vertex {v}")
+                ok = False
+    return tables if ok else None
 
 
 def document_to_network(doc: Any) -> Network:
@@ -353,9 +337,10 @@ def document_to_network(doc: Any) -> Network:
     if not isinstance(doc, dict):
         raise DocumentError(["document: must be a JSON object"])
     kind = doc.get("kind")
-    if kind not in KINDS:
+    net_type = next((t for t, name in KIND_NAMES.items() if name == kind), None)
+    if net_type is None:
         raise DocumentError(
-            [f"kind: must be one of {list(KINDS)}, got {kind!r}"]
+            [f"kind: must be one of {list(KIND_NAMES.values())}, got {kind!r}"]
         )
     for key in doc:
         if key not in ("kind", "variables", "edges", "tables"):
@@ -364,27 +349,19 @@ def document_to_network(doc: Any) -> Network:
     vt = _parse_variables(doc, errors)
     if vt is None:
         raise DocumentError(errors)
-    edges = _parse_edges(doc, vt, directed=kind != "markov", errors=errors)
+    directed = net_type is not MarkovNetwork
+    edges = _parse_edges(doc, vt, directed, errors)
     if edges is None:
         raise DocumentError(errors)
-
-    net: Network
-    if kind == "markov":
-        graph = OrderedUGraph(vt.names, {frozenset(e) for e in edges})
-        factors = _parse_clique_tables(doc, vt, errors)
-        if factors is None:
-            raise DocumentError(errors)
-        net = MarkovNetwork(graph, vt, factors)
-    else:
-        dag = OrderedDag(vt.names, set(edges))
-        kernels = _parse_kernel_tables(
-            doc, dag, vt, stochastic=kind == "bayesian", errors=errors
-        )
-        if kernels is None:
-            raise DocumentError(errors)
-        kernel_kind = BayesianNetwork if kind == "bayesian" else ChordalNetwork
-        net = kernel_kind(dag, vt, kernels)
-
+    graph = (
+        OrderedDag(vt.names, set(edges))
+        if directed
+        else OrderedUGraph(vt.names, {frozenset(e) for e in edges})
+    )
+    tables = _parse_tables(doc, vt, graph, net_type, errors)
+    if tables is None:
+        raise DocumentError(errors)
+    net = net_type(graph, vt, tables)
     errors.extend(network_violations(net))
     if errors:
         raise DocumentError(errors)
@@ -468,13 +445,21 @@ def loads_network(text: str) -> Network:
         raise DocumentError(
             [f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError(["invalid JSON: nested too deeply to decode"]) from exc
     return document_to_network(doc)
 
 
 def load_network(source: str | IO[str]) -> Network:
     """Load a network from a path or an open text stream."""
-    if hasattr(source, "read"):
-        return loads_network(source.read())
-    with open(source, "r", encoding="utf-8") as fh:
-        return loads_network(fh.read())
-
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            [f"invalid JSON: byte {exc.start} is not UTF-8 ({exc.reason})"]
+        ) from exc
+    return loads_network(text)

@@ -10,6 +10,7 @@ import numpy as np
 
 import chordalnet.factors
 from chordalnet import (
+    BayesianNetwork,
     ChordalNetwork,
     Kernel,
     OrderedDag,
@@ -418,3 +419,53 @@ class TestCheckAndExitCodes:
             "tables[2].parents: must be a list of vertex names",
             "tables: missing table for vertex A",
         ]
+
+    def test_unwritable_output_is_exit_two(self, capsys, misconception_path):
+        out = "/nonexistent/dir/out.json"
+        code, text, err = run(capsys, "tr", misconception_path, "-o", out)
+        assert code == 2 and text == ""
+        assert err.startswith(f"cannot write {out}: ")
+
+    def test_marginal_with_no_variable_is_exit_two(self, capsys, bear_path):
+        code, _, err = run(capsys, "marginal", bear_path, "--vars", ",")
+        assert code == 2
+        assert err == "--vars needs at least one variable\n"
+
+    def test_jtree_on_a_collider_is_exit_three(self, capsys, tmp_path):
+        vt = VariableTable(tuple((v, ("0", "1")) for v in "ABC"))
+        dag = OrderedDag(vt.names, {("A", "C"), ("B", "C")})
+        half = [0.5, 0.5]
+        bn = BayesianNetwork(
+            dag,
+            vt,
+            {
+                "A": Kernel("A", (), half),
+                "B": Kernel("B", (), half),
+                "C": Kernel("C", ("A", "B"), half * 4),
+            },
+        )
+        path = tmp_path / "collider.json"
+        path.write_text(dumps_network(bn))
+        code, text, err = run(capsys, "jtree", str(path))
+        assert code == 3 and text == ""
+        assert err == "junction_tree requires an ordered chordal graph\n"
+
+    def test_check_on_a_file_that_is_not_utf8_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, text, err = run(capsys, "check", str(path))
+        assert code == 2 and err == ""
+        assert len(text.splitlines()) == 1 and text.startswith("invalid JSON")
+
+    def test_stdin_that_is_not_utf8_is_exit_two(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, text, err = run(capsys, "tr", "-")
+        assert code == 2 and text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("invalid JSON")
+
+    def test_too_deeply_nested_stdin_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+        code, text, err = run(capsys, "tr", "-")
+        assert code == 2 and text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("invalid JSON")

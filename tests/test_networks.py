@@ -149,6 +149,16 @@ class TestValidation:
             "for the declared cardinalities"
         ]
 
+    def test_markov_factor_over_unsorted_variables_is_flagged(self):
+        mn = MarkovNetwork(
+            OrderedUGraph(("A", "B"), {frozenset({"A", "B"})}),
+            binary_vt("A", "B"),
+            {frozenset({"A", "B"}): Factor(("B", "A"), [1.0, 2.0, 3.0, 4.0])},
+        )
+        assert network_violations(mn) == [
+            "factor for clique ['A', 'B'] is over ['B', 'A']"
+        ]
+
     def test_vt_graph_mismatch_is_flagged(self):
         vt = binary_vt("A", "B")
         bn = BayesianNetwork(OrderedDag(("A",)), vt, {"A": Kernel("A", (), [1, 0])})

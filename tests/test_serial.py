@@ -317,3 +317,75 @@ def test_wide_table_error_names_the_table(kind, where):
     with pytest.raises(TableTooLargeError) as err:
         loads_network(json.dumps(wide_document(kind, 30)))
     assert str(err.value).startswith(f"{where}: a table over 31 variables")
+
+
+def _violations(doc):
+    with pytest.raises(DocumentError) as err:
+        loads_network(json.dumps(doc))
+    return err.value.violations
+
+
+def _fixture(fixtures_dir, name):
+    return json.loads((fixtures_dir / f"{name}.json").read_text())
+
+
+def test_self_loop_is_reported(fixtures_dir):
+    doc = _fixture(fixtures_dir, "bear")
+    doc["edges"].append(["B", "B"])
+    assert _violations(doc) == ["edges[3]: self-loop on B"]
+
+
+def test_undirected_edge_listed_twice_is_reported(fixtures_dir):
+    doc = _fixture(fixtures_dir, "misconception")
+    doc["edges"].append(doc["edges"][0][::-1])
+    assert _violations(doc) == ["edges: duplicate edges"]
+
+
+@pytest.mark.parametrize("name", ["bear", "misconception"])
+def test_tables_that_are_not_a_list_are_reported(fixtures_dir, name):
+    doc = _fixture(fixtures_dir, name)
+    doc["tables"] = {"0": doc["tables"][0]}
+    assert _violations(doc) == ["tables: must be a list"]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("bear", "tables[4]: duplicate table for B"),
+        ("misconception", "tables[4]: duplicate table for clique ['A', 'B']"),
+    ],
+)
+def test_repeated_table_is_reported(fixtures_dir, name, message):
+    doc = _fixture(fixtures_dir, name)
+    doc["tables"].append(doc["tables"][0])
+    assert _violations(doc) == [message]
+
+
+def test_repeated_child_is_reported_before_its_parents(fixtures_dir):
+    doc = _fixture(fixtures_dir, "bear")
+    doc["tables"].append(dict(doc["tables"][0], parents=None))
+    assert _violations(doc) == ["tables[4]: duplicate table for B"]
+
+
+def test_clique_order_is_reported_before_a_repeat(fixtures_dir):
+    doc = _fixture(fixtures_dir, "misconception")
+    doc["tables"].append(dict(doc["tables"][0], clique=["B", "A"]))
+    assert _violations(doc) == [
+        "tables[4].clique: must list distinct vertices in declaration order"
+    ]
+
+
+def test_too_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError) as err:
+        loads_network("[" * 100000)
+    [message] = err.value.violations
+    assert message.startswith("invalid JSON")
+
+
+def test_file_that_is_not_utf8_is_a_document_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"{}\xff\xfe")
+    with pytest.raises(DocumentError) as err:
+        load_network(path)
+    [message] = err.value.violations
+    assert message.startswith("invalid JSON") and "byte 2" in message
