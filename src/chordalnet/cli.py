@@ -63,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str) -> Network:
     if path == "-":
-        return load_network(sys.stdin)
+        # The bytes, read as UTF-8 like a path, whatever stdin's encoding.
+        return load_network(getattr(sys.stdin, "buffer", sys.stdin))
     try:
         return load_network(path)
     except OSError as exc:

@@ -228,7 +228,7 @@ def _spread(
 ) -> np.ndarray:
     """``values`` over ``vars`` reshaped to one axis per variable of ``onto``,
     of size 1 where ``vars`` lacks it; ``vars`` must follow ``onto``'s order."""
-    return np.reshape(values, [vt._card[u] if u in vars else 1 for u in onto])
+    return values.reshape([vt._card[u] if u in vars else 1 for u in onto])
 
 
 def _compact_product(

@@ -215,8 +215,9 @@ def _scaled_product(
     """
     _check_entries(vt.shape(vars))
     acc, exponent = 1.0, 0
-    for table in tables:
-        acc = acc * _spread(*table, vars, vt)
+    for i, table in enumerate(tables):
+        spread = _spread(*table, vars, vt)
+        acc = acc * spread if i else spread
         shift = math.frexp(acc.max())[1]
         acc = np.ldexp(acc, -shift)
         exponent += shift

@@ -450,11 +450,14 @@ def loads_network(text: str) -> Network:
     return document_to_network(doc)
 
 
-def load_network(source: str | IO[str]) -> Network:
-    """Load a network from a path or an open text stream."""
+def load_network(source: str | IO[str] | IO[bytes]) -> Network:
+    """Load a network from a path or an open stream; a path or a binary
+    stream is read as UTF-8."""
     try:
         if hasattr(source, "read"):
             text = source.read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -183,7 +183,8 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
             ``factors.MAX_TABLE_ENTRIES``; raised before any family table
             is built, and the error names the vertex.
         OutOfRangeError: when the product of a vertex's factors overflows
-            a double; the error names the vertex.
+            a double; the error names the vertex.  A product that
+            overflows only part-way is rebuilt from its scaled form.
     """
     require_valid(mn)
     return _triangulate(_tables(mn), mn.vt, triangulate_graph(mn.graph), ChordalNetwork)
@@ -214,7 +215,10 @@ def _triangulate(
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
                 acc[np.isnan(acc)] = 0.0  # inf * 0: a factor, so the entry, is 0
                 if not acc.max() < math.inf:
-                    raise _out_of_range(v, tables, family, vt)
+                    # Overflowed part-way: the scaled product may still fit.
+                    acc = np.ldexp(*_scaled_product(tables, vt, family))
+                    if not acc.max() < math.inf:
+                        raise _out_of_range(v, tables, family, vt)
             shape = vt.shape(family)
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)

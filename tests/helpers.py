@@ -22,6 +22,7 @@ import numpy as np
 from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
+    ClusterTree,
     DegenerateDistributionError,
     EliminationStep,
     EliminationTrace,
@@ -33,6 +34,7 @@ from chordalnet import (
     VariableTable,
     factor_marginalize,
     factor_product,
+    is_ordered_chordal,
     kernel_to_factor,
     triangulate_graph,
 )
@@ -450,6 +452,113 @@ def oracle_running_intersection(tree) -> bool:
             for x in shared:
                 if not all(x in tree.clusters[i] for i in tree_path(a, b)):
                     return False
+    return True
+
+
+def reference_junction_tree(g: OrderedDag) -> ClusterTree:
+    """The former ``graphs.junction_tree``, kept verbatim: every family is
+    tested against every other, and Kruskal's algorithm sorts all pairs of
+    clusters, so it is quadratic in the number of clusters."""
+    if not is_ordered_chordal(g):
+        raise ValueError("junction_tree requires an ordered chordal graph")
+
+    families = [g.parents_of(v) + (v,) for v in g.vertices]
+    family_sets = [set(f) for f in families]
+    clusters = sorted(
+        {
+            f
+            for f, fs in zip(families, family_sets)
+            if not any(fs < other for other in family_sets)
+        },
+        key=lambda c: tuple(map(g.position, c)),
+    )
+
+    n = len(clusters)
+    candidates = sorted(
+        ((i, j) for i in range(n) for j in range(i + 1, n)),
+        key=lambda e: (-len(set(clusters[e[0]]) & set(clusters[e[1]])), e),
+    )
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    tree_edges = set()
+    sepsets = {}
+    for i, j in candidates:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree_edges.add((i, j))
+            sep = set(clusters[i]) & set(clusters[j])
+            sepsets[(i, j)] = tuple(sorted(sep, key=g.position))
+    return ClusterTree(tuple(clusters), frozenset(tree_edges), sepsets)
+
+
+def _reference_query_sets(g, x, y, z) -> tuple[set[str], set[str], set[str]]:
+    x, y, z = set(x), set(y), set(z)
+    known = set(g.vertices)
+    for name, s in (("x", x), ("y", y), ("z", z)):
+        if not s <= known:
+            raise ValueError(f"{name} contains unknown vertices: {sorted(s - known)}")
+    if x & y or x & z or y & z:
+        raise ValueError("x, y and z must be pairwise disjoint")
+    return x, y, z
+
+
+def reference_d_separated(g: OrderedDag, x, y, z) -> bool:
+    """The former ``graphs.d_separated``: a full search over
+    ``(vertex, "up"/"down")`` states, then a test of the reached set."""
+    x, y, z = _reference_query_sets(g, x, y, z)
+    anc_z = set(z)
+    frontier = deque(z)
+    while frontier:
+        for u in g.parents_of(frontier.popleft()):
+            if u not in anc_z:
+                anc_z.add(u)
+                frontier.append(u)
+
+    visited: set[tuple[str, str]] = set()
+    reachable: set[str] = set()
+    queue = deque((s, "up") for s in x)
+    while queue:
+        v, d = queue.popleft()
+        if (v, d) in visited:
+            continue
+        visited.add((v, d))
+        if v not in z:
+            reachable.add(v)
+        if d == "up" and v not in z:
+            for u in g.parents_of(v):
+                queue.append((u, "up"))
+            for w in g.children_of(v):
+                queue.append((w, "down"))
+        elif d == "down":
+            if v not in z:
+                for w in g.children_of(v):
+                    queue.append((w, "down"))
+            if v in anc_z:
+                for u in g.parents_of(v):
+                    queue.append((u, "up"))
+    return not (reachable & y)
+
+
+def reference_u_separated(h: OrderedUGraph, x, y, z) -> bool:
+    """The former ``graphs.u_separated``: a search that avoids ``z``."""
+    x, y, z = _reference_query_sets(h, x, y, z)
+    seen = set(x)
+    queue = deque(x)
+    while queue:
+        v = queue.popleft()
+        for n in h.neighbours_of(v):
+            if n in y:
+                return False
+            if n not in z and n not in seen:
+                seen.add(n)
+                queue.append(n)
     return True
 
 

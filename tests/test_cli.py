@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import chordalnet
 import chordalnet.factors
 from chordalnet import (
     BayesianNetwork,
@@ -463,6 +468,29 @@ class TestCheckAndExitCodes:
         code, text, err = run(capsys, "tr", "-")
         assert code == 2 and text == ""
         assert len(err.splitlines()) == 1 and err.startswith("invalid JSON")
+
+    def test_stdin_is_read_as_utf8_whatever_its_encoding(
+        self, tmp_path, misconception_path
+    ):
+        doc = json.loads(open(misconception_path).read())
+        doc["variables"][0]["states"][0] = "\u00e9"
+        for table in doc["tables"]:
+            for row in table["rows"]:
+                row["given"] = ["\u00e9" if s == "a" else s for s in row["given"]]
+        path = tmp_path / "accent.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, PYTHONIOENCODING="latin-1")
+        env["PYTHONPATH"] = str(Path(chordalnet.__file__).parents[1])
+        command = [sys.executable, "-m", "chordalnet.cli", "tr"]
+        outputs = [
+            subprocess.run(
+                command + [arg], input=stdin, capture_output=True, env=env, timeout=60
+            )
+            for arg, stdin in (("-", path.read_bytes()), (str(path), b""))
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
+        assert b'"\\u00e9"' in outputs[0].stdout
 
     def test_too_deeply_nested_stdin_is_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))

@@ -4,6 +4,7 @@ Derived expectations are checked against the brute-force oracles in
 ``helpers`` (path enumeration, powerset clique checks, per-path blocking).
 """
 
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -29,13 +30,18 @@ from chordalnet import (
 )
 from helpers import (
     all_cliques,
+    hub_first_star,
+    hub_last_star,
     oracle_d_separated,
     oracle_running_intersection,
     oracle_triangulation_edge,
     oracle_u_separated,
     random_dag,
     random_ugraph,
+    reference_d_separated,
+    reference_junction_tree,
     reference_triangulation_edges,
+    reference_u_separated,
 )
 
 
@@ -405,6 +411,58 @@ class TestUSeparation:
                 )
 
 
+class TestSeparationAgainstReference:
+    """The separation queries against the former full searches, kept in
+    ``helpers``, on multi-vertex query sets over random graphs."""
+
+    @staticmethod
+    def _queries(rng, vertices, count):
+        for _ in range(count):
+            order = [vertices[i] for i in rng.permutation(len(vertices))]
+            a = int(rng.integers(1, len(order) - 1))
+            b = int(rng.integers(a + 1, len(order)))
+            c = int(rng.integers(b, len(order) + 1))
+            yield set(order[:a]), set(order[a:b]), set(order[b:c])
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(53)
+        counts = {True: 0, False: 0}
+        queries = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 16))
+            names = tuple(f"V{i}" for i in rng.permutation(n))
+            p = float(rng.uniform(0.05, 0.6))
+            g = OrderedDag(
+                names,
+                {(u, v) for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < p},
+            )
+            h = moralise_graph(g)
+            for x, y, z in self._queries(rng, names, 6):
+                d = d_separated(g, x, y, z)
+                assert d == reference_d_separated(g, x, y, z)
+                u = u_separated(h, x, y, z)
+                assert u == reference_u_separated(h, x, y, z)
+                counts[d] += 1
+                counts[u] += 1
+                queries += 2
+        assert queries >= 2000
+        assert min(counts.values()) > 200
+
+    def test_errors_match_reference(self):
+        g = OrderedDag(("A", "B", "C"), {("A", "B"), ("B", "C")})
+        h = moralise_graph(g)
+        for args in (({"A"}, {"Q"}, set()), ({"A"}, {"B"}, {"A"})):
+            for new, old, graph in (
+                (d_separated, reference_d_separated, g),
+                (u_separated, reference_u_separated, h),
+            ):
+                with pytest.raises(ValueError) as got:
+                    new(graph, *args)
+                with pytest.raises(ValueError) as expected:
+                    old(graph, *args)
+                assert str(got.value) == str(expected.value)
+
+
 class TestImapDirection:
     """Removing edges only adds separations (identity hom means I-map)."""
 
@@ -529,3 +587,82 @@ class TestJunctionTree:
             assert oracle_running_intersection(tree)
             for (i, j), sep in tree.sepsets.items():
                 assert set(sep) == set(tree.clusters[i]) & set(tree.clusters[j])
+
+
+def _same_tree(g):
+    tree, expected = junction_tree(g), reference_junction_tree(g)
+    assert tree.clusters == expected.clusters
+    assert tree.tree_edges == expected.tree_edges
+    assert tree.sepsets == expected.sepsets
+    return tree
+
+
+class TestJunctionTreeAgainstReference:
+    """The junction tree against the former quadratic construction, kept
+    verbatim in ``helpers``: clusters, tree edges and separators equal."""
+
+    def test_random_ordered_chordal_graphs(self):
+        rng = np.random.default_rng(59)
+        disconnected = single = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 14))
+            names = tuple(f"V{i}" for i in rng.permutation(n))
+            p = float(rng.uniform(0.0, 0.7))
+            h = OrderedUGraph(
+                names,
+                {frozenset((u, v)) for u, v in combinations(names, 2) if rng.random() < p},
+            )
+            tree = _same_tree(triangulate_graph(h))
+            assert running_intersection_holds(tree)
+            single += n == 1
+            disconnected += any(not sep for sep in tree.sepsets.values())
+        assert single >= 20 and disconnected >= 100
+
+    @pytest.mark.parametrize("n", [2, 5, 60])
+    def test_stars(self, n):
+        for mn in (hub_first_star(n), hub_last_star(n)):
+            assert running_intersection_holds(_same_tree(triangulate_graph(mn.graph)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_chains(self, n):
+        names = tuple(f"x{i}" for i in range(n))
+        tree = _same_tree(OrderedDag(names, set(zip(names, names[1:]))))
+        assert running_intersection_holds(tree)
+
+    def test_grid(self):
+        names = [f"g{r}{c}" for r in range(6) for c in range(6)]
+        edges = {frozenset((f"g{r}{c}", f"g{r}{c + 1}")) for r in range(6) for c in range(5)}
+        edges |= {frozenset((f"g{r}{c}", f"g{r + 1}{c}")) for r in range(5) for c in range(6)}
+        tree = _same_tree(triangulate_graph(OrderedUGraph(tuple(names), edges)))
+        assert running_intersection_holds(tree)
+
+    def test_long_chain_is_near_linear(self):
+        # The quadratic construction takes minutes here.
+        names = tuple(f"x{i}" for i in range(10000))
+        g = OrderedDag(names, set(zip(names, names[1:])))
+        start = time.perf_counter()
+        tree = junction_tree(g)
+        assert running_intersection_holds(tree)
+        assert time.perf_counter() - start < 10.0
+        assert len(tree.clusters) == 9999
+        assert tree.tree_edges == {(i, i + 1) for i in range(9998)}
+
+    def test_running_intersection_on_random_trees(self):
+        # Arbitrary clusters on arbitrary spanning trees: the verdict
+        # matches the path definition whether or not it holds.
+        rng = np.random.default_rng(61)
+        verdicts = set()
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            clusters = tuple(
+                tuple(v for v in "ABCDE" if rng.random() < 0.4) or ("A",)
+                for _ in range(k)
+            )
+            edges = frozenset(
+                (int(rng.integers(0, j)), j) for j in range(1, k)
+            )
+            tree = ClusterTree(clusters, edges, {})
+            verdict = running_intersection_holds(tree)
+            assert verdict == oracle_running_intersection(tree)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -505,6 +505,28 @@ class TestOutOfRangeTables:
         assert cn.kernels["C"].values.tolist() == [0.0, 1.0] * 4
         assert trace.partition_mass() == 4.0
 
+    def test_product_that_overflows_part_way_is_kept(self):
+        # C's factors from {A, C} and {B, C} multiply to 1e400 = inf, but the
+        # factor on {C} brings every entry back to 1e100: the kernel fits,
+        # and its total is Z = 8e100.
+        vt = binary_vt("A", "B", "C")
+        graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+        factors = {
+            frozenset("C"): Factor(("C",), [1e-300, 1e-300]),
+            frozenset("AC"): Factor(("A", "C"), [1e200] * 4),
+            frozenset("BC"): Factor(("B", "C"), [1e200] * 4),
+        }
+        mn = MarkovNetwork(graph, vt, factors)
+        z = float(marginal_distribution(mn, []).values[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cn = triangulate_mn(mn)
+            _, trace = variable_elimination(cn)
+        assert cn.kernels["A"].values.tolist() == [1.0] * 2
+        assert cn.kernels["B"].values.tolist() == [1.0] * 4
+        assert float(cn.kernels["C"].values.sum()) == pytest.approx(z, rel=1e-12)
+        assert trace.partition_mass() == pytest.approx(z, rel=1e-12)
+
     def test_zero_total_behind_overflow_is_degenerate(self):
         # A's working table is inf * 0 = NaN in both entries; its exact total
         # mass, and so Z, is 0.
