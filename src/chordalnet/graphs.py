@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 def _adjacency(pairs: Iterable[tuple[str, str]], pos: dict) -> dict:
@@ -376,6 +376,15 @@ class ClusterTree:
         object.__setattr__(self, "sepsets", dict(self.sepsets))
 
 
+def _holding(clusters: Sequence[tuple[str, ...]]) -> dict[str, list[int]]:
+    """Each vertex's clusters, as ascending indices into ``clusters``."""
+    holding: dict[str, list[int]] = {}
+    for i, c in enumerate(clusters):
+        for u in c:
+            holding.setdefault(u, []).append(i)
+    return holding
+
+
 def junction_tree(g: OrderedDag) -> ClusterTree:
     """Build the maximal-cluster tree of an ordered chordal graph.
 
@@ -411,12 +420,8 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
         key=lambda c: [pos[u] for u in c],
     )
 
-    holding: dict[str, list[int]] = {}
-    for i, c in enumerate(clusters):
-        for u in c:
-            holding.setdefault(u, []).append(i)
     shared: dict[tuple[int, int], int] = {}
-    for held in holding.values():
+    for held in _holding(clusters).values():
         for e in combinations(held, 2):
             shared[e] = shared.get(e, 0) + 1
 
@@ -455,11 +460,7 @@ def running_intersection_holds(tree: ClusterTree) -> bool:
     for i, j in tree.tree_edges:
         adjacency[i].add(j)
         adjacency[j].add(i)
-    holding: dict[str, set[int]] = {}
-    for i, c in enumerate(tree.clusters):
-        for v in c:
-            holding.setdefault(v, set()).add(i)
-    for held in holding.values():
+    for held in map(set, _holding(tree.clusters).values()):
         start = next(iter(held))
         seen = {start}
         queue = deque([start])

@@ -168,6 +168,23 @@ def _out_of_range(
     )
 
 
+def _wide_product(
+    tables: list[_Table], family: tuple[str, ...], vt: VariableTable
+) -> np.ndarray:
+    """The product of ``tables`` over ``family`` as :func:`_compact_product`
+    rounds it, but with a separate exponent per entry, so that no partial
+    product overflows or underflows; only the final entries are rounded to
+    the range of a double.  A nonzero mantissa product lies in [1/4, 1),
+    so an entry that ends as a normal double is rounded exactly as in a
+    double product with an unbounded exponent."""
+    mantissa, exponent = np.frexp(_spread(*tables[0], family, vt))
+    for table in tables[1:]:
+        m, e = np.frexp(_spread(*table, family, vt))
+        mantissa, shift = np.frexp(mantissa * m)
+        exponent = exponent + e + shift
+    return np.ldexp(mantissa, exponent)
+
+
 def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     """Reshape a Markov network into kernels on the triangulated graph.
 
@@ -184,7 +201,7 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
             is built, and the error names the vertex.
         OutOfRangeError: when the product of a vertex's factors overflows
             a double; the error names the vertex.  A product that
-            overflows only part-way is rebuilt from its scaled form.
+            overflows only part-way is rebuilt with an exponent per entry.
     """
     require_valid(mn)
     return _triangulate(_tables(mn), mn.vt, triangulate_graph(mn.graph), ChordalNetwork)
@@ -213,12 +230,11 @@ def _triangulate(
             acc = _compact_product(tables, family, vt)
             # A single valid table is in range, so only a product needs a check.
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
-                acc[np.isnan(acc)] = 0.0  # inf * 0: a factor, so the entry, is 0
+                # Overflowed part-way, perhaps with inf * 0: the exact product
+                # may still fit.
+                acc = _wide_product(tables, family, vt)
                 if not acc.max() < math.inf:
-                    # Overflowed part-way: the scaled product may still fit.
-                    acc = np.ldexp(*_scaled_product(tables, vt, family))
-                    if not acc.max() < math.inf:
-                        raise _out_of_range(v, tables, family, vt)
+                    raise _out_of_range(v, tables, family, vt)
             shape = vt.shape(family)
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)

@@ -527,6 +527,40 @@ class TestOutOfRangeTables:
         assert float(cn.kernels["C"].values.sum()) == pytest.approx(z, rel=1e-12)
         assert trace.partition_mass() == pytest.approx(z, rel=1e-12)
 
+    def test_product_that_underflows_part_way_is_kept_whole(self):
+        # Rescaled to the running maximum after {B, C}, the entries where C = 1
+        # would be 1e-400 of it and vanish; each true entry is 1e100, so the
+        # kernel's total, and Z, is 8e100.
+        vt = binary_vt("A", "B", "C")
+        graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+        factors = {
+            frozenset("C"): Factor(("C",), [1e-300, 1e100]),
+            frozenset("AC"): Factor(("A", "C"), [1e200, 1, 1e200, 1]),
+            frozenset("BC"): Factor(("B", "C"), [1e200, 1, 1e200, 1]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cn = triangulate_mn(MarkovNetwork(graph, vt, factors))
+            _, trace = variable_elimination(cn)
+        assert cn.kernels["C"].values.ravel() == pytest.approx([1e100] * 8, rel=1e-12)
+        assert float(cn.kernels["C"].values.sum()) == pytest.approx(8e100, rel=1e-12)
+        assert trace.partition_mass() == pytest.approx(8e100, rel=1e-12)
+
+    def test_wide_product_rounds_as_the_direct_product(self):
+        # In range, the per-entry exponent changes no bit of the product.
+        rng = np.random.default_rng(7)
+        vt = binary_vt("A", "B", "C")
+        onto = ("A", "B", "C")
+        for _ in range(200):
+            tables = []
+            for vars in [("A", "C"), ("B", "C"), ("C",), ("A", "B", "C")]:
+                values = rng.uniform(0, 4, 2 ** len(vars)) * 10.0 ** rng.integers(-60, 60)
+                values[rng.random(values.size) < 0.2] = 0.0
+                tables.append((vars, values))
+            direct = chordalnet.factors._compact_product(tables, onto, vt)
+            wide = chordalnet.transforms._wide_product(tables, onto, vt)
+            assert np.array_equal(direct, wide)
+
     def test_zero_total_behind_overflow_is_degenerate(self):
         # A's working table is inf * 0 = NaN in both entries; its exact total
         # mass, and so Z, is 0.
