@@ -677,6 +677,23 @@ def chain_mn(
     return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
 
 
+def mixed_chain_mn(rng: np.random.Generator, n: int) -> MarkovNetwork:
+    """The chain x00 - x01 - ... whose variables have 2 or 3 states, with one
+    pairwise factor per edge, entries uniform in [0.1, 2.0].
+    ``tests/fixtures/chain.json`` is ``dumps_network(mixed_chain_mn(default_rng(40), 40))``."""
+    names = tuple(f"x{i:02d}" for i in range(n))
+    cards = rng.integers(2, 4, size=n)
+    vt = VariableTable(
+        tuple((v, tuple(f"s{j}" for j in range(c))) for v, c in zip(names, cards))
+    )
+    pairs = list(zip(names, names[1:]))
+    factors = {
+        frozenset(p): Factor(p, rng.uniform(0.1, 2.0, size=int(np.prod(vt.shape(p)))))
+        for p in pairs
+    }
+    return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
+
+
 def chain_bn(rng: np.random.Generator, n: int) -> BayesianNetwork:
     """The binary chain x0 -> x1 -> ... with random stochastic kernels."""
     names = tuple(f"x{i}" for i in range(n))

@@ -108,6 +108,7 @@ class TestTransforms:
         "command, fixture",
         [
             ("tr", "misconception"),
+            ("tr", "chain"),
             ("triangulate", "misconception"),
             ("moralise", "bear"),
             ("trmor", "bear"),

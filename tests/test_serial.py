@@ -1,6 +1,7 @@
 """Document round trips, validation reporting, canonicalization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from chordalnet import (
 )
 from helpers import (
     chain_bn,
+    mixed_chain_mn,
     random_bn,
     random_cn,
     random_mn,
@@ -389,3 +391,164 @@ def test_file_that_is_not_utf8_is_a_document_error(tmp_path):
         load_network(path)
     [message] = err.value.violations
     assert message.startswith("invalid JSON") and "byte 2" in message
+
+
+def _two_variable_document():
+    """B given A, with three states for B, so a row holds three values."""
+    return {
+        "kind": "bayesian",
+        "variables": [
+            {"name": "A", "states": ["a0", "a1"]},
+            {"name": "B", "states": ["b0", "b1", "b2"]},
+        ],
+        "edges": [["A", "B"]],
+        "tables": [
+            {"child": "A", "parents": [], "rows": [{"given": [], "values": [0.25, 0.75]}]},
+            {"child": "B", "parents": ["A"], "rows": [
+                {"given": ["a0"], "values": [0.5, 0.25, 0.25]},
+                {"given": ["a1"], "values": [0, 1, 0]},
+            ]},
+        ],
+    }
+
+
+_MISSING_A0 = "tables[1].rows: missing row for assignment ['a0']"
+_NO_B = "tables: missing table for vertex B"
+
+
+def _set_row(field, value):
+    def edit(rows):
+        rows[0][field] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, violations",
+    [
+        (
+            lambda rows: rows.__setitem__(0, "row"),
+            ["tables[1].rows[0]: must be an object with given and values", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("given", "a0"),
+            ["tables[1].rows[0].given: must be a list of state labels", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("given", [["a0"]]),
+            ["tables[1].rows[0].given: must be a list of state labels", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("given", ["a0", "b0"]),
+            [
+                "tables[1].rows[0].given: has 2 labels, expected one per "
+                "conditioning variable ['A']",
+                _MISSING_A0,
+                _NO_B,
+            ],
+        ),
+        (
+            _set_row("given", ["a2"]),
+            ["tables[1].rows[0].given: 'a2' is not a state of A", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("values", ["0.5", 0.25, 0.25]),
+            ["tables[1].rows[0].values: must be a list of numbers", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("values", [True, 0.0, 0.0]),
+            ["tables[1].rows[0].values: must be a list of numbers", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("values", [0.5, 0.5]),
+            [
+                "tables[1].rows[0].values: has 2 entries, expected 3 (one per state of B)",
+                _MISSING_A0,
+                _NO_B,
+            ],
+        ),
+        (
+            lambda rows: rows.append(dict(rows[0])),
+            ["tables[1].rows[2]: duplicate row for assignment ['a0']", _NO_B],
+        ),
+        (
+            lambda rows: rows.pop(1),
+            ["tables[1].rows: missing row for assignment ['a1']", _NO_B],
+        ),
+        (
+            _set_row("values", [math.nan, 0.5, 0.5]),
+            ["tables[1]: values must be finite and nonnegative", _NO_B],
+        ),
+        (
+            _set_row("values", [-0.5, 1.0, 0.5]),
+            ["tables[1]: values must be finite and nonnegative", _NO_B],
+        ),
+        (
+            _set_row("values", [0.5, 0.25, 0.26]),
+            [
+                "kernel for B is flagged stochastic but 1 column(s) do not sum "
+                "to 1 (worst deviation 0.01)"
+            ],
+        ),
+    ],
+    ids=[
+        "row-not-an-object",
+        "given-not-a-list",
+        "given-not-labels",
+        "label-count",
+        "unknown-label",
+        "value-not-a-number",
+        "value-is-a-bool",
+        "value-count",
+        "duplicate-row",
+        "missing-row",
+        "nan-value",
+        "negative-value",
+        "not-stochastic",
+    ],
+)
+def test_each_row_fault_gives_exactly_its_diagnosis(edit, violations):
+    doc = _two_variable_document()
+    edit(doc["tables"][1]["rows"])
+    with pytest.raises(DocumentError) as err:
+        document_to_network(doc)
+    assert err.value.violations == violations
+
+
+def test_numpy_float_values_are_accepted():
+    doc = _two_variable_document()
+    for row in doc["tables"][1]["rows"]:
+        row["values"] = [np.float64(x) for x in row["values"]]
+    net = document_to_network(doc)
+    assert dumps_network(net) == dumps_network(document_to_network(_two_variable_document()))
+
+
+def test_faults_in_two_tables_are_listed_in_table_order():
+    doc = _two_variable_document()
+    doc["tables"][1]["rows"][1]["values"] = [1.0]
+    doc["tables"][0]["rows"][0]["given"] = ["a0"]
+    assert _violations(doc) == [
+        "tables[0].rows[0].given: has 1 labels, expected one per conditioning "
+        "variable []",
+        "tables[0].rows: missing row for assignment []",
+        "tables[1].rows[1].values: has 1 entries, expected 3 (one per state of B)",
+        "tables[1].rows: missing row for assignment ['a1']",
+        "tables: missing table for vertex A",
+        "tables: missing table for vertex B",
+    ]
+
+
+def test_cliques_missing_from_the_graph_are_listed_in_sorted_order(fixtures_dir):
+    doc = _fixture(fixtures_dir, "misconception")
+    doc["tables"] = [
+        {"clique": [u, w], "rows": [{"given": [s], "values": [1.0, 2.0]} for s in given]}
+        for u, w, given in (("B", "D", ["b", "nb"]), ("A", "C", ["a", "na"]))
+    ]
+    assert _violations(doc) == [
+        "factor key ['A', 'C'] is not a clique of the graph",
+        "factor key ['B', 'D'] is not a clique of the graph",
+    ]
+
+
+def test_chain_fixture_is_the_helpers_chain(fixtures_dir):
+    text = (fixtures_dir / "chain.json").read_text()
+    assert dumps_network(mixed_chain_mn(np.random.default_rng(40), 40)) == text

@@ -877,3 +877,60 @@ class TestVStructureWitness:
         assert ("A", "B") in covered.edges
         hom = GraphHom(covered, witness.dag, {v: v for v in covered.vertices})
         assert not check_hom(hom)
+
+
+def isolated_cn(names, masses):
+    """Binary vertices without edges, the kernel of each ``[m, m]``."""
+    return ChordalNetwork(
+        OrderedDag(tuple(names)),
+        binary_vt(*names),
+        {v: Kernel(v, (), [m, m], stochastic=False) for v, m in zip(names, masses)},
+    )
+
+
+class TestPartitionMass:
+    """``partition_mass`` multiplies the scalar masses with a separate
+    exponent, so a partial product out of range does not lose Z."""
+
+    def test_equals_the_running_product_where_that_stays_normal(self):
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(200):
+            cnw = random_cn(rng, n_max=8)
+            scale = 10.0 ** rng.uniform(-120, 120, size=len(cnw.graph.vertices))
+            cnw = ChordalNetwork(
+                cnw.graph,
+                cnw.vt,
+                {
+                    v: Kernel(v, k.parents, k.values * s, stochastic=False)
+                    for (v, k), s in zip(cnw.kernels.items(), scale)
+                },
+            )
+            _, trace = variable_elimination(cnw)
+            scalars = trace._scalars()
+            exponent = sum(s.log2_scale for s in trace.steps)
+            with np.errstate(over="ignore", under="ignore"):
+                running = np.cumprod(scalars)
+                old = float(np.ldexp(np.prod(scalars), exponent))
+            if not (np.isfinite(running).all() and (running >= 2.0**-1022).all()):
+                continue
+            assert trace.partition_mass() == old
+            compared += 1
+        assert compared >= 150
+
+
+def test_trace_of_the_three_state_chain_is_pinned(fixtures_dir):
+    # SHA-256 of every step's (vertex, mass bytes, host, scale) on
+    # tests/fixtures/chain.json, whose variables have 2 or 3 states.
+    import hashlib
+
+    mn = load_network(fixtures_dir / "chain.json")
+    _, trace = variable_elimination(triangulate_mn(mn))
+    digest = hashlib.sha256()
+    for s in trace.steps:
+        digest.update(
+            repr((s.vertex, s.lam.values.tobytes(), s.absorbed_into, s.log2_scale)).encode()
+        )
+    assert digest.hexdigest() == (
+        "bb4b27e23689e4415f1493dfad8b57c9677c41035440addbc6d985429d54a3d9"
+    )
