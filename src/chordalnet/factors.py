@@ -166,13 +166,13 @@ def _adopt(cls, values: np.ndarray, **fields):
     must have proven every entry finite and nonnegative: nothing is
     copied or scanned here.
     """
-    assert values.dtype == np.float64 and values.flags.c_contiguous
-    assert values.base is None and values.flags.writeable
+    flags = values.flags
+    assert values.dtype == np.float64 and flags.c_contiguous
+    assert values.base is None and flags.writeable
     table = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(table, name, value)
-    values.setflags(write=False)
-    object.__setattr__(table, "values", values.reshape(-1))
+    table.__dict__.update(fields)
+    flags.writeable = False
+    table.__dict__["values"] = values.reshape(-1)
     return table
 
 
@@ -309,24 +309,23 @@ def _stochastic_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Below 8 states the sums and quotients go column by column, which numpy
     runs several times faster than a reduction along a short last axis
     and which adds in the same order as ``sum(axis=-1)``; from 8 states on
-    numpy sums pairwise, so that path is kept.  Overflow and 0/0 do not
-    warn: the results are validated where they become tables.
+    numpy sums pairwise, so that path is kept.  The results are validated
+    where they become tables, so each caller holds an ``np.errstate`` in
+    which overflow and 0/0 do not warn.
     """
     card = table.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if card < 8:
-            mass = table[..., 0].copy()
-            for j in range(1, card):
-                mass += table[..., j]
-            rows = np.empty(table.shape)
-            for j in range(card):
-                np.divide(table[..., j], mass, out=rows[..., j])
-        else:
-            mass = table.sum(axis=-1)
-            rows = table / mass[..., None]
-    dead = ~(mass > 0)
-    if dead.any():
-        rows[dead] = 1.0 / card
+    if card < 8:
+        mass = table[..., 0] + table[..., 1] if card > 1 else table[..., 0].copy()
+        for j in range(2, card):
+            mass += table[..., j]
+        rows = np.empty(table.shape)
+        for j in range(card):
+            np.divide(table[..., j], mass, out=rows[..., j])
+    else:
+        mass = table.sum(axis=-1)
+        rows = table / mass[..., None]
+    if not mass.min() > 0:  # NaN fails too
+        rows[~(mass > 0)] = 1.0 / card
     return rows, mass
 
 
@@ -347,7 +346,8 @@ def normalize_to_kernel(
         raise ValueError(f"{child} is not a variable of the factor")
     parents = tuple(v for v in f.vars if v != child)
     grid = np.moveaxis(_grid(f, vt), f.vars.index(child), -1)
-    rows, mass = _stochastic_rows(grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows, mass = _stochastic_rows(grid)
     return Kernel(child, parents, rows, stochastic=True), Factor(parents, mass)
 
 

@@ -360,7 +360,8 @@ def _own_kernel(
     if own == parents:
         return bn.kernels[v]
     fill = tuple(i for i, u in enumerate(parents) if u not in own)
-    rows, _ = _stochastic_rows(family.sum(axis=fill))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows, _ = _stochastic_rows(family.sum(axis=fill))
     expected = family.sum(axis=-1, keepdims=True) * np.expand_dims(rows, fill)
     if float(np.abs(family - expected).max()) > PRESERVATION_TOL:
         raise ValueError(

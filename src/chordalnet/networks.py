@@ -163,14 +163,20 @@ def network_violations(net: Network) -> list[str]:
             out.append("graph is not ordered chordal")
         out.extend(_kernel_map_violations(net, require_stochastic=False))
     elif isinstance(net, MarkovNetwork):
-        known = set(net.graph.vertices)
+        pos, nbrs = net.graph._pos, net.graph._neighbours
+
+        def adjacent(u: str, w: str) -> bool:  # searches the shorter list
+            a, b = nbrs.get(u, ()), nbrs.get(w, ())
+            return w in a if len(a) <= len(b) else u in b
+
         for clique, f in sorted(net.factors.items(), key=lambda kv: sorted(kv[0])):
-            if not clique <= known:
+            if not clique <= pos.keys():
                 out.append(f"factor clique {sorted(clique)} mentions unknown vertices")
                 continue
-            members = sorted(clique, key=net.vt.index)
+            # The graph's order is the table's, checked above.
+            members = sorted(clique, key=pos.get)
             complete = all(
-                net.graph.has_edge(u, w)
+                adjacent(u, w)
                 for i, u in enumerate(members)
                 for w in members[i + 1 :]
             )
@@ -181,6 +187,10 @@ def network_violations(net: Network) -> list[str]:
                 out.append(
                     f"factor for clique {members} is over {list(f.vars)}"
                 )
+                continue
+            # Over its sorted clique, the factor is laid out right exactly
+            # when its size is.
+            if f.values.size == math.prod(map(net.vt._card.get, members)):
                 continue
             try:
                 check_factor(f, net.vt)

@@ -43,13 +43,14 @@ member, and every other list takes one line.  Strings are encoded by
 from __future__ import annotations
 
 import json
+import math
 from itertools import product as iter_product
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO
 
 import numpy as np
 
-from .factors import Factor, Kernel, VariableTable, _check_entries
+from .factors import Factor, Kernel, VariableTable, _adopt, _check_entries
 from .graphs import Graph, OrderedDag, OrderedUGraph
 from .networks import (
     BayesianNetwork,
@@ -66,9 +67,9 @@ KIND_NAMES = {
     ChordalNetwork: "chordal",
 }
 
-# A table refuses a negative, NaN or infinite value with ValueError, and
-# an integer beyond the range of a double with OverflowError.
-_BAD_VALUES = (ValueError, OverflowError)
+# The types of a row value that need no further check: not bool, nor a
+# subclass of int or float.
+_PLAIN = frozenset((int, float))
 
 
 class DocumentError(ValueError):
@@ -170,59 +171,71 @@ def _parse_rows(
     # diagnosis of each runs only on a miss.
     slot = {
         key: i
-        for i, key in enumerate(iter_product(*(vt.states(p) for p in given_vars)))
+        for i, key in enumerate(iter_product(*map(vt.states, given_vars)))
     }
     card = vt.card(out_var)
     seen: list[list[float] | None] = [None] * len(slot)
     ok = True
     for i, row in enumerate(rows):
-        rw = f"{where}.rows[{i}]"
+        # A dict row whose labels hit an empty slot and whose values are
+        # ``card`` plain ints or floats passes every check below.
+        if type(row) is dict:
+            given, values = row.get("given"), row.get("values")
+            if type(given) is list and type(values) is list and len(values) == card:
+                try:
+                    at = slot.get(tuple(given))
+                except TypeError:  # an unhashable label
+                    at = None
+                if at is not None and seen[at] is None and _PLAIN.issuperset(map(type, values)):
+                    seen[at] = values
+                    continue
         if not isinstance(row, dict):
-            errors.append(f"{rw}: must be an object with given and values")
+            errors.append(f"{where}.rows[{i}]: must be an object with given and values")
             ok = False
             continue
         given = row.get("given")
         values = row.get("values")
         if not isinstance(given, list) or not all(isinstance(s, str) for s in given):
-            errors.append(f"{rw}.given: must be a list of state labels")
+            errors.append(f"{where}.rows[{i}].given: must be a list of state labels")
             ok = False
             continue
         at = slot.get(tuple(given))
         if at is None:
             if len(given) != len(given_vars):
                 errors.append(
-                    f"{rw}.given: has {len(given)} labels, expected one per "
+                    f"{where}.rows[{i}].given: has {len(given)} labels, expected one per "
                     f"conditioning variable {list(given_vars)}"
                 )
             else:
                 p, s = next(
                     (p, s) for p, s in zip(given_vars, given) if s not in vt.states(p)
                 )
-                errors.append(f"{rw}.given: {s!r} is not a state of {p}")
+                errors.append(f"{where}.rows[{i}].given: {s!r} is not a state of {p}")
             ok = False
             continue
         if not isinstance(values, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
         ):
-            errors.append(f"{rw}.values: must be a list of numbers")
+            errors.append(f"{where}.rows[{i}].values: must be a list of numbers")
             ok = False
             continue
         if len(values) != card:
             errors.append(
-                f"{rw}.values: has {len(values)} entries, expected {card} "
+                f"{where}.rows[{i}].values: has {len(values)} entries, expected {card} "
                 f"(one per state of {out_var})"
             )
             ok = False
             continue
         if seen[at] is not None:
-            errors.append(f"{rw}: duplicate row for assignment {given}")
+            errors.append(f"{where}.rows[{i}]: duplicate row for assignment {given}")
             ok = False
             continue
         seen[at] = values
-    for key, at in slot.items():
-        if seen[at] is None:
-            errors.append(f"{where}.rows: missing row for assignment {list(key)}")
-            ok = False
+    if None in seen:
+        for key, at in slot.items():
+            if seen[at] is None:
+                errors.append(f"{where}.rows: missing row for assignment {list(key)}")
+                ok = False
     return seen if ok else None
 
 
@@ -303,19 +316,25 @@ def _parse_tables(
             errors.append(fault)
             ok = False
             continue
-        values = _parse_rows(item.get("rows"), family, vt, where, errors)
-        if values is None:
+        rows = _parse_rows(item.get("rows"), family, vt, where, errors)
+        if rows is None:
             ok = False
             continue
         try:
-            tables[key] = (
-                Kernel(family[-1], family[:-1], values, stochastic)
-                if directed
-                else Factor(family, values)
-            )
-        except _BAD_VALUES:
+            values = np.array(rows, dtype=np.float64)
+            # NaN fails both comparisons.
+            fine = values.min() >= 0 and values.max() < math.inf
+        except OverflowError:  # an integer beyond the range of a double
+            fine = False
+        if not fine:
             errors.append(f"{where}: values must be finite and nonnegative")
             ok = False
+            continue
+        tables[key] = (
+            _adopt(Kernel, values, child=family[-1], parents=family[:-1], stochastic=stochastic)
+            if directed
+            else _adopt(Factor, values, vars=family)
+        )
     if directed:
         for v in graph.vertices:
             if v not in tables:

@@ -102,13 +102,20 @@ class EliminationTrace:
     def partition_mass(self) -> float:
         """The partition constant: the total mass of the input kernel product.
 
-        Exact up to the rounding of the scalar product; overflows to
-        ``inf`` or underflows to ``0.0`` when Z is out of double range, where
+        The scalars are multiplied as mantissas with a separate integer
+        exponent, so no partial product leaves the range of a double, and
+        the result is rounded as the left-to-right product would be with an
+        unbounded exponent.  Overflows to ``inf`` or underflows to ``0.0``
+        only when Z itself is out of double range, where
         :meth:`log_partition` still holds.
         """
-        exponent = sum(s.log2_scale for s in self.steps)
+        mantissa, exponent = 1.0, sum(s.log2_scale for s in self.steps)
+        for scalar in self._scalars():
+            m, e = math.frexp(scalar)
+            mantissa, shift = math.frexp(mantissa * m)
+            exponent += e + shift
         with np.errstate(over="ignore", under="ignore"):
-            return float(np.ldexp(np.prod(self._scalars()), exponent))
+            return float(np.ldexp(mantissa, exponent))
 
     def log_partition(self) -> float:
         """The natural logarithm of the partition constant."""
@@ -213,9 +220,12 @@ def _triangulate(
     """The kernels of :func:`triangulate_mn` for ``tables``, each vertex's
     in :func:`networks._tables` order, over ``graph``, a triangulation of
     their (moral) graph, as a network of type ``kind``; stochastic when
-    ``kind`` is Bayesian.  Every family is checked before any is built."""
-    for v in graph.vertices:
-        _check_entries(vt.shape(graph.parents_of(v) + (v,)), f"vertex {v}")
+    ``kind`` is Bayesian.  Every family is checked before any is built.
+    The result is valid by construction and is recorded as valid."""
+    families = [(v, graph.parents_of(v) + (v,)) for v in graph.vertices]
+    shapes = [vt.shape(family) for _, family in families]
+    for (v, _), shape in zip(families, shapes):
+        _check_entries(shape, f"vertex {v}")
     consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
     for table in tables:
         # Table variables follow the declared order: the last is the maximum.
@@ -225,8 +235,8 @@ def _triangulate(
     kernels: dict[str, Kernel] = {}
     # An overflow, or inf * 0 after one, is caught by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for v in graph.vertices:
-            family, tables = graph.parents_of(v) + (v,), consumed[v]
+        for (v, family), shape in zip(families, shapes):
+            tables = consumed[v]
             acc = _compact_product(tables, family, vt)
             # A single valid table is in range, so only a product needs a check.
             if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
@@ -235,7 +245,6 @@ def _triangulate(
                 acc = _wide_product(tables, family, vt)
                 if not acc.max() < math.inf:
                     raise _out_of_range(v, tables, family, vt)
-            shape = vt.shape(family)
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)
             if not fresh:
@@ -243,7 +252,9 @@ def _triangulate(
             kernels[v] = _adopt(
                 Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
             )
-    return kind(graph, vt, kernels)
+    net = kind(graph, vt, kernels)
+    object.__setattr__(net, "_valid", True)
+    return net
 
 
 def variable_elimination(
@@ -283,19 +294,33 @@ def variable_elimination(
             total mass.
     """
     require_valid(cn)
-    return _eliminate(cn)
+    bn, steps = _eliminate(cn)
+    trace = EliminationTrace(
+        tuple(
+            EliminationStep(v, _adopt(Factor, mass, vars=parents), host, shift)
+            for v, parents, mass, host, shift in steps
+        )
+    )
+    return bn, trace
 
 
-def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
-    """The sweep of :func:`variable_elimination` on a network known valid."""
+# A step of the sweep: the vertex, its parents, its mass array, the host
+# the mass was absorbed into, or None, and the step's log2_scale.
+_Step = tuple[str, tuple[str, ...], np.ndarray, str | None, int]
+
+
+def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[_Step]]:
+    """The sweep of :func:`variable_elimination` on a network known valid,
+    with its steps as plain tuples, from which only a caller that wants the
+    trace builds it."""
     graph, vt = cn.graph, cn.vt
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
-    steps: list[EliminationStep] = []
+    steps: list[_Step] = []
     absorbed = dict.fromkeys(graph.vertices, 0)
     # An overflow in a host's table, or inf * 0 after one, is caught by the
-    # check of the host's mass below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # check of the host's mass below; 0/0 by the normaliser's zero test.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for v in reversed(graph.vertices):
             parents = graph.parents_of(v)
             rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
@@ -308,7 +333,6 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
                     raise error
                 peak = 0.0
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
-            lam = _adopt(Factor, mass, vars=parents)
             # The mass is finite and nonnegative, so it is identically zero
             # exactly when its maximum is not positive.
             if not peak > 0:
@@ -322,7 +346,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
                 host = parents[-1]
                 shift = math.frexp(peak)[1] - 1
                 family = graph.parents_of(host) + (host,)
-                spread = _spread(parents, np.ldexp(lam.values, -shift), family, vt)
+                spread = _spread(parents, np.ldexp(mass, -shift), family, vt)
                 table = working[host].reshape(vt.shape(family)) * spread
                 absorbed[host] += 1
                 if absorbed[host] % 64 == 0:
@@ -330,21 +354,18 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
                     np.ldexp(table, -rescale, out=table)
                     shift += rescale
                 working[host] = table
-            steps.append(EliminationStep(v, lam, host, shift))
-    bn = BayesianNetwork(graph, vt, kernels)
-    return bn, EliminationTrace(tuple(steps))
+            steps.append((v, parents, mass, host, shift))
+    return BayesianNetwork(graph, vt, kernels), steps
 
 
-def _working_tables(
-    cn: ChordalNetwork, v: str, steps: list[EliminationStep]
-) -> list[_Table]:
+def _working_tables(cn: ChordalNetwork, v: str, steps: list[_Step]) -> list[_Table]:
     """The tables whose product was ``v``'s working table in the sweep: its
     kernel and the scaled masses absorbed into it."""
     kernel = cn.kernels[v]
     absorbed = [
-        (s.lam.vars, np.ldexp(s.lam.values, -s.log2_scale))
-        for s in steps
-        if s.absorbed_into == v
+        (parents, np.ldexp(mass, -shift))
+        for _, parents, mass, host, shift in steps
+        if host == v
     ]
     return [(kernel.parents + (v,), kernel.values), *absorbed]
 

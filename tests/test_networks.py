@@ -485,12 +485,16 @@ class TestValidateOnce:
         mn_to_bn(mn)
         assert checked == [mn]
 
-    def test_transform_outputs_are_checked(self, checked, misconception):
+    def test_triangulated_outputs_are_recorded_valid(self, checked, misconception):
+        # A triangulation is valid by construction, so only its input and an
+        # elimination output, on its first use, are checked.
         cn = triangulate_mn(misconception)
-        variable_elimination(cn)
+        bn, _ = variable_elimination(cn)
         variable_elimination(cn)
         triangulate_mn(misconception)
-        assert checked == [misconception, cn]
+        marginal_distribution(bn, [])
+        marginal_distribution(bn, [])
+        assert checked == [misconception, bn]
 
     def test_repeated_queries_check_once(self, checked):
         rng = np.random.default_rng(5)

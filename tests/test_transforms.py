@@ -892,6 +892,16 @@ class TestPartitionMass:
     """``partition_mass`` multiplies the scalar masses with a separate
     exponent, so a partial product out of range does not lose Z."""
 
+    @pytest.mark.parametrize("names", ["ABCD", "CDAB"])
+    def test_partial_product_out_of_range_keeps_z(self, names):
+        # Step by step, 2e200 * 2e200 overflows and 2e-200 * 2e-200 underflows.
+        masses = {"A": 1e200, "B": 1e200, "C": 1e-200, "D": 1e-200}
+        cnw = isolated_cn(names, [masses[v] for v in names])
+        _, trace = variable_elimination(cnw)
+        assert trace.partition_mass() == pytest.approx(16.0, rel=1e-12)
+        assert trace.log_partition() == pytest.approx(math.log(16.0), rel=1e-12)
+        assert marginal_distribution(cnw, []).values[0] == pytest.approx(16.0, rel=1e-12)
+
     def test_equals_the_running_product_where_that_stays_normal(self):
         rng = np.random.default_rng(2024)
         compared = 0
@@ -934,3 +944,34 @@ def test_trace_of_the_three_state_chain_is_pinned(fixtures_dir):
     assert digest.hexdigest() == (
         "bb4b27e23689e4415f1493dfad8b57c9677c41035440addbc6d985429d54a3d9"
     )
+
+
+def test_every_triangulation_is_valid_as_recorded(monkeypatch):
+    # _triangulate records its result as valid without a check; the full
+    # check agrees for each of its callers.
+    import chordalnet.morphisms
+    from chordalnet import PearlVertexUpdate, network_violations, pearl_update
+
+    built = []
+    real = chordalnet.morphisms._triangulate
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(chordalnet.morphisms, "_triangulate", recording)
+    rng = np.random.default_rng(31)
+    results = []
+    for _ in range(40):
+        mn, bn, cnw = random_mn(rng), random_bn(rng), random_cn(rng)
+        results += [triangulate_mn(mn), triangulate_bn(bn)]
+        for net in (mn, bn, cnw):
+            weights = {v: rng.uniform(0.5, 2.0, net.vt.card(v)) for v in net.graph.vertices[:2]}
+            try:
+                pearl_update(net, {v: PearlVertexUpdate(weight=w) for v, w in weights.items()})
+            except ValueError:  # a collider family under evidence
+                pass
+    assert len(built) == 120
+    for net in results + built:
+        assert net._valid
+        assert network_violations(net) == []
