@@ -55,7 +55,8 @@ class DegenerateDistributionError(ValueError):
 class _NetworkBase:
     """What every network kind shares: a read-only table mapping over a
     private copy, and ``_valid``, outside the dataclass fields, set once the
-    instance passes validation; unpickling rebuilds it from its fields."""
+    instance passes validation, or by a triangulation, whose result is valid
+    by construction; unpickling rebuilds it from its fields."""
 
     def __reduce__(self):
         graph, vt, tables = (getattr(self, f.name) for f in fields(self))
@@ -188,8 +189,7 @@ def network_violations(net: Network) -> list[str]:
                     f"factor for clique {members} is over {list(f.vars)}"
                 )
                 continue
-            # Over its sorted clique, the factor is laid out right exactly
-            # when its size is.
+            # Over its sorted clique, the factor is right when its size is.
             if f.values.size == math.prod(map(net.vt._card.get, members)):
                 continue
             try:

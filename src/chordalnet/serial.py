@@ -27,7 +27,9 @@ refused with one line.  One loop reads the tables of every kind; only the
 reader of a table's head differs, child and parents checked against the
 graph, or a clique of known, distinct vertices in declaration order.  Each
 row's labels are looked up once, in a map from every assignment to its
-place in the table; only a row that misses is diagnosed label by label.
+place in the table; a row of plain numbers that fills an empty place is
+taken at once, and only any other row is diagnosed check by check.  Each
+table becomes one array, checked once and wrapped without a copy.
 
 Saving emits a canonical key order and round-trip-exact floats, so
 ``save(load(x))`` is byte-identical for canonical files.
@@ -169,10 +171,7 @@ def _parse_rows(
     # Each assignment's slot in canonical order.  A row whose labels hit a
     # slot has the right label count and only known labels, so the
     # diagnosis of each runs only on a miss.
-    slot = {
-        key: i
-        for i, key in enumerate(iter_product(*map(vt.states, given_vars)))
-    }
+    slot = {key: i for i, key in enumerate(iter_product(*map(vt.states, given_vars)))}
     card = vt.card(out_var)
     seen: list[list[float] | None] = [None] * len(slot)
     ok = True
@@ -186,56 +185,46 @@ def _parse_rows(
                     at = slot.get(tuple(given))
                 except TypeError:  # an unhashable label
                     at = None
-                if at is not None and seen[at] is None and _PLAIN.issuperset(map(type, values)):
-                    seen[at] = values
-                    continue
+                if at is not None and seen[at] is None:
+                    if _PLAIN.issuperset(map(type, values)):
+                        seen[at] = values
+                        continue
         if not isinstance(row, dict):
-            errors.append(f"{where}.rows[{i}]: must be an object with given and values")
-            ok = False
-            continue
-        given = row.get("given")
-        values = row.get("values")
-        if not isinstance(given, list) or not all(isinstance(s, str) for s in given):
-            errors.append(f"{where}.rows[{i}].given: must be a list of state labels")
-            ok = False
-            continue
-        at = slot.get(tuple(given))
-        if at is None:
-            if len(given) != len(given_vars):
-                errors.append(
-                    f"{where}.rows[{i}].given: has {len(given)} labels, expected one per "
-                    f"conditioning variable {list(given_vars)}"
-                )
-            else:
-                p, s = next(
-                    (p, s) for p, s in zip(given_vars, given) if s not in vt.states(p)
-                )
-                errors.append(f"{where}.rows[{i}].given: {s!r} is not a state of {p}")
-            ok = False
-            continue
-        if not isinstance(values, list) or not all(
+            fault = ": must be an object with given and values"
+        elif not isinstance(given := row.get("given"), list) or not all(
+            isinstance(s, str) for s in given
+        ):
+            fault = ".given: must be a list of state labels"
+        elif (at := slot.get(tuple(given))) is None and len(given) != len(given_vars):
+            fault = (
+                f".given: has {len(given)} labels, expected one per "
+                f"conditioning variable {list(given_vars)}"
+            )
+        elif at is None:
+            p, s = next(
+                (p, s) for p, s in zip(given_vars, given) if s not in vt.states(p)
+            )
+            fault = f".given: {s!r} is not a state of {p}"
+        elif not isinstance(values := row.get("values"), list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
         ):
-            errors.append(f"{where}.rows[{i}].values: must be a list of numbers")
-            ok = False
-            continue
-        if len(values) != card:
-            errors.append(
-                f"{where}.rows[{i}].values: has {len(values)} entries, expected {card} "
+            fault = ".values: must be a list of numbers"
+        elif len(values) != card:
+            fault = (
+                f".values: has {len(values)} entries, expected {card} "
                 f"(one per state of {out_var})"
             )
-            ok = False
+        elif seen[at] is not None:
+            fault = f": duplicate row for assignment {given}"
+        else:
+            seen[at] = values
             continue
-        if seen[at] is not None:
-            errors.append(f"{where}.rows[{i}]: duplicate row for assignment {given}")
+        errors.append(f"{where}.rows[{i}]{fault}")
+        ok = False
+    for key, at in slot.items():
+        if seen[at] is None:
+            errors.append(f"{where}.rows: missing row for assignment {list(key)}")
             ok = False
-            continue
-        seen[at] = values
-    if None in seen:
-        for key, at in slot.items():
-            if seen[at] is None:
-                errors.append(f"{where}.rows: missing row for assignment {list(key)}")
-                ok = False
     return seen if ok else None
 
 
@@ -330,11 +319,12 @@ def _parse_tables(
             errors.append(f"{where}: values must be finite and nonnegative")
             ok = False
             continue
-        tables[key] = (
-            _adopt(Kernel, values, child=family[-1], parents=family[:-1], stochastic=stochastic)
-            if directed
-            else _adopt(Factor, values, vars=family)
-        )
+        if directed:
+            tables[key] = _adopt(
+                Kernel, values, child=key, parents=family[:-1], stochastic=stochastic
+            )
+        else:
+            tables[key] = _adopt(Factor, values, vars=family)
     if directed:
         for v in graph.vertices:
             if v not in tables:

@@ -102,12 +102,10 @@ class EliminationTrace:
     def partition_mass(self) -> float:
         """The partition constant: the total mass of the input kernel product.
 
-        The scalars are multiplied as mantissas with a separate integer
-        exponent, so no partial product leaves the range of a double, and
-        the result is rounded as the left-to-right product would be with an
-        unbounded exponent.  Overflows to ``inf`` or underflows to ``0.0``
-        only when Z itself is out of double range, where
-        :meth:`log_partition` still holds.
+        The scalars' mantissas are multiplied with a separate exponent, so
+        the result is rounded as the product with an unbounded exponent;
+        it overflows to ``inf`` or underflows to ``0.0`` only when Z itself
+        is out of double range, where :meth:`log_partition` still holds.
         """
         mantissa, exponent = 1.0, sum(s.log2_scale for s in self.steps)
         for scalar in self._scalars():
@@ -295,28 +293,20 @@ def variable_elimination(
     """
     require_valid(cn)
     bn, steps = _eliminate(cn)
-    trace = EliminationTrace(
-        tuple(
-            EliminationStep(v, _adopt(Factor, mass, vars=parents), host, shift)
-            for v, parents, mass, host, shift in steps
-        )
-    )
-    return bn, trace
+    return bn, EliminationTrace(tuple(
+        EliminationStep(v, _adopt(Factor, mass, vars=parents), host, shift)
+        for v, parents, mass, host, shift in steps
+    ))
 
 
-# A step of the sweep: the vertex, its parents, its mass array, the host
-# the mass was absorbed into, or None, and the step's log2_scale.
-_Step = tuple[str, tuple[str, ...], np.ndarray, str | None, int]
-
-
-def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[_Step]]:
+def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     """The sweep of :func:`variable_elimination` on a network known valid,
-    with its steps as plain tuples, from which only a caller that wants the
-    trace builds it."""
+    with its steps as tuples ``(vertex, parents, mass, host, log2_scale)``,
+    from which only a caller that wants the trace builds it."""
     graph, vt = cn.graph, cn.vt
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
-    steps: list[_Step] = []
+    steps: list[tuple] = []
     absorbed = dict.fromkeys(graph.vertices, 0)
     # An overflow in a host's table, or inf * 0 after one, is caught by the
     # check of the host's mass below; 0/0 by the normaliser's zero test.
@@ -358,7 +348,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[_Step]]:
     return BayesianNetwork(graph, vt, kernels), steps
 
 
-def _working_tables(cn: ChordalNetwork, v: str, steps: list[_Step]) -> list[_Table]:
+def _working_tables(cn: ChordalNetwork, v: str, steps: list[tuple]) -> list[_Table]:
     """The tables whose product was ``v``'s working table in the sweep: its
     kernel and the scaled masses absorbed into it."""
     kernel = cn.kernels[v]
