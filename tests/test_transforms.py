@@ -7,6 +7,7 @@ claims run at acceptance scale in test_acceptance.py; here they run on
 smaller seeded samples.
 """
 
+import hashlib
 import math
 import pickle
 import warnings
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chordalnet.factors
+import chordalnet.morphisms
 import chordalnet.transforms
 
 from chordalnet import (
@@ -31,6 +33,7 @@ from chordalnet import (
     OrderedDag,
     OrderedUGraph,
     OutOfRangeError,
+    PearlVertexUpdate,
     TableTooLargeError,
     VariableTable,
     bn_joint,
@@ -46,6 +49,8 @@ from chordalnet import (
     mn_unnormalized,
     moralise_bn,
     moralise_cn,
+    network_violations,
+    pearl_update,
     require_valid,
     triangulate_bn,
     triangulate_mn,
@@ -932,8 +937,6 @@ class TestPartitionMass:
 def test_trace_of_the_three_state_chain_is_pinned(fixtures_dir):
     # SHA-256 of every step's (vertex, mass bytes, host, scale) on
     # tests/fixtures/chain.json, whose variables have 2 or 3 states.
-    import hashlib
-
     mn = load_network(fixtures_dir / "chain.json")
     _, trace = variable_elimination(triangulate_mn(mn))
     digest = hashlib.sha256()
@@ -949,9 +952,6 @@ def test_trace_of_the_three_state_chain_is_pinned(fixtures_dir):
 def test_every_triangulation_is_valid_as_recorded(monkeypatch):
     # _triangulate records its result as valid without a check; the full
     # check agrees for each of its callers.
-    import chordalnet.morphisms
-    from chordalnet import PearlVertexUpdate, network_violations, pearl_update
-
     built = []
     real = chordalnet.morphisms._triangulate
 
