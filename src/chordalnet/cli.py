@@ -21,6 +21,7 @@ import functools
 import sys
 from typing import Sequence
 
+from . import transforms
 from .factors import TableTooLargeError, enumerate_assignments
 from .graphs import d_separated, junction_tree, running_intersection_holds, u_separated
 from .networks import (
@@ -34,13 +35,6 @@ from .networks import (
     marginal_distribution,
 )
 from .serial import KIND_NAMES, DocumentError, dumps_network, load_network
-from .transforms import (
-    mn_to_bn,
-    moralise_bn,
-    triangulate_bn,
-    triangulate_mn,
-    variable_elimination,
-)
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -108,21 +102,33 @@ def _print_table(net: Network, vars: tuple[str, ...], values) -> None:
 
 
 # Each transform command: its help, the network type it reads, its conversion.
+# Each conversion is looked up in ``transforms`` at call time, so that a
+# wrapper put there after import (a tracer's span, a test's spy) is called.
 _TRANSFORMS = {
-    "moralise": ("bayesian -> markov on the moral graph", BayesianNetwork, moralise_bn),
+    "moralise": (
+        "bayesian -> markov on the moral graph",
+        BayesianNetwork,
+        lambda bn: transforms.moralise_bn(bn),
+    ),
     "triangulate": (
-        "markov -> chordal on the triangulated graph", MarkovNetwork, triangulate_mn
+        "markov -> chordal on the triangulated graph",
+        MarkovNetwork,
+        lambda mn: transforms.triangulate_mn(mn),
     ),
     "ve": (
         "chordal -> bayesian by variable elimination",
         ChordalNetwork,
-        lambda cn: variable_elimination(cn)[0],
+        lambda cn: transforms.variable_elimination(cn)[0],
     ),
-    "tr": ("markov -> bayesian (triangulate then eliminate)", MarkovNetwork, mn_to_bn),
+    "tr": (
+        "markov -> bayesian (triangulate then eliminate)",
+        MarkovNetwork,
+        lambda mn: transforms.mn_to_bn(mn),
+    ),
     "trmor": (
         "bayesian -> bayesian over the triangulated moral graph",
         BayesianNetwork,
-        triangulate_bn,
+        lambda bn: transforms.triangulate_bn(bn),
     ),
 }
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -248,6 +249,78 @@ def _compact_product(
     return acc
 
 
+# Every nonzero double is at least 2**-1074, every normal one 2**-1022.
+_TINY, _NORMAL = -1074, -1022
+
+
+def _lows(arrays: Sequence[np.ndarray]) -> list[int]:
+    """For each array, the largest ``low`` with every nonzero entry at least
+    ``2**low``, from one ``min`` pass over all the arrays together (and
+    one over the nonzero entries of an array whose minimum is zero)."""
+    if not arrays:
+        return []
+    starts = list(accumulate((a.size for a in arrays[:-1]), initial=0))
+    least = np.minimum.reduceat(np.concatenate(arrays, axis=None), starts)
+    for i in np.flatnonzero(least == 0):
+        least[i] = np.min(arrays[i], where=arrays[i] > 0, initial=math.inf)
+    return (np.frexp(least)[1] - 1).tolist()
+
+
+def _shift(peak: float, low: int, top: int, table: np.ndarray | None = None) -> int:
+    """The power of two that a table is divided by: the one range rule of
+    both engines.  It brings the table's largest entry, ``peak``, into the
+    target binade [2**(top-1), 2**top), or takes a smaller power where
+    that would push a nonzero entry, each at least ``2**low``, below
+    2**-1022; ``table``'s entries are looked up when the bound ``low``
+    alone would decide that.  The largest entry is never pushed above the
+    range, so where no power fits both ends, ``low - shift`` stays below
+    -1022 for the caller to see."""
+    peak = math.frexp(peak)[1]
+    if low - (peak - top) < _NORMAL and table is not None:
+        (low,) = _lows([table])
+    return max(peak - 1024, min(peak - top, low - _NORMAL))
+
+
+def _wide_product(
+    tables: Iterable[tuple], onto: tuple[str, ...], vt: VariableTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The product of ``tables`` over ``onto`` as ``(mantissa, exponent)``,
+    an exponent per entry and each nonzero mantissa in [1/2, 1), so that
+    no partial product overflows or underflows.  A mantissa product lies
+    in [1/4, 1), so each entry is rounded as :func:`_compact_product`
+    rounds it with an unbounded exponent.  A table's optional third item,
+    one exponent or one per value, scales its values."""
+    mantissa, exponent = 0.5, 1
+    for vars, values, *scale in tables:
+        m, e = np.frexp(values)
+        if scale:
+            e = e + scale[0]
+        mantissa, shift = np.frexp(mantissa * _spread(vars, m, onto, vt))
+        exponent = exponent + _spread(vars, e, onto, vt) + shift
+    return mantissa, exponent
+
+
+def _wide_sum(
+    mantissa: np.ndarray, exponent: np.ndarray | int, axis: int | None = None
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """The sum of ``mantissa * 2**exponent`` over ``axis`` (every axis for
+    ``None``) as ``(total, top)``, worth ``total * 2**top``: each sum is
+    taken at the scale of its largest term, which drops only terms below
+    2**-1074 of it, and is rounded as the direct sum where all are normal."""
+    if not np.ndim(exponent):  # one scale already
+        return mantissa.sum(axis), exponent
+    mantissa, exponent = np.broadcast_arrays(mantissa, exponent)
+    # The initial value lies below every exponent and far from int32 overflow.
+    top = np.max(exponent, axis, keepdims=True, where=mantissa > 0, initial=-(1 << 30))
+    return np.ldexp(mantissa, exponent - top).sum(axis), np.squeeze(top, axis)
+
+
+def _log_sum(mantissa: np.ndarray, exponent: np.ndarray | int) -> float:
+    """The natural log of the nonzero sum of ``mantissa * 2**exponent``."""
+    total, top = _wide_sum(mantissa, exponent)
+    return math.log(total) + int(top) * math.log(2.0)
+
+
 def _product(
     tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray:
@@ -301,11 +374,12 @@ def enumerate_assignments(
     return iter_product(*(vt.states(v) for v in vars))
 
 
-def _stochastic_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stochastic_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Split ``table`` along its last axis into stochastic rows and masses.
 
-    Returns ``(rows, mass)`` with ``mass`` the sum over the last axis and
-    ``rows = table / mass`` where ``mass > 0``, ``1 / card`` elsewhere.
+    Returns ``(rows, mass, least)`` with ``mass`` the sum over the last
+    axis, ``rows = table / mass`` where ``mass > 0``, ``1 / card``
+    elsewhere, and ``least`` the smallest mass.
     Below 8 states the sums and quotients go column by column, which numpy
     runs several times faster than a reduction along a short last axis
     and which adds in the same order as ``sum(axis=-1)``; from 8 states on
@@ -324,9 +398,10 @@ def _stochastic_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         mass = table.sum(axis=-1)
         rows = table / mass[..., None]
-    if not mass.min() > 0:  # NaN fails too
+    least = mass.min()
+    if not least > 0:  # NaN fails too
         rows[~(mass > 0)] = 1.0 / card
-    return rows, mass
+    return rows, mass, least
 
 
 def normalize_to_kernel(
@@ -347,7 +422,7 @@ def normalize_to_kernel(
     parents = tuple(v for v in f.vars if v != child)
     grid = np.moveaxis(_grid(f, vt), f.vars.index(child), -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows, mass = _stochastic_rows(grid)
+        rows, mass, _ = _stochastic_rows(grid)
     return Kernel(child, parents, rows, stochastic=True), Factor(parents, mass)
 
 

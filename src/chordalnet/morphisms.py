@@ -40,6 +40,7 @@ from .factors import (
     _product,
     _stochastic_rows,
     _Table,
+    _wide_product,
 )
 from .graphs import (
     GraphHom,
@@ -361,7 +362,7 @@ def _own_kernel(
         return bn.kernels[v]
     fill = tuple(i for i, u in enumerate(parents) if u not in own)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows, _ = _stochastic_rows(family.sum(axis=fill))
+        rows, *_ = _stochastic_rows(family.sum(axis=fill))
     expected = family.sum(axis=-1, keepdims=True) * np.expand_dims(rows, fill)
     if float(np.abs(family - expected).max()) > PRESERVATION_TOL:
         raise ValueError(
@@ -445,7 +446,8 @@ def pearl_update(
             with np.errstate(over="ignore"):
                 values = base * w
             if not values.max() < math.inf:
-                raise _out_of_range(v, [((v,), base), ((v,), w)], (v,), net.vt)
+                tables = [((v,), base), ((v,), w)]
+                raise _out_of_range(v, *_wide_product(tables, (v,), net.vt))
         factors[key] = _adopt(Factor, values, vars=(v,))
     graph = moralise_graph(net.graph) if isinstance(net, BayesianNetwork) else net.graph
     if not isinstance(net, ChordalNetwork):  # a chordal graph is its own triangulation

@@ -25,12 +25,18 @@ from typing import Mapping
 import numpy as np
 
 from .factors import (
+    _NORMAL,
     Factor,
     Kernel,
     VariableTable,
     _check_entries,
-    _spread,
+    _compact_product,
+    _log_sum,
+    _lows,
+    _shift,
     _Table,
+    _wide_product,
+    _wide_sum,
     check_factor,
 )
 from .graphs import OrderedDag, OrderedUGraph, is_ordered_chordal
@@ -213,27 +219,6 @@ def require_valid(net: Network) -> None:
         raise NetworkValidationError(violations)
 
 
-def _scaled_product(
-    tables: list[_Table], vt: VariableTable, vars: tuple[str, ...]
-) -> tuple[np.ndarray, int]:
-    """The product of ``tables`` over ``vars`` as ``(table, exponent)``,
-    worth ``table * 2**exponent``, of size 1 on axes no table mentions.
-
-    The product grows one table at a time over the union of the variables
-    seen so far, and is rescaled by a power of two, which is exact, after
-    every multiplication, so no number of tables underflows or overflows.
-    """
-    _check_entries(vt.shape(vars))
-    acc, exponent = 1.0, 0
-    for i, table in enumerate(tables):
-        spread = _spread(*table, vars, vt)
-        acc = acc * spread if i else spread
-        shift = math.frexp(acc.max())[1]
-        acc = np.ldexp(acc, -shift)
-        exponent += shift
-    return acc, exponent
-
-
 def _tables(net: Network) -> list[_Table]:
     """A valid network's tables as arrays; a kernel's layout is its family's."""
     if isinstance(net, MarkovNetwork):
@@ -246,56 +231,99 @@ def _tables(net: Network) -> list[_Table]:
 
 def _sum_product(
     net: Network, keep: set[str]
-) -> tuple[tuple[str, ...], np.ndarray, int]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | int]:
     """Sum every variable outside ``keep`` out of the table product.
 
     Bucket elimination along the declared order, last vertex first: the
     tables that mention a vertex are multiplied and the vertex is summed
     out, so each product spans one family of the triangulated graph plus
     the kept variables; a vertex no table mentions contributes its
-    cardinality.  Every product and message is rescaled by a power of
-    two, which is exact, so long networks neither overflow nor underflow
-    on the way, on plain arrays.  Returns ``(kept, table, exponent)``: the
-    sum over the kept variables, in declared order, is ``table *
-    2**exponent``, which need not fit in a double.
+    cardinality.  Each bucket is reduced by :func:`_reduce_bucket`, on
+    plain arrays, so every product and sum is rounded as with an unbounded
+    exponent, bit for bit as rescaling after every multiply wherever that
+    kept every entry normal.  Returns ``(kept, table, exponent)``: the sum
+    over the kept variables, in declared order, is ``table *
+    2**exponent``, which need not fit in a double; ``exponent`` is one
+    integer, or one per entry where no power of two keeps all normal.
     """
     vt, pos = net.vt, net.vt._index
-    buckets: dict[str, list[_Table]] = {v: [] for v in net.graph.vertices}
-    done: list[_Table] = []
+    # A bucket table is (vars, values, exps, low); see _reduce_bucket.
+    buckets: dict[str, list[tuple]] = {v: [] for v in net.graph.vertices}
+    done: list[tuple] = []
 
-    def place(vars: tuple[str, ...], values: np.ndarray) -> None:
+    def place(vars, values, exps, low) -> None:
         # Table variables follow the declared order, so the last free one
         # is the first to be eliminated.
         free = [u for u in vars if u not in keep]
-        (buckets[free[-1]] if free else done).append((vars, values))
+        (buckets[free[-1]] if free else done).append((vars, values, exps, low))
 
-    for table in _tables(net):
-        place(*table)
+    tables = _tables(net)
+    for (vars, values), low in zip(tables, _lows([values for _, values in tables])):
+        place(vars, values, 0, low)
     exponent = 0
-    for v in reversed(net.graph.vertices):
-        if v in keep:
-            continue
-        bucket = buckets.pop(v)
-        if bucket:
-            family = tuple(sorted({u for vars, _ in bucket for u in vars}, key=pos.get))
-            product, shift = _scaled_product(bucket, vt, family)
+    # An overflow, or inf * 0 after one, sends a bucket to the exact product.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in reversed(net.graph.vertices):
+            if v in keep:
+                continue
+            bucket = buckets.pop(v) or [((v,), np.ones(vt.card(v)), 0, 0)]
+            family = tuple(sorted({u for t in bucket for u in t[0]}, key=pos.get))
+            axis = family.index(v)
+            values, exps, low, shift = _reduce_bucket(bucket, family, vt, axis)
             exponent += shift
-            rest = tuple(u for u in family if u != v)
-            message = product.sum(axis=family.index(v))
-        else:
-            rest, message = (), np.array(float(vt.card(v)))
-        # A scaled product's maximum is below 1, so every message is finite.
-        shift = math.frexp(message.max())[1]
-        exponent += shift
-        place(rest, np.ldexp(message, -shift))
-    kept = tuple(v for v in net.graph.vertices if v in keep)
-    table, shift = _scaled_product(done, vt, kept)
-    return kept, np.broadcast_to(table, vt.shape(kept)), exponent + shift
+            place(tuple(u for u in family if u != v), values, exps, low)
+        kept = tuple(v for v in net.graph.vertices if v in keep)
+        values, exps, _, shift = _reduce_bucket(done, kept, vt)
+    return kept, np.broadcast_to(values, vt.shape(kept)), exponent + shift + exps
+
+
+def _reduce_bucket(
+    tables: list, onto: tuple[str, ...], vt: VariableTable, axis: int | None = None
+) -> tuple[np.ndarray, np.ndarray | int, float, int]:
+    """The product of ``tables`` over ``onto``, summed over ``axis`` unless
+    it is ``None``, as ``(values, exps, low, shift)``, worth ``values *
+    2**(exps + shift)`` with each nonzero entry of ``values`` at least
+    ``2**low``; ``tables`` hold the same four items, ``shift`` aside.
+
+    The direct product is kept when the tables' ``low`` show that no
+    partial product fell below the normal range and the result's maximum
+    shows none overflowed (inf, or NaN from inf * 0); otherwise it is
+    rebuilt with an exponent per entry.  Either is divided by the power of
+    :func:`factors._shift`, or, where none keeps every entry normal, keeps
+    per-entry ``exps`` with ``low`` -inf and ``shift`` 0.
+    """
+    _check_entries(vt.shape(onto))
+    if not tables:
+        return 1.0, 0, 0, 0
+    lows = [low for *_, low in tables]
+    if sum(min(low, 0) for low in lows) >= _NORMAL:
+        table = _compact_product([t[:2] for t in tables], onto, vt)
+        if axis is not None:
+            table = table.sum(axis)
+        peak = table.max()
+        if peak < math.inf:
+            low = sum(lows)
+            shift = _shift(peak, low, 0, table)
+            return np.ldexp(table, -shift), 0, max(low - shift, _NORMAL), shift
+    mantissa, exponent = _wide_product([t[:3] for t in tables], onto, vt)
+    if axis is not None:
+        total, top = _wide_sum(mantissa, exponent, axis)
+        mantissa, exponent = np.frexp(total)
+        exponent += top
+    exps = exponent[mantissa > 0]
+    # A nonzero mantissa lies in [1/2, 1): its exponent is its binade's.  The
+    # rule is the same at every scale, so it is applied at the largest's.
+    peak, low = (int(exps.max()), int(exps.min()) - 1) if exps.size else (0, 0)
+    shift = peak + _shift(0.5, low - peak, 0)
+    if low - shift < _NORMAL:
+        return mantissa, exponent, -math.inf, 0
+    return np.ldexp(mantissa, exponent - shift), 0, low - shift, shift
 
 
 class OutOfRangeError(ValueError):
     """A product or sum-product result is nonzero but outside the range of
-    a double: its largest entry overflows, or every entry underflows.
+    a double: its largest entry overflows or falls below the normal range,
+    or, in a table the transforms build, a nonzero entry rounds to zero.
 
     ``log_mass`` is the natural logarithm of its total mass, which is
     finite whatever the range.
@@ -306,15 +334,17 @@ class OutOfRangeError(ValueError):
         super().__init__(message)
 
 
-def _in_range(vars: tuple[str, ...], table: np.ndarray, exponent: int) -> Factor:
+def _in_range(
+    vars: tuple[str, ...], table: np.ndarray, exponent: np.ndarray | int
+) -> Factor:
     """``table * 2**exponent`` as a factor over ``vars``, or
-    :class:`OutOfRangeError` if its maximum overflows or the whole nonzero
-    table rounds to zero."""
+    :class:`OutOfRangeError` if the table is nonzero and its largest entry
+    is not a normal double: it overflows, or falls below 2**-1022."""
     with np.errstate(over="ignore", under="ignore"):
         values = np.ldexp(table, exponent)
     peak = float(values.max())
-    if peak == math.inf or (peak == 0.0 and table.max() > 0):
-        log_mass = math.log(table.sum()) + exponent * math.log(2.0)
+    if peak == math.inf or (peak < 2.0**_NORMAL and table.max() > 0):
+        log_mass = _log_sum(table, exponent)
         raise OutOfRangeError(
             f"the total mass is outside the range of a double: its natural "
             f"log is {log_mass:.17g}",
@@ -341,8 +371,8 @@ def cn_product(cn: ChordalNetwork) -> Factor:
 
     Raises:
         TableTooLargeError: if the product would exceed ``factors.MAX_TABLE_ENTRIES``.
-        OutOfRangeError: if the largest entry overflows a double, or every
-            entry of a nonzero product underflows to zero.
+        OutOfRangeError: if the largest entry of a nonzero product is not
+            a normal double: it overflows, or falls below 2**-1022.
     """
     return marginal_distribution(cn, list(cn.graph.vertices))
 
@@ -355,8 +385,8 @@ def mn_unnormalized(mn: MarkovNetwork) -> Factor:
 
     Raises:
         TableTooLargeError: if the product would exceed ``factors.MAX_TABLE_ENTRIES``.
-        OutOfRangeError: if the largest entry overflows a double, or every
-            entry of a nonzero product underflows to zero.
+        OutOfRangeError: if the largest entry of a nonzero product is not
+            a normal double: it overflows, or falls below 2**-1022.
     """
     return marginal_distribution(mn, list(mn.graph.vertices))
 
@@ -366,11 +396,13 @@ def mn_partition(mn: MarkovNetwork) -> float:
 
     Computed by sum-product elimination along the declared order, without
     building the product: the cost is O(n * d^(w+1)) for n variables of at
-    most d states and induced width w.
+    most d states and induced width w.  Every product and sum is rounded
+    as with an unbounded exponent (see :func:`_sum_product`), so Z is
+    exact up to that rounding whatever the range of the tables.
 
     Raises:
-        OutOfRangeError: if Z is nonzero but overflows or underflows a
-            double; the error carries log Z.
+        OutOfRangeError: if Z is nonzero but not a normal double: it
+            overflows, or falls below 2**-1022; the error carries log Z.
     """
     return float(marginal_distribution(mn, []).values[0])
 
@@ -398,6 +430,8 @@ def _normalized(net: Network, keep: set[str]) -> Factor:
     kept, table, exponent = _sum_product(net, keep)
     if isinstance(net, BayesianNetwork):
         return _in_range(kept, table, exponent)
+    if np.ndim(exponent):  # one exponent per entry: scale to the largest
+        table = np.ldexp(table, exponent - _wide_sum(table, exponent)[1])
     mass = float(table.sum())
     if mass == 0.0:
         raise DegenerateDistributionError(
@@ -421,8 +455,8 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
 
     Raises:
         TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``.
-        OutOfRangeError: if the largest entry overflows a double, or every
-            entry of a nonzero marginal underflows to zero.
+        OutOfRangeError: if the largest entry of a nonzero marginal is not
+            a normal double: it overflows, or falls below 2**-1022.
     """
     require_valid(net)
     unknown = set(vars) - set(net.graph.vertices)

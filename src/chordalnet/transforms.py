@@ -36,15 +36,21 @@ from fractions import Fraction
 import numpy as np
 
 from .factors import (
+    _NORMAL,
+    _TINY,
     Factor,
     Kernel,
     VariableTable,
     _adopt,
     _check_entries,
     _compact_product,
+    _log_sum,
+    _lows,
+    _shift,
     _spread,
-    _Table,
     _stochastic_rows,
+    _Table,
+    _wide_product,
     factor_marginalize,
     kernel_to_factor,
 )
@@ -61,7 +67,6 @@ from .networks import (
     MarkovNetwork,
     Network,
     OutOfRangeError,
-    _scaled_product,
     _tables,
     require_valid,
 )
@@ -75,9 +80,11 @@ class EliminationStep:
     parentless vertex whose scalar mass contributes to the partition
     constant directly.  ``lam`` is the mass as computed; the host's table
     was multiplied by ``lam * 2 ** -log2_scale``, exact since the scale is
-    a power of two: the one that brings the mass's maximum into [1, 2),
-    plus, at every 64th mass absorbed into one host, the one that then
-    brings the host's maximum into [1, 2).
+    a power of two picked by the one rule of :func:`factors._shift`: the
+    one that brings the mass's maximum into [1, 2), or a smaller one where
+    that would push its smallest nonzero entry below 2**-1022, plus, at
+    every 64th mass absorbed into one host, the one the rule picks for the
+    host's table.
     """
 
     vertex: str
@@ -155,16 +162,12 @@ def moralise_cn(cn: ChordalNetwork) -> MarkovNetwork:
 
 
 def _out_of_range(
-    v: str, tables: list[_Table], family: tuple[str, ...], vt: VariableTable
+    v: str, mantissa: np.ndarray, exponent: np.ndarray
 ) -> OutOfRangeError:
-    """The error for the table at ``v``, the product of ``tables`` over
-    ``family``, which leaves the range of a double.  Its ``log_mass``, the
-    natural log of that table's total mass, is read off the scaled product;
-    it is ``-inf`` when the exact product is zero and ``inf * 0`` hid it,
-    which the sweep reports as a degenerate network instead."""
-    table, exponent = _scaled_product(tables, vt, family)
-    total = float(np.broadcast_to(table, vt.shape(family)).sum())
-    log_mass = math.log(total) + exponent * math.log(2.0) if total else -math.inf
+    """The error for the table at ``v``, ``mantissa * 2**exponent`` from
+    :func:`factors._wide_product`, which leaves the range of a double; its
+    ``log_mass`` is the natural log of that table's total mass."""
+    log_mass = _log_sum(mantissa, exponent)
     return OutOfRangeError(
         f"table values must be finite and nonnegative: the table at vertex {v} "
         f"is outside the range of a double; the natural log of its total mass "
@@ -173,21 +176,16 @@ def _out_of_range(
     )
 
 
-def _wide_product(
-    tables: list[_Table], family: tuple[str, ...], vt: VariableTable
-) -> np.ndarray:
-    """The product of ``tables`` over ``family`` as :func:`_compact_product`
-    rounds it, but with a separate exponent per entry, so that no partial
-    product overflows or underflows; only the final entries are rounded to
-    the range of a double.  A nonzero mantissa product lies in [1/4, 1),
-    so an entry that ends as a normal double is rounded exactly as in a
-    double product with an unbounded exponent."""
-    mantissa, exponent = np.frexp(_spread(*tables[0], family, vt))
-    for table in tables[1:]:
-        m, e = np.frexp(_spread(*table, family, vt))
-        mantissa, shift = np.frexp(mantissa * m)
-        exponent = exponent + e + shift
-    return np.ldexp(mantissa, exponent)
+def _rounded(v: str, mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """The table at ``v``, ``mantissa * 2**exponent`` from
+    :func:`factors._wide_product`, rounded to doubles, or the error of
+    :func:`_out_of_range` when an entry overflows or a nonzero one rounds
+    to zero, so that no mass is lost without an error."""
+    table = np.ldexp(mantissa, exponent)
+    lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
+    if lost or not table.max() < math.inf:
+        raise _out_of_range(v, mantissa, exponent)
+    return table
 
 
 def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
@@ -204,9 +202,11 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
         TableTooLargeError: when a vertex's family table would exceed
             ``factors.MAX_TABLE_ENTRIES``; raised before any family table
             is built, and the error names the vertex.
-        OutOfRangeError: when the product of a vertex's factors overflows
-            a double; the error names the vertex.  A product that
-            overflows only part-way is rebuilt with an exponent per entry.
+        OutOfRangeError: when the product of a vertex's factors leaves
+            the range of a double (an entry overflows, or a nonzero one
+            rounds to zero); the error names the vertex.  A product that
+            may have left the normal range only part-way is rebuilt with
+            an exponent per entry.
     """
     require_valid(mn)
     return _triangulate(_tables(mn), mn.vt, triangulate_graph(mn.graph), ChordalNetwork)
@@ -228,6 +228,11 @@ def _triangulate(
     for table in tables:
         # Table variables follow the declared order: the last is the maximum.
         consumed[table[0][-1]].append(table)
+    # Where two or more tables meet, every nonzero partial product of theirs
+    # is at least 2**bound[v].
+    shared = {v: ts for v, ts in consumed.items() if len(ts) > 1}
+    lows = iter(_lows([values for ts in shared.values() for _, values in ts]))
+    bound = {v: sum(min(next(lows), 0) for _ in ts) for v, ts in shared.items()}
 
     stochastic = kind is BayesianNetwork
     kernels: dict[str, Kernel] = {}
@@ -236,13 +241,11 @@ def _triangulate(
         for (v, family), shape in zip(families, shapes):
             tables = consumed[v]
             acc = _compact_product(tables, family, vt)
-            # A single valid table is in range, so only a product needs a check.
-            if len(tables) > 1 and not acc.max() < math.inf:  # NaN fails too
-                # Overflowed part-way, perhaps with inf * 0: the exact product
-                # may still fit.
-                acc = _wide_product(tables, family, vt)
-                if not acc.max() < math.inf:
-                    raise _out_of_range(v, tables, family, vt)
+            # A single valid table is in range, so only a product needs a
+            # check: its maximum shows an overflow (NaN from inf * 0 too),
+            # and the tables' bounds rule out an underflow part-way.
+            if len(tables) > 1 and not (acc.max() < math.inf and bound[v] >= _NORMAL):
+                acc = _rounded(v, *_wide_product(tables, family, vt))
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)
             if not fresh:
@@ -265,11 +268,14 @@ def variable_elimination(
     uniform fill on zero columns; the mass is multiplied into the largest
     parent's working table, which ordered chordality guarantees can host
     it.  The absorbed copy, and at every 64th absorption the host, are
-    rescaled by a power of two, so that neither a long network nor a host
-    with many children overflows or underflows; the kernels are unchanged
-    because normalization cancels the scale exactly.  Scalar masses at
-    parentless vertices, with the recorded scales, make up the partition
-    constant, divided out implicitly by the normalizations.
+    divided by the power of two of :func:`factors._shift` (target [1, 2)),
+    so that neither a long network nor a host with many children
+    overflows or underflows; the kernels are unchanged because
+    normalization cancels the scale exactly.  Scalar masses at parentless
+    vertices, with the recorded scales, make up the partition constant,
+    divided out implicitly by the normalizations.  A mass whose maximum is
+    not in (0, inf) sends its working table to the exact product, which
+    raises one of the errors below or lets the sweep go on exactly.
 
     The sweep works on plain arrays: parents precede the child, so each
     kernel's flat layout is already that of its family table, and a mass
@@ -282,14 +288,15 @@ def variable_elimination(
     ``(vertex, mass, absorbed_into, log2_scale)`` steps.
 
     Raises:
-        DegenerateDistributionError: when some vertex's mass table is
-            identically zero, which happens exactly when the kernel
-            product has zero total mass; the error names the first such
-            vertex in processing order.
-        OutOfRangeError: when a working table leaves the range of a
-            double; a :class:`ValueError` whose message names the vertex
-            and whose ``log_mass`` is the natural log of that table's
-            total mass.
+        DegenerateDistributionError: when some vertex's exact working
+            table is zero, which happens exactly when the kernel product
+            has zero total mass; the error names the first such vertex in
+            processing order.
+        OutOfRangeError: when a working table, exactly, leaves the range
+            of a double (an entry or its mass overflows, or a nonzero entry
+            rounds to zero); a :class:`ValueError` whose message names the
+            vertex and whose ``log_mass`` is the natural log of that
+            table's total mass.
     """
     require_valid(cn)
     bn, steps = _eliminate(cn)
@@ -308,39 +315,30 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     kernels: dict[str, Kernel] = {}
     steps: list[tuple] = []
     absorbed = dict.fromkeys(graph.vertices, 0)
-    # An overflow in a host's table, or inf * 0 after one, is caught by the
-    # check of the host's mass below; 0/0 by the normaliser's zero test.
+    # An overflow in a host's table, inf * 0 after one, or an underflow to
+    # zero is caught by the check of the host's mass below; 0/0 by the
+    # normaliser's zero test.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for v in reversed(graph.vertices):
             parents = graph.parents_of(v)
-            rows, mass = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
+            rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
             # Working entries are >= 0, inf or NaN: a finite row sum proves
             # its row finite, and NaN, which max propagates, fails the test.
             peak = mass.max()
-            if not peak < math.inf:
-                error = _out_of_range(v, _working_tables(cn, v, steps), parents + (v,), vt)
-                if error.log_mass > -math.inf:  # else inf * 0 hid a zero table
-                    raise error
-                peak = 0.0
+            if not 0 < peak < math.inf:
+                rows, mass, least, peak = _exact_rows(cn, v, steps)
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
-            # The mass is finite and nonnegative, so it is identically zero
-            # exactly when its maximum is not positive.
-            if not peak > 0:
-                raise DegenerateDistributionError(
-                    f"degenerate network: the mass table at vertex {v} is "
-                    "identically zero",
-                    vertex=v,
-                )
             host, shift = None, 0
             if parents:
                 host = parents[-1]
-                shift = math.frexp(peak)[1] - 1
+                low = math.frexp(least)[1] - 1 if least > 0 else _TINY
+                shift = _shift(peak, low, 1, mass)
                 family = graph.parents_of(host) + (host,)
                 spread = _spread(parents, np.ldexp(mass, -shift), family, vt)
                 table = working[host].reshape(vt.shape(family)) * spread
                 absorbed[host] += 1
                 if absorbed[host] % 64 == 0:
-                    rescale = math.frexp(table.max())[1] - 1
+                    rescale = _shift(table.max(), _TINY, 1, table)
                     np.ldexp(table, -rescale, out=table)
                     shift += rescale
                 working[host] = table
@@ -348,16 +346,29 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     return BayesianNetwork(graph, vt, kernels), steps
 
 
-def _working_tables(cn: ChordalNetwork, v: str, steps: list[tuple]) -> list[_Table]:
-    """The tables whose product was ``v``'s working table in the sweep: its
-    kernel and the scaled masses absorbed into it."""
-    kernel = cn.kernels[v]
-    absorbed = [
-        (parents, np.ldexp(mass, -shift))
-        for _, parents, mass, host, shift in steps
-        if host == v
-    ]
-    return [(kernel.parents + (v,), kernel.values), *absorbed]
+def _exact_rows(
+    cn: ChordalNetwork, v: str, steps: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``v``'s working table in the sweep, rebuilt by the exact product of
+    its kernel and the masses absorbed into it, and split as the sweep
+    splits it; or the error of a zero table, or of one or a mass out of
+    the range of a double."""
+    vt, kernel = cn.vt, cn.kernels[v]
+    family = kernel.parents + (v,)
+    tables = [(family, kernel.values)]
+    tables += [(ps, mass, -shift) for _, ps, mass, host, shift in steps if host == v]
+    mantissa, exponent = _wide_product(tables, family, vt)
+    if not mantissa.any():
+        raise DegenerateDistributionError(
+            f"degenerate network: the mass table at vertex {v} is identically zero",
+            vertex=v,
+        )
+    table = _rounded(v, mantissa, exponent)
+    rows, mass, least = _stochastic_rows(table.reshape(-1, vt.card(v)))
+    peak = mass.max()
+    if not peak < math.inf:
+        raise _out_of_range(v, mantissa, exponent)
+    return rows, mass, least, peak
 
 
 def _family_marginals(bn: BayesianNetwork) -> dict[str, np.ndarray]:

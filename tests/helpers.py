@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 
@@ -692,6 +693,66 @@ def mixed_chain_mn(rng: np.random.Generator, n: int) -> MarkovNetwork:
         for p in pairs
     }
     return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
+
+
+def wide_range_mn() -> MarkovNetwork:
+    """Binary Y - X, declared in that order, whose tables each span more than
+    a double's range from one power of two: {Y} = (1e-300, 1e100) and
+    {Y, X} = (1e200, 1e200, 1e-200, 1e-200).  Every joint entry is 1e-100,
+    so Z = 4e-100 and Y is uniform.
+    ``tests/fixtures/wide_range.json`` is ``dumps_network(wide_range_mn())``."""
+    vt = VariableTable((("Y", ("0", "1")), ("X", ("0", "1"))))
+    factors = {
+        frozenset("Y"): Factor(("Y",), [1e-300, 1e100]),
+        frozenset("YX"): Factor(("Y", "X"), [1e200, 1e200, 1e-200, 1e-200]),
+    }
+    return MarkovNetwork(OrderedUGraph(("Y", "X"), {frozenset("YX")}), vt, factors)
+
+
+def wide_random_mn(rng: np.random.Generator) -> MarkovNetwork:
+    """2 to 4 variables of 2 or 3 states, each pair joined with probability
+    1/2, drawn in sorted pair order; one factor on every vertex and edge,
+    entries 10**U(-300, 300), about 15% of them zero."""
+    n = int(rng.integers(2, 5))
+    names = tuple(f"V{i}" for i in range(n))
+    vt = random_vt(rng, names, 3)
+    pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1 :]]
+    graph = OrderedUGraph(names, {frozenset(p) for p in pairs if rng.random() < 0.5})
+    factors = {}
+    for clique in all_cliques(graph):
+        if len(clique) > 2:
+            continue
+        size = math.prod(vt.shape(clique))
+        values = 10.0 ** rng.uniform(-300, 300, size)
+        values[rng.random(size) < 0.15] = 0.0
+        factors[frozenset(clique)] = Factor(clique, values)
+    return MarkovNetwork(graph, vt, factors)
+
+
+def exact_mn_marginal(mn: MarkovNetwork, keep=()) -> list[Fraction]:
+    """The marginal of a Markov network's factor product onto ``keep``, in
+    declared order with the last variable fastest, in rational arithmetic:
+    every double converts to a ``Fraction`` exactly and nothing rounds."""
+    names = mn.graph.vertices
+    pos = {v: i for i, v in enumerate(names)}
+    kept = [v for v in names if v in keep]
+    tables = [
+        (sorted(clique, key=pos.get), [Fraction(x) for x in f.values.tolist()])
+        for clique, f in mn.factors.items()
+    ]
+    out = [Fraction(0)] * math.prod(mn.vt.card(v) for v in kept)
+    for a in index_assignments(mn.vt, names):
+        term = Fraction(1)
+        for members, values in tables:
+            flat = 0
+            for v in members:
+                flat = flat * mn.vt.card(v) + a[v]
+            term *= values[flat]
+        at = 0
+        for v in kept:
+            at = at * mn.vt.card(v) + a[v]
+        out[at] += term
+    return out
 
 
 def chain_bn(rng: np.random.Generator, n: int) -> BayesianNetwork:

@@ -109,6 +109,7 @@ class TestTransforms:
         [
             ("tr", "misconception"),
             ("tr", "chain"),
+            ("tr", "wide_range"),
             ("triangulate", "misconception"),
             ("moralise", "bear"),
             ("trmor", "bear"),
@@ -183,6 +184,12 @@ class TestReports:
         code, text, _ = run(capsys, "partition", misconception_path)
         assert code == 0
         assert text.strip() == "7201840"
+
+    def test_partition_of_tables_wider_than_a_double(self, capsys, fixtures_dir):
+        # Each table of wide_range.json spans 1e400; Z is 4e-100.
+        code, text, _ = run(capsys, "partition", str(fixtures_dir / "wide_range.json"))
+        assert code == 0
+        assert text == "4.0000000000000001e-100\n"
 
     def test_marginal_normalized_for_bayesian(self, capsys, tmp_path, bear_path):
         code, text, _ = run(capsys, "marginal", bear_path, "--vars", "B,E")

@@ -1,7 +1,11 @@
 """Network types: validation, joints, partition function, degeneracy."""
 
 import copy
+import math
 import pickle
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from helpers import (
     all_cliques,
     chain_bn,
     chain_mn,
+    exact_mn_marginal,
     misconception_assignments,
     misconception_product,
     oracle_bn_joint,
@@ -54,6 +59,8 @@ from helpers import (
     random_cn,
     random_mn,
     reference_sum_product,
+    wide_random_mn,
+    wide_range_mn,
 )
 
 
@@ -318,10 +325,10 @@ class TestSumProduct:
     def test_products_stay_within_families(self, monkeypatch):
         # The full joint of a 20-variable binary chain has 2**20 entries;
         # elimination multiplies at most a pair factor, a message and the
-        # kept variables, 8 entries here.  Every product is multiplied on
-        # arrays in _scaled_product; factor_product is watched as well.
+        # kept variables, 8 entries here.  Every bucket product is multiplied
+        # on arrays by _compact_product, or by _wide_product when a partial
+        # product may leave the normal range; factor_product is watched as well.
         original = chordalnet.factors.factor_product
-        original_bucket = chordalnet.networks._scaled_product
         sizes = []
 
         def spy(a, b, vt):
@@ -329,13 +336,18 @@ class TestSumProduct:
             sizes.append(out.values.size)
             return out
 
-        def bucket_spy(factors, vt, vars):
-            table, exponent = original_bucket(factors, vt, vars)
-            sizes.append(table.size)
-            return table, exponent
+        def bucket_spy(build):
+            def spied(tables, onto, vt):
+                out = build(tables, onto, vt)
+                sizes.append(np.size(out[0] if isinstance(out, tuple) else out))
+                return out
+
+            return spied
 
         monkeypatch.setattr(chordalnet.factors, "factor_product", spy)
-        monkeypatch.setattr(chordalnet.networks, "_scaled_product", bucket_spy)
+        for name in ("_compact_product", "_wide_product"):
+            build = getattr(chordalnet.networks, name)
+            monkeypatch.setattr(chordalnet.networks, name, bucket_spy(build))
         rng = np.random.default_rng(20)
         mn, bn = chain_mn(rng, 20), chain_bn(rng, 20)
         mn_partition(mn)
@@ -404,6 +416,78 @@ class TestResultOutsideDoubleRange:
         assert marginal_distribution(mn, ["c"]).values.tolist() == [1.0, 1.0]
 
 
+def a_c_b_mn(c_values) -> MarkovNetwork:
+    """A - C - B with {A, C} = {B, C} = (1e200, 1, 1e200, 1) and {C} as given:
+    the product of the pair factors alone overflows where C = 0."""
+    vt = binary_vt("A", "B", "C")
+    graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+    factors = {
+        frozenset("C"): Factor(("C",), c_values),
+        frozenset("AC"): Factor(("A", "C"), [1e200, 1.0, 1e200, 1.0]),
+        frozenset("BC"): Factor(("B", "C"), [1e200, 1.0, 1e200, 1.0]),
+    }
+    return MarkovNetwork(graph, vt, factors)
+
+
+class TestRangeExact:
+    """Tables whose entries span more than one power of two can bring into
+    the range of a double lose no mass in either engine: sum-product
+    (``mn_partition``, ``marginal_distribution``) and the sweep
+    (``variable_elimination``, ``mn_to_bn``)."""
+
+    def test_wide_single_tables(self):
+        # Every joint entry is 1e-100; each table alone spans 1e400.
+        mn = wide_range_mn()
+        assert mn_partition(mn) == pytest.approx(4e-100, rel=1e-12)
+        np.testing.assert_allclose(
+            marginal_distribution(mn, ["Y"]).values, [2e-100] * 2, rtol=1e-12
+        )
+        joint = network_distribution(mn).values
+        np.testing.assert_allclose(joint, [0.25] * 4, rtol=1e-12)
+        _, trace = variable_elimination(triangulate_mn(mn))
+        assert trace.partition_mass() == pytest.approx(4e-100, rel=1e-12)
+        kernel = mn_to_bn(mn).kernels["Y"].values
+        np.testing.assert_allclose(kernel, [0.5, 0.5], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "c_values, z", [([0.0, 1.0], 4.0), ([1e-300, 1e100], 8e100)], ids=["R2", "R3"]
+    )
+    def test_product_out_of_range_inside_one_bucket(self, c_values, z):
+        mn = a_c_b_mn(c_values)
+        assert mn_partition(mn) == pytest.approx(z, rel=1e-12)
+        _, trace = variable_elimination(triangulate_mn(mn))
+        assert trace.partition_mass() == pytest.approx(z, rel=1e-12)
+
+    def test_wide_networks_against_the_exact_oracle(self):
+        # Z is exact in rational arithmetic.  Sum-product answers it within
+        # 1e-12, or, out of range, raises with log Z; the sweep may also
+        # raise OutOfRangeError, but calls a network degenerate only when
+        # its Z is 0.
+        rng = np.random.default_rng(17)
+        smallest, largest = Fraction(2) ** -1022, Fraction(sys.float_info.max)
+        kinds = Counter()
+        for _ in range(300):
+            mn = wide_random_mn(rng)
+            z = sum(exact_mn_marginal(mn))
+            if z == 0 or smallest <= z <= largest:
+                kinds["in range"] += 1
+                assert mn_partition(mn) == pytest.approx(float(z), rel=1e-12)
+            else:
+                kinds["out of range"] += 1
+                with pytest.raises(OutOfRangeError) as info:
+                    mn_partition(mn)
+                log_z = math.log(z.numerator) - math.log(z.denominator)
+                assert info.value.log_mass == pytest.approx(log_z, rel=1e-12)
+            try:
+                variable_elimination(triangulate_mn(mn))
+            except DegenerateDistributionError:
+                assert z == 0
+                kinds["degenerate"] += 1
+            except OutOfRangeError:
+                pass
+        assert all(kinds[k] for k in ("in range", "out of range", "degenerate")), kinds
+
+
 class TestSumProductOnArrays:
     """The sweep on plain arrays against the sweep on ``Factor`` objects."""
 
@@ -440,9 +524,11 @@ class TestSumProductOnArrays:
         for keep in (set(), {"c"}, {"l7"}):
             self.assert_bit_identical(net, keep)
 
-    def test_subnormal_entries_round_as_in_the_factor_sweep(self):
-        # A rescale by a power of two rounds subnormal entries, so a skipped
-        # or extra rescale shows in the last bits of these tables.
+    def test_subnormal_entries_match_the_exact_oracle(self):
+        # A rescale by a power of two would round subnormal entries, and a
+        # product of two of them underflows: neither may lose mass.  An
+        # entry below the normal range is compared at the double's own
+        # resolution there, 2**-1074.
         names = ("x0", "x1", "x2")
         vt = VariableTable(tuple((v, ("0", "1", "2")) for v in names))
         pairs = [("x0", "x1"), ("x1", "x2")]
@@ -452,8 +538,11 @@ class TestSumProductOnArrays:
             tiny = rng.integers(1, 8, size=(2, 9)) * 5e-324
             values = np.where(rng.random((2, 9)) < 0.5, tiny, rng.uniform(1, 3, (2, 9)))
             factors = {frozenset(p): Factor(p, v) for p, v in zip(pairs, values)}
-            for keep in (set(), {"x0"}):
-                self.assert_bit_identical(MarkovNetwork(graph, vt, factors), keep)
+            mn = MarkovNetwork(graph, vt, factors)
+            for keep in ([], ["x0"]):
+                exact = [float(x) for x in exact_mn_marginal(mn, keep)]
+                got = marginal_distribution(mn, keep).values
+                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=2**-1074)
 
     @pytest.mark.parametrize("low, high", [(1.0, 3.0), (0.01, 0.1)])
     def test_chains_whose_mass_leaves_double_range(self, low, high):

@@ -34,6 +34,7 @@ from helpers import (
     random_mn,
     reference_dumps,
     wide_document,
+    wide_range_mn,
 )
 
 
@@ -552,3 +553,8 @@ def test_cliques_missing_from_the_graph_are_listed_in_sorted_order(fixtures_dir)
 def test_chain_fixture_is_the_helpers_chain(fixtures_dir):
     text = (fixtures_dir / "chain.json").read_text()
     assert dumps_network(mixed_chain_mn(np.random.default_rng(40), 40)) == text
+
+
+def test_wide_range_fixture_is_the_helpers_network(fixtures_dir):
+    text = (fixtures_dir / "wide_range.json").read_text()
+    assert dumps_network(wide_range_mn()) == text
