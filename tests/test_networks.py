@@ -431,9 +431,10 @@ def a_c_b_mn(c_values) -> MarkovNetwork:
 
 class TestRangeExact:
     """Tables whose entries span more than one power of two can bring into
-    the range of a double lose no mass in either engine: sum-product
-    (``mn_partition``, ``marginal_distribution``) and the sweep
-    (``variable_elimination``, ``mn_to_bn``)."""
+    the range of a double: sum-product (``mn_partition``,
+    ``marginal_distribution``) loses no mass on them, and the sweep
+    (``variable_elimination``, ``mn_to_bn``) answers R1-R3 and calls a
+    network degenerate only when its Z is 0."""
 
     def test_wide_single_tables(self):
         # Every joint entry is 1e-100; each table alone spans 1e400.
