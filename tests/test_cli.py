@@ -1,5 +1,6 @@
 """Command line behaviour: transforms, reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -505,3 +506,59 @@ class TestCheckAndExitCodes:
         code, text, err = run(capsys, "tr", "-")
         assert code == 2 and text == ""
         assert len(err.splitlines()) == 1 and err.startswith("invalid JSON")
+
+
+# Each subcommand in parser order: its help line, then each argument as
+# (dest, option strings, required, default, help), after -h.
+_INPUT = ("input", (), True, None, None)
+_TRANSFORM_ARGS = [
+    ("input", (), True, None, "input document path, or - for stdin"),
+    ("output", ("-o", "--output"), False, None, "output path, or - for stdout"),
+]
+_SEPARATION_ARGS = [
+    _INPUT,
+    ("x", ("--x",), True, None, None),
+    ("y", ("--y",), True, None, None),
+    ("given", ("--given",), False, "", None),
+]
+PARSER_TABLE = [
+    ("moralise", "bayesian -> markov on the moral graph", _TRANSFORM_ARGS),
+    ("triangulate", "markov -> chordal on the triangulated graph", _TRANSFORM_ARGS),
+    ("ve", "chordal -> bayesian by variable elimination", _TRANSFORM_ARGS),
+    ("tr", "markov -> bayesian (triangulate then eliminate)", _TRANSFORM_ARGS),
+    (
+        "trmor",
+        "bayesian -> bayesian over the triangulated moral graph",
+        _TRANSFORM_ARGS,
+    ),
+    ("joint", "print the full joint / unnormalized table", [_INPUT]),
+    (
+        "marginal",
+        "print a marginal, summing the other variables out by elimination",
+        [_INPUT, ("vars", ("--vars",), True, None, "comma-separated variable names")],
+    ),
+    ("partition", "print the total mass Z", [_INPUT]),
+    ("jtree", "print the junction tree of a chordal-graph document", [_INPUT]),
+    ("dsep", "directed separation query", _SEPARATION_ARGS),
+    ("usep", "undirected separation query", _SEPARATION_ARGS),
+    ("check", "validate a document; exit 0 iff it passes", [_INPUT]),
+]
+
+
+class TestParser:
+    def test_every_subcommand_and_its_arguments(self):
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        helps = {c.dest: c.help for c in sub._choices_actions}
+        seen = []
+        for name, parser in sub.choices.items():
+            help_action, *actions = parser._actions
+            assert help_action.option_strings == ["-h", "--help"]
+            args = [
+                (a.dest, tuple(a.option_strings), a.required, a.default, a.help)
+                for a in actions
+            ]
+            seen.append((name, helps[name], args))
+        assert seen == PARSER_TABLE
