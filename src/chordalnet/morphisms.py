@@ -37,10 +37,10 @@ from .factors import (
     VariableTable,
     _adopt,
     _check_entries,
+    _lows,
     _product,
     _stochastic_rows,
     _Table,
-    _wide_product,
 )
 from .graphs import (
     GraphHom,
@@ -62,7 +62,7 @@ from .networks import (
     network_distribution,
     require_valid,
 )
-from .transforms import _eliminate, _family_marginals, _out_of_range, _triangulate
+from .transforms import _eliminate, _family_marginals, _kept, _triangulate
 
 STOCHASTIC_TOL = 1e-9
 PRESERVATION_TOL = 1e-9
@@ -142,9 +142,7 @@ def morphism_violations(
         if mat is None:
             out.append(f"eta is missing a component for vertex {v}")
             continue
-        rows = 1
-        for w in m.alpha.preimage(v):
-            rows *= tgt.vt.card(w)
+        rows = math.prod(tgt.vt.shape(m.alpha.preimage(v)))
         if mat.shape != (rows, src.vt.card(v)):
             out.append(
                 f"eta[{v}] has shape {mat.shape}, expected ({rows}, {src.vt.card(v)})"
@@ -223,6 +221,18 @@ def _product_states(vt: VariableTable, vertices: tuple[str, ...]) -> tuple[str, 
     )
 
 
+def _kept_product(
+    where: str, tables: list[_Table], onto: tuple[str, ...], vt: VariableTable
+) -> np.ndarray:
+    """The cap check, then :func:`transforms._kept` of ``tables``, bounded
+    by their :func:`factors._lows`, broadcast to the shape of ``onto``: a
+    read-only view, so the table built from it makes the only copy."""
+    _check_entries(vt.shape(onto))
+    bound = sum(min(low, 0) for low in _lows([values for _, values in tables]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.broadcast_to(_kept(where, tables, onto, vt, bound), vt.shape(onto))
+
+
 def _regrouped_kernels(
     src_graph: OrderedDag,
     tgt: BayesianNetwork | ChordalNetwork,
@@ -236,7 +246,10 @@ def _regrouped_kernels(
     preimages of the source parents, and unused inputs are broadcast.
     Because alpha preserves order, the flat layout over the concatenated
     preimages coincides with the target's canonical layout, so no
-    transposition is needed.
+    transposition is needed.  A stochastic kernel's entries are at most 1,
+    so a product that rounds to zero is below every double and zero is
+    its correct rounding; a chordal target's kernels take the checked
+    product.
     """
     stochastic = all(k.stochastic for k in tgt.kernels.values())
     kernels: dict[str, Kernel] = {}
@@ -245,7 +258,11 @@ def _regrouped_kernels(
         pa_src = src_graph.parents_of(v)
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
         tables = [(tgt.kernels[w].parents + (w,), tgt.kernels[w].values) for w in group]
-        values = _product(tables, input_block + group, tgt.vt)
+        onto = input_block + group
+        if stochastic:
+            values = _product(tables, onto, tgt.vt)
+        else:
+            values = _kept_product(f"vertex {v}", tables, onto, tgt.vt)
         kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
 
@@ -255,7 +272,8 @@ def _regrouped_factors(
     tgt: MarkovNetwork,
     alpha: GraphHom,
 ) -> dict[frozenset[str], Factor]:
-    """Target clique factors bundled onto their image cliques."""
+    """Target clique factors bundled onto their image cliques, each by the
+    checked product."""
     groups: dict[frozenset[str], list[_Table]] = {}
     for t in _tables(tgt):
         groups.setdefault(frozenset(alpha.vertex_map[w] for w in t[0]), []).append(t)
@@ -264,7 +282,8 @@ def _regrouped_factors(
     for image, tables in groups.items():
         members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
-        out[frozenset(members)] = Factor(members, _product(tables, axes, tgt.vt))
+        values = _kept_product(f"clique {list(members)}", tables, axes, tgt.vt)
+        out[frozenset(members)] = Factor(members, values)
     return out
 
 
@@ -284,6 +303,9 @@ def decompose_morphism(
         ValueError: if ``m`` is not a morphism from ``src`` to ``tgt``.
         TableTooLargeError: if a network distribution that the validation
             of ``m`` needs, or a regrouped table, exceeds the table cap.
+        OutOfRangeError: if a regrouped Markov factor or chordal kernel
+            leaves the range of a double (an entry overflows, or a nonzero
+            one rounds to zero); the error names the clique or vertex.
     """
     violations = morphism_violations(m, src, tgt)
     if violations:
@@ -406,8 +428,9 @@ def pearl_update(
         DegenerateDistributionError: if the update annihilates the joint.
         TableTooLargeError: if a family table of the triangulation would
             exceed ``factors.MAX_TABLE_ENTRIES``; the error names the vertex.
-        OutOfRangeError: if a weighted table overflows a double; the error
-            names the vertex.
+        OutOfRangeError: if a weighted singleton factor leaves the range
+            of a double (an entry overflows, or a nonzero one rounds to
+            zero); the error names the vertex.
         ValueError: if a directed graph's posterior does not factor over it
             (possible for colliders under evidence), or on malformed
             update data.
@@ -428,7 +451,8 @@ def pearl_update(
                 vertex=v,
             )
 
-    # Relabelled copies of valid tables and checked weights need no check.
+    # Relabelled copies of valid tables need no check; the weights join the
+    # singleton factors by the triangulation's checked product.
     orders = {v: np.argsort(sigma) for v, sigma in sigmas.items()}
     factors: dict[frozenset[str], Factor] = {}
     for vars, values in _tables(net):
@@ -440,15 +464,11 @@ def pearl_update(
         w = weights[v][orders[v]]
         if (w == 1.0).all():
             continue
-        key, values = frozenset({v}), w
+        key, tables = frozenset({v}), [((v,), w)]
         if key in factors:
-            base = factors[key].values
-            with np.errstate(over="ignore"):
-                values = base * w
-            if not values.max() < math.inf:
-                tables = [((v,), base), ((v,), w)]
-                raise _out_of_range(v, *_wide_product(tables, (v,), net.vt))
-        factors[key] = _adopt(Factor, values, vars=(v,))
+            tables.insert(0, ((v,), factors[key].values))
+        values = _kept_product(f"vertex {v}", tables, (v,), net.vt)
+        factors[key] = Factor((v,), values)
     graph = moralise_graph(net.graph) if isinstance(net, BayesianNetwork) else net.graph
     if not isinstance(net, ChordalNetwork):  # a chordal graph is its own triangulation
         graph = triangulate_graph(graph)

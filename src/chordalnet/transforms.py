@@ -162,29 +162,51 @@ def moralise_cn(cn: ChordalNetwork) -> MarkovNetwork:
 
 
 def _out_of_range(
-    v: str, mantissa: np.ndarray, exponent: np.ndarray
+    where: str, mantissa: np.ndarray, exponent: np.ndarray
 ) -> OutOfRangeError:
-    """The error for the table at ``v``, ``mantissa * 2**exponent`` from
+    """The error for the table at ``where``, ``mantissa * 2**exponent`` from
     :func:`factors._wide_product`, which leaves the range of a double; its
     ``log_mass`` is the natural log of that table's total mass."""
     log_mass = _log_sum(mantissa, exponent)
     return OutOfRangeError(
-        f"table values must be finite and nonnegative: the table at vertex {v} "
+        f"table values must be finite and nonnegative: the table at {where} "
         f"is outside the range of a double; the natural log of its total mass "
         f"is {log_mass:.17g}",
         log_mass,
     )
 
 
-def _rounded(v: str, mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """The table at ``v``, ``mantissa * 2**exponent`` from
-    :func:`factors._wide_product`, rounded to doubles, or the error of
-    :func:`_out_of_range` when an entry overflows or a nonzero one rounds
-    to zero, so that no mass is lost without an error."""
+def _kept(
+    where: str,
+    tables: list[tuple],
+    onto: tuple[str, ...],
+    vt: VariableTable,
+    bound: float,
+) -> np.ndarray | float:
+    """The product of ``tables`` over ``onto``, as :func:`factors._compact_product`
+    gives it, for an unnormalised table that the package keeps (a Markov
+    factor, a chordal kernel) and later divides by its total.
+
+    A single valid table is in range.  A product is kept as multiplied
+    where ``bound``, a power of two that every nonzero partial product
+    reaches, rules out an underflow part-way and its maximum rules out an
+    overflow (NaN from inf * 0 too).  Otherwise it is rebuilt by
+    :func:`factors._wide_product`, whose optional third item per table (a
+    scale) needs ``bound`` -inf, and rounded; when an entry overflows or a
+    nonzero one rounds to zero, the error of :func:`_out_of_range` at
+    ``where`` is raised, so that no mass is lost without an error.  The
+    caller holds an ``np.errstate`` in which overflow and inf * 0 do not
+    warn.
+    """
+    if len(tables) < 2 or bound >= _NORMAL:
+        acc = _compact_product(tables, onto, vt)
+        if len(tables) < 2 or acc.max() < math.inf:
+            return acc
+    mantissa, exponent = _wide_product(tables, onto, vt)
     table = np.ldexp(mantissa, exponent)
     lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
     if lost or not table.max() < math.inf:
-        raise _out_of_range(v, mantissa, exponent)
+        raise _out_of_range(where, mantissa, exponent)
     return table
 
 
@@ -240,12 +262,7 @@ def _triangulate(
     with np.errstate(over="ignore", invalid="ignore"):
         for (v, family), shape in zip(families, shapes):
             tables = consumed[v]
-            acc = _compact_product(tables, family, vt)
-            # A single valid table is in range, so only a product needs a
-            # check: its maximum shows an overflow (NaN from inf * 0 too),
-            # and the tables' bounds rule out an underflow part-way.
-            if len(tables) > 1 and not (acc.max() < math.inf and bound[v] >= _NORMAL):
-                acc = _rounded(v, *_wide_product(tables, family, vt))
+            acc = _kept(f"vertex {v}", tables, family, vt, bound.get(v, 0))
             fresh = len(tables) > 1 and np.shape(acc) == shape
             values = acc if fresh else np.empty(shape)
             if not fresh:
@@ -314,7 +331,8 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[tuple] = []
-    absorbed = dict.fromkeys(graph.vertices, 0)
+    # Each host's absorbed masses, with the power of two each was divided by.
+    absorbed: dict[str, list[tuple]] = {v: [] for v in graph.vertices}
     # An overflow in a host's table, inf * 0 after one, or an underflow to
     # zero is caught by the check of the host's mass below; 0/0 by the
     # normaliser's zero test.
@@ -326,7 +344,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
             # its row finite, and NaN, which max propagates, fails the test.
             peak = mass.max()
             if not 0 < peak < math.inf:
-                rows, mass, least, peak = _exact_rows(cn, v, steps)
+                rows, mass, least, peak = _exact_rows(cn, v, absorbed.pop(v))
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
             host, shift = None, 0
             if parents:
@@ -336,38 +354,37 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 family = graph.parents_of(host) + (host,)
                 spread = _spread(parents, np.ldexp(mass, -shift), family, vt)
                 table = working[host].reshape(vt.shape(family)) * spread
-                absorbed[host] += 1
-                if absorbed[host] % 64 == 0:
+                if len(absorbed[host]) % 64 == 63:
                     rescale = _shift(table.max(), _TINY, 1, table)
                     np.ldexp(table, -rescale, out=table)
                     shift += rescale
                 working[host] = table
+                absorbed[host].append((parents, mass, -shift))
             steps.append((v, parents, mass, host, shift))
     return BayesianNetwork(graph, vt, kernels), steps
 
 
 def _exact_rows(
-    cn: ChordalNetwork, v: str, steps: list[tuple]
+    cn: ChordalNetwork, v: str, masses: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``v``'s working table in the sweep, rebuilt by the exact product of
-    its kernel and the masses absorbed into it, and split as the sweep
-    splits it; or the error of a zero table, or of one or a mass out of
-    the range of a double."""
+    its kernel and ``masses``, the masses absorbed into it with their
+    scales, and split as the sweep splits it; or the error of a zero
+    table, or of one or a mass out of the range of a double."""
     vt, kernel = cn.vt, cn.kernels[v]
     family = kernel.parents + (v,)
-    tables = [(family, kernel.values)]
-    tables += [(ps, mass, -shift) for _, ps, mass, host, shift in steps if host == v]
-    mantissa, exponent = _wide_product(tables, family, vt)
-    if not mantissa.any():
+    tables = [(family, kernel.values), *masses]
+    # The sweep's own product failed, so no bound is known.
+    table = _kept(f"vertex {v}", tables, family, vt, -math.inf)
+    if not table.any():
         raise DegenerateDistributionError(
             f"degenerate network: the mass table at vertex {v} is identically zero",
             vertex=v,
         )
-    table = _rounded(v, mantissa, exponent)
     rows, mass, least = _stochastic_rows(table.reshape(-1, vt.card(v)))
     peak = mass.max()
     if not peak < math.inf:
-        raise _out_of_range(v, mantissa, exponent)
+        raise _out_of_range(f"vertex {v}", *_wide_product(tables, family, vt))
     return rows, mass, least, peak
 
 

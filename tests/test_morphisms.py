@@ -10,6 +10,7 @@ update witnesses) plus hand-made contractions.
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,6 +456,74 @@ def random_contraction(rng, tgt):
         src = OrderedDag(tuple(names), pairs)
     return src, GraphHom(tgt.graph, src, vertex_map)
 
+
+def exact_log(x: Fraction) -> float:
+    """The natural log of a positive rational, also outside double range."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def binary_pair_mn(factors: dict[str, list[float]]) -> MarkovNetwork:
+    """The binary Markov network A - B with factors keyed "A", "B", "AB"."""
+    graph = OrderedUGraph(("A", "B"), {frozenset("AB")})
+    tables = {frozenset(k): Factor(tuple(k), v) for k, v in factors.items()}
+    return MarkovNetwork(graph, binary_vt("A", "B"), tables)
+
+
+class TestCheckedProducts:
+    """Every unnormalised table that pearl_update and decompose_morphism
+    keep is the triangulation's checked product: an entry that overflows
+    or a nonzero one that rounds to zero raises OutOfRangeError naming the
+    table, with the exact natural log of its total mass."""
+
+    @pytest.mark.parametrize(
+        "a_values, weight",
+        [([1e-200, 1.0], [1e-200, 1e-300]), ([1e-200, 1e-200], [1e-200, 1e-200])],
+        ids=["one-entry-lost", "every-entry-lost"],
+    )
+    def test_weighted_singleton_factor(self, a_values, weight):
+        # Multiplied directly, the first weighted {A} is [0, 1e-300], which
+        # drops P(a0, b0) = 1.4e-101; the second is all zero, a false
+        # "update annihilates the joint" where the posterior is
+        # [0.1, 0.2, 0.3, 0.4].
+        mn = binary_pair_mn({"A": a_values, "AB": [1, 2, 3, 4]})
+        update = {"A": PearlVertexUpdate(weight=np.array(weight))}
+        with pytest.raises(OutOfRangeError, match="the table at vertex A ") as info:
+            pearl_update(mn, update)
+        mass = sum(Fraction(a) * Fraction(w) for a, w in zip(a_values, weight))
+        assert info.value.log_mass == pytest.approx(exact_log(mass), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, where",
+        [("markov", "clique ['S']"), ("chordal", "vertex S")],
+        ids=["markov", "chordal"],
+    )
+    def test_regrouped_table(self, kind, where):
+        # One 4-state vertex S onto the binary A and B.  Multiplied
+        # directly, the intermediate table at S is all zero.
+        ab, single = [1e-200, 2e-200, 3e-200, 4e-200], [1e-200, 1e-200]
+        vt = VariableTable((("S", ("0", "1", "2", "3")),))
+        if kind == "markov":
+            tgt = binary_pair_mn({"AB": ab, "B": single})
+            graph = OrderedUGraph(("S",))
+            src = MarkovNetwork(graph, vt, {frozenset("S"): Factor(("S",), [1, 2, 3, 4])})
+        else:
+            kernels = {
+                "A": Kernel("A", (), single, stochastic=False),
+                "B": Kernel("B", ("A",), ab, stochastic=False),
+            }
+            dag = OrderedDag(("A", "B"), {("A", "B")})
+            tgt = ChordalNetwork(dag, binary_vt("A", "B"), kernels)
+            graph = OrderedDag(("S",))
+            kernel = Kernel("S", (), [1, 2, 3, 4], stochastic=False)
+            src = ChordalNetwork(graph, vt, {"S": kernel})
+        alpha = GraphHom(tgt.graph, graph, {"A": "S", "B": "S"})
+        m = NetworkMorphism(alpha, {"S": np.eye(4)})
+        assert morphism_violations(m, src, tgt) == []
+        match = f"the table at {re.escape(where)} "
+        with pytest.raises(OutOfRangeError, match=match) as info:
+            decompose_morphism(m, src, tgt)
+        mass = sum(Fraction(x) * Fraction(single[0]) for x in ab)
+        assert info.value.log_mass == pytest.approx(exact_log(mass), rel=1e-12)
 
 class TestRegroupedAgainstReference:
     """The regrouped tables of a decomposition against ``factor_product``

@@ -488,6 +488,20 @@ class TestRangeExact:
                 pass
         assert all(kinds[k] for k in ("in range", "out of range", "degenerate")), kinds
 
+    def test_distribution_with_an_exponent_per_entry(self):
+        # The joint spans 1e1200, so no one power of two keeps it in range,
+        # and the normalisation scales each entry by its own exponent.
+        vt = VariableTable((("Y", ("0", "1", "2")), ("X", ("0", "1"))))
+        factors = {
+            frozenset("Y"): Factor(("Y",), [1e-300, 1e300, 1e300]),
+            frozenset("X"): Factor(("X",), [1e-300, 1e300]),
+        }
+        mn = MarkovNetwork(OrderedUGraph(("Y", "X")), vt, factors)
+        exact = exact_mn_marginal(mn, {"Y", "X"})
+        expected = [float(x / sum(exact)) for x in exact]
+        assert expected == [0, 0, 0, 0.5, 0, 0.5]
+        assert network_distribution(mn).values.tolist() == expected
+
 
 class TestSumProductOnArrays:
     """The sweep on plain arrays against the sweep on ``Factor`` objects."""

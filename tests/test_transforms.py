@@ -577,6 +577,26 @@ class TestOutOfRangeTables:
                 variable_elimination(cnw)
         assert info.value.vertex == "A"
 
+    def test_exact_rebuild_lets_the_sweep_go_on(self):
+        # D's mass (1.9, 1.0) overflows A's first entry, 1.7e308, to inf, and
+        # C's mass (0, 1) then makes it inf * 0 = NaN; exactly, that entry
+        # is 0 and the other 1.
+        names = ("A", "B", "C", "D")
+        graph = OrderedDag(names, {("A", v) for v in names[1:]})
+        rows = {"A": [1.7e308, 1.0], "B": [0.5] * 4}
+        rows.update(C=[0.0, 0.0, 0.5, 0.5], D=[1.5, 0.4, 0.5, 0.5])
+        kernels = {
+            v: Kernel(v, graph.parents_of(v), rows[v], stochastic=False)
+            for v in names
+        }
+        cn = ChordalNetwork(graph, binary_vt(*names), kernels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bn, trace = variable_elimination(cn)
+        assert bn.kernels["A"].values.tolist() == [0.0, 1.0]
+        assert trace.partition_mass() == 1.0
+        assert trace.partition_mass() == mn_partition(moralise_cn(cn))
+
 
 class TestTableCap:
     """Every family table of a triangulation is checked against
