@@ -141,25 +141,17 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _cmd_joint(args) -> int:
-    net = _load(args.input)
-    table = marginal_distribution(net, list(net.graph.vertices))
-    _print_table(net, table.vars, table.values)
-    return 0
-
-
 def _cmd_marginal(args) -> int:
+    """``joint``, ``marginal`` and ``partition``: a marginal of the full table."""
     net = _load(args.input)
-    names = _split_vars(args.vars, net, "--vars")
+    names = [] if args.command == "partition" else list(net.graph.vertices)
+    if args.command == "marginal":
+        names = _split_vars(args.vars, net, "--vars")
     table = marginal_distribution(net, names)
-    _print_table(net, table.vars, table.values)
-    return 0
-
-
-def _cmd_partition(args) -> int:
-    net = _load(args.input)
-    z = marginal_distribution(net, [])
-    print(f"{float(z.values[0]):.17g}")
+    if args.command == "partition":
+        print(f"{float(table.values[0]):.17g}")
+    else:
+        _print_table(net, table.vars, table.values)
     return 0
 
 
@@ -186,13 +178,11 @@ def _cmd_separation(args) -> int:
     x = _split_vars(args.x, net, "--x")
     y = _split_vars(args.y, net, "--y")
     z = _split_vars(args.given, net, "--given") if args.given else []
+    directed = args.command == "dsep"
+    kinds = (BayesianNetwork, ChordalNetwork) if directed else (MarkovNetwork,)
+    _expect(net, kinds, args.command)
     try:
-        if args.command == "dsep":
-            _expect(net, (BayesianNetwork, ChordalNetwork), "dsep")
-            verdict = d_separated(net.graph, x, y, z)
-        else:
-            _expect(net, (MarkovNetwork,), "usep")
-            verdict = u_separated(net.graph, x, y, z)
+        verdict = (d_separated if directed else u_separated)(net.graph, x, y, z)
     except ValueError as exc:
         raise CliError(VALIDATION_EXIT, str(exc)) from exc
     print("true" if verdict else "false")
@@ -209,6 +199,27 @@ def _cmd_check(args) -> int:
     return 0
 
 
+_SEPARATION = [
+    ("--x", {"required": True}),
+    ("--y", {"required": True}),
+    ("--given", {"default": ""}),
+]
+# Every other command: its help, its options after the input, its handler.
+_COMMANDS = {
+    "joint": ("print the full joint / unnormalized table", [], _cmd_marginal),
+    "marginal": (
+        "print a marginal, summing the other variables out by elimination",
+        [("--vars", {"required": True, "help": "comma-separated variable names"})],
+        _cmd_marginal,
+    ),
+    "partition": ("print the total mass Z", [], _cmd_marginal),
+    "jtree": ("print the junction tree of a chordal-graph document", [], _cmd_jtree),
+    "dsep": ("directed separation query", _SEPARATION, _cmd_separation),
+    "usep": ("undirected separation query", _SEPARATION, _cmd_separation),
+    "check": ("validate a document; exit 0 iff it passes", [], _cmd_check),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built once per process, on first use."""
@@ -217,47 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transform and query discrete graphical-model documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     for name, (blurb, _, _) in _TRANSFORMS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("input", help="input document path, or - for stdin")
         p.add_argument("-o", "--output", default=None, help="output path, or - for stdout")
         p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("joint", help="print the full joint / unnormalized table")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_joint)
-
-    p = sub.add_parser(
-        "marginal",
-        help="print a marginal, summing the other variables out by elimination",
-    )
-    p.add_argument("input")
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
-    p.set_defaults(func=_cmd_marginal)
-
-    p = sub.add_parser("partition", help="print the total mass Z")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("jtree", help="print the junction tree of a chordal-graph document")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_jtree)
-
-    for name, blurb in (
-        ("dsep", "directed separation query"),
-        ("usep", "undirected separation query"),
-    ):
+    for name, (blurb, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("input")
-        p.add_argument("--x", required=True)
-        p.add_argument("--y", required=True)
-        p.add_argument("--given", default="")
-        p.set_defaults(func=_cmd_separation)
-
-    p = sub.add_parser("check", help="validate a document; exit 0 iff it passes")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_check)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -172,14 +172,8 @@ def check_hom(hom: GraphHom) -> bool:
     if any(a > b for a, b in zip(images, images[1:])):
         return False
 
-    if isinstance(src, OrderedDag):
-        return all(
-            vm[u] == vm[v] or tgt.has_edge(vm[u], vm[v]) for u, v in src.edges
-        )
     return all(
-        vm[u] == vm[v] or tgt.has_edge(vm[u], vm[v])
-        for e in src.edges
-        for u, v in [tuple(e)]
+        vm[u] == vm[v] or tgt.has_edge(vm[u], vm[v]) for u, v in map(tuple, src.edges)
     )
 
 

@@ -246,10 +246,8 @@ def _regrouped_kernels(
     preimages of the source parents, and unused inputs are broadcast.
     Because alpha preserves order, the flat layout over the concatenated
     preimages coincides with the target's canonical layout, so no
-    transposition is needed.  A stochastic kernel's entries are at most 1,
-    so a product that rounds to zero is below every double and zero is
-    its correct rounding; a chordal target's kernels take the checked
-    product.
+    transposition is needed.  Only unnormalised kernels take the checked
+    product: one of entries at most 1 that flushes to 0 is below every double.
     """
     stochastic = all(k.stochastic for k in tgt.kernels.values())
     kernels: dict[str, Kernel] = {}
@@ -272,8 +270,7 @@ def _regrouped_factors(
     tgt: MarkovNetwork,
     alpha: GraphHom,
 ) -> dict[frozenset[str], Factor]:
-    """Target clique factors bundled onto their image cliques, each by the
-    checked product."""
+    """Target clique factors bundled onto their image cliques, checked."""
     groups: dict[frozenset[str], list[_Table]] = {}
     for t in _tables(tgt):
         groups.setdefault(frozenset(alpha.vertex_map[w] for w in t[0]), []).append(t)
@@ -451,8 +448,7 @@ def pearl_update(
                 vertex=v,
             )
 
-    # Relabelled copies of valid tables need no check; the weights join the
-    # singleton factors by the triangulation's checked product.
+    # Relabelled copies of valid tables need no check.
     orders = {v: np.argsort(sigma) for v, sigma in sigmas.items()}
     factors: dict[frozenset[str], Factor] = {}
     for vars, values in _tables(net):

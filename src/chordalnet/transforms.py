@@ -177,26 +177,17 @@ def _out_of_range(
 
 
 def _kept(
-    where: str,
-    tables: list[tuple],
-    onto: tuple[str, ...],
-    vt: VariableTable,
-    bound: float,
+    where: str, tables: list, onto: tuple[str, ...], vt: VariableTable, bound: float
 ) -> np.ndarray | float:
-    """The product of ``tables`` over ``onto``, as :func:`factors._compact_product`
-    gives it, for an unnormalised table that the package keeps (a Markov
-    factor, a chordal kernel) and later divides by its total.
-
-    A single valid table is in range.  A product is kept as multiplied
-    where ``bound``, a power of two that every nonzero partial product
-    reaches, rules out an underflow part-way and its maximum rules out an
-    overflow (NaN from inf * 0 too).  Otherwise it is rebuilt by
-    :func:`factors._wide_product`, whose optional third item per table (a
-    scale) needs ``bound`` -inf, and rounded; when an entry overflows or a
-    nonzero one rounds to zero, the error of :func:`_out_of_range` at
-    ``where`` is raised, so that no mass is lost without an error.  The
-    caller holds an ``np.errstate`` in which overflow and inf * 0 do not
-    warn.
+    """The product of ``tables`` over ``onto`` for an unnormalised table
+    that the package keeps (a Markov factor, a chordal kernel): multiplied
+    directly where one table is given, or where ``bound``, a power of two
+    that every nonzero partial product reaches, and the result's maximum
+    show that nothing left the normal range; otherwise rebuilt by
+    :func:`factors._wide_product` (a table's scale, its third item, needs
+    ``bound`` -inf) and rounded, or the error of :func:`_out_of_range` at
+    ``where`` when an entry overflows or a nonzero one rounds to zero.  The
+    caller holds an ``np.errstate`` in which overflow and inf * 0 do not warn.
     """
     if len(tables) < 2 or bound >= _NORMAL:
         acc = _compact_product(tables, onto, vt)
