@@ -270,7 +270,7 @@ def _regrouped_factors(
     tgt: MarkovNetwork,
     alpha: GraphHom,
 ) -> dict[frozenset[str], Factor]:
-    """Target clique factors bundled onto their image cliques, checked."""
+    """Target clique factors bundled onto their image cliques by the checked product."""
     groups: dict[frozenset[str], list[_Table]] = {}
     for t in _tables(tgt):
         groups.setdefault(frozenset(alpha.vertex_map[w] for w in t[0]), []).append(t)
