@@ -15,10 +15,10 @@ construction, outside its dataclass fields, so ``==`` and ``hash`` ignore them.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def _adjacency(pairs: Iterable[tuple[str, str]], pos: dict) -> dict:
@@ -133,7 +133,9 @@ class GraphHom:
 
     A valid homomorphism preserves the vertex order and the edges, where an
     edge may also be collapsed (both endpoints mapped to the same vertex).
-    Validity is checked by :func:`check_hom`, not at construction.
+    Validity is checked by :func:`check_hom`, not at construction.  Each
+    vertex's preimage is indexed once, at construction, outside the
+    dataclass fields, so ``==`` ignores the index.
     """
 
     source: Graph
@@ -141,11 +143,14 @@ class GraphHom:
     vertex_map: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
+        vm = dict(self.vertex_map)
+        pairs = ((vm[u], u) for u in self.source.vertices if u in vm)
+        object.__setattr__(self, "vertex_map", vm)
+        object.__setattr__(self, "_preimages", _adjacency(pairs, self.source._pos))
 
     def preimage(self, v: str) -> tuple[str, ...]:
         """Source vertices mapped onto ``v``, in source order."""
-        return tuple(u for u in self.source.vertices if self.vertex_map[u] == v)
+        return self._preimages.get(v, ())
 
 
 def identity_hom(g: Graph) -> GraphHom:
@@ -250,13 +255,16 @@ def is_ordered_chordal(g: OrderedDag) -> bool:
 
     True exactly when for all edges ``u -> w`` and ``v -> w`` with ``u``
     listed before ``v``, the edge ``u -> v`` is present.
+
+    Tested in O(n + m) (Tarjan & Yannakakis 1984): every parent of ``w``
+    but its latest, ``h``, must be a parent of ``h``.  That is necessary,
+    and by induction along the order it suffices: of two parents ``u``
+    before ``v`` of ``w``, either ``v`` is ``h`` and the test joins them,
+    or both are parents of ``h``, which precedes ``w`` and so has its
+    co-parents joined.
     """
-    for w in g.vertices:
-        ps = g.parents_of(w)
-        for u, v in combinations(ps, 2):
-            if not g.has_edge(u, v):
-                return False
-    return True
+    edges = g.edges
+    return all((u, ps[-1]) in edges for ps in g._parents.values() for u in ps[:-1])
 
 
 def _ancestors(g: OrderedDag, seeds: set[str]) -> set[str]:
@@ -370,15 +378,6 @@ class ClusterTree:
         object.__setattr__(self, "sepsets", dict(self.sepsets))
 
 
-def _holding(clusters: Sequence[tuple[str, ...]]) -> dict[str, list[int]]:
-    """Each vertex's clusters, as ascending indices into ``clusters``."""
-    holding: dict[str, list[int]] = {}
-    for i, c in enumerate(clusters):
-        for u in c:
-            holding.setdefault(u, []).append(i)
-    return holding
-
-
 def junction_tree(g: OrderedDag) -> ClusterTree:
     """Build the maximal-cluster tree of an ordered chordal graph.
 
@@ -414,8 +413,12 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
         key=lambda c: [pos[u] for u in c],
     )
 
+    holding: dict[str, list[int]] = {}  # each vertex's clusters, ascending
+    for i, c in enumerate(clusters):
+        for u in c:
+            holding.setdefault(u, []).append(i)
     shared: dict[tuple[int, int], int] = {}
-    for held in _holding(clusters).values():
+    for held in holding.values():
         for e in combinations(held, 2):
             shared[e] = shared.get(e, 0) + 1
 
@@ -447,23 +450,15 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
 def running_intersection_holds(tree: ClusterTree) -> bool:
     """Whether each vertex's clusters induce a connected subtree.
 
-    Each vertex's search visits its own clusters only: the cost is the
-    total cluster size plus, for each cluster, its size times its degree.
+    The k clusters that hold a vertex induce a forest in the tree, which
+    is connected exactly when k - 1 tree edges join two of them.  So each
+    vertex is counted once per cluster that holds it and uncounted once
+    per tree edge whose two clusters both hold it, and the property holds
+    when every count ends at 1.  The count relies on ``tree_edges``
+    forming a tree, which :class:`ClusterTree` requires.  The cost is the
+    total cluster size plus, for each tree edge, its smaller cluster's size.
     """
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(tree.clusters))}
-    for i, j in tree.tree_edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    for held in map(set, _holding(tree.clusters).values()):
-        start = next(iter(held))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in adjacency[i]:
-                if j in held and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if seen != held:
-            return False
-    return True
+    held = [set(c) for c in tree.clusters]
+    count = Counter(u for c in held for u in c)
+    count.subtract(u for i, j in tree.tree_edges for u in held[i] & held[j])
+    return all(k == 1 for k in count.values())

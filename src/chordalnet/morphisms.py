@@ -134,8 +134,8 @@ def morphism_violations(
     try:
         if not check_hom(m.alpha):
             out.append("alpha is not an order- and edge-preserving homomorphism")
-    except ValueError as exc:
-        out.append(f"alpha is malformed: {exc}")
+    except ValueError as exc:  # alpha's preimages give the eta shapes
+        return [f"alpha is malformed: {exc}"]
 
     for v in src.graph.vertices:
         mat = m.eta.get(v)
@@ -433,6 +433,9 @@ def pearl_update(
             update data.
     """
     require_valid(net)
+    unknown = updates.keys() - net.graph._pos.keys()
+    if unknown:
+        raise ValueError(f"updates name unknown vertices: {sorted(unknown)}")
     sigmas = {
         v: _permutation(getattr(updates.get(v), "iso", None), net.vt.card(v), v)
         for v in net.graph.vertices

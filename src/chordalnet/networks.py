@@ -169,12 +169,7 @@ def network_violations(net: Network) -> list[str]:
             out.append("graph is not ordered chordal")
         out.extend(_kernel_map_violations(net, require_stochastic=False))
     elif isinstance(net, MarkovNetwork):
-        pos, nbrs = net.graph._pos, net.graph._neighbours
-
-        def adjacent(u: str, w: str) -> bool:  # searches the shorter list
-            a, b = nbrs.get(u, ()), nbrs.get(w, ())
-            return w in a if len(a) <= len(b) else u in b
-
+        pos = net.graph._pos
         for clique, f in sorted(net.factors.items(), key=lambda kv: sorted(kv[0])):
             if not clique <= pos.keys():
                 out.append(f"factor clique {sorted(clique)} mentions unknown vertices")
@@ -182,7 +177,7 @@ def network_violations(net: Network) -> list[str]:
             # The graph's order is the table's, checked above.
             members = sorted(clique, key=pos.get)
             complete = all(
-                adjacent(u, w)
+                net.graph.has_edge(u, w)
                 for i, u in enumerate(members)
                 for w in members[i + 1 :]
             )

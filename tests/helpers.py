@@ -16,6 +16,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from itertools import product as iter_product
 
 import numpy as np
@@ -453,6 +454,17 @@ def oracle_running_intersection(tree) -> bool:
             for x in shared:
                 if not all(x in tree.clusters[i] for i in tree_path(a, b)):
                     return False
+    return True
+
+
+def reference_is_ordered_chordal(g: OrderedDag) -> bool:
+    """The former ``graphs.is_ordered_chordal``, kept verbatim: every pair
+    of co-parents is tested for an edge."""
+    for w in g.vertices:
+        ps = g.parents_of(w)
+        for u, v in combinations(ps, 2):
+            if not g.has_edge(u, v):
+                return False
     return True
 
 

@@ -4,6 +4,8 @@ Derived expectations are checked against the brute-force oracles in
 ``helpers`` (path enumeration, powerset clique checks, per-path blocking).
 """
 
+import copy
+import pickle
 import time
 from itertools import combinations, permutations
 
@@ -39,6 +41,7 @@ from helpers import (
     random_dag,
     random_ugraph,
     reference_d_separated,
+    reference_is_ordered_chordal,
     reference_junction_tree,
     reference_triangulation_edges,
     reference_u_separated,
@@ -271,6 +274,20 @@ class TestOrderedChordal:
                 assert t.has_edge(u, v)
         assert is_ordered_chordal(t)
 
+    def test_every_small_ordered_dag_against_the_pairwise_check(self):
+        # All 2^(n choose 2) edge sets on n = 1..6 listed vertices.
+        count, verdicts = 0, set()
+        for n in range(1, 7):
+            names = tuple(f"V{i}" for i in range(n))
+            pairs = list(combinations(names, 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedDag(names, {p for b, p in enumerate(pairs) if mask >> b & 1})
+                verdict = is_ordered_chordal(g)
+                assert verdict == reference_is_ordered_chordal(g), sorted(g.edges)
+                verdicts.add(verdict)
+                count += 1
+        assert count == 33867 and verdicts == {True, False}
+
 
 class TestHoms:
     def test_identity_is_valid(self):
@@ -302,6 +319,36 @@ class TestHoms:
         h = OrderedUGraph(("A",))
         with pytest.raises(ValueError, match="kind"):
             check_hom(GraphHom(g, h, {"A": "A"}))
+
+    def test_preimage_matches_a_scan_of_the_source(self):
+        # Order-preserving maps into complete graphs are homomorphisms when
+        # total; some maps leave source vertices out.
+        rng = np.random.default_rng(67)
+        kinds = {"total": 0, "partial": 0}
+        for _ in range(300):
+            directed = rng.random() < 0.5
+            src = random_dag(rng) if directed else random_ugraph(rng)
+            tgt = (random_dag if directed else random_ugraph)(rng, 5, 1.0)
+            images = np.sort(rng.integers(0, len(tgt.vertices), len(src.vertices)))
+            vm = {u: tgt.vertices[i] for u, i in zip(src.vertices, images)}
+            if rng.random() < 0.3:
+                vm = {u: v for u, v in vm.items() if rng.random() < 0.6}
+            hom = GraphHom(src, tgt, vm)
+            if len(vm) == len(src.vertices):
+                kinds["total"] += 1
+                assert check_hom(hom)
+            else:
+                kinds["partial"] += 1
+            for v in tgt.vertices:
+                assert hom.preimage(v) == tuple(u for u in src.vertices if vm.get(u) == v)
+        assert min(kinds.values()) >= 30
+
+    def test_copies_keep_the_map_and_the_preimages(self):
+        g = OrderedDag(("A", "B", "C"), {("A", "B"), ("B", "C")})
+        hom = GraphHom(g, OrderedDag(("P", "Q")), {"A": "P", "B": "P", "C": "Q"})
+        for other in (pickle.loads(pickle.dumps(hom)), copy.deepcopy(hom), copy.copy(hom)):
+            assert other == hom and type(other.vertex_map) is dict
+            assert (other.preimage("P"), other.preimage("Q")) == (("A", "B"), ("C",))
 
 
 class TestDecontract:
