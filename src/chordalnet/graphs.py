@@ -381,23 +381,42 @@ class ClusterTree:
 def junction_tree(g: OrderedDag) -> ClusterTree:
     """Build the maximal-cluster tree of an ordered chordal graph.
 
-    Clusters are the maximal sets among the families ``{v} | parents(v)``.
-    The tree is a maximum-weight spanning tree of the cluster graph
-    weighted by separator size, ties broken lexicographically on the
-    cluster index pair, which makes the output canonical.  On disconnected
-    graphs the tree is completed with empty-separator edges so that it
-    still spans.  The result satisfies the running intersection property:
-    for every vertex, the clusters containing it induce a connected
-    subtree.
-
-    This canonical tree is built in O(n + m + sum_v k_v^2) for k_v
-    clusters holding vertex v.  The family of ``v`` is not maximal
+    Clusters are the maximal families ``parents(v) + (v,)``, numbered by
+    sorting their position lists; the family of ``v`` is not maximal
     exactly when some ``w`` whose latest parent is ``v`` has one parent
-    more than ``v`` (Blair & Peyton 1993).  Kruskal's algorithm then runs
-    over the cluster pairs that share a vertex, in the order of the
-    canonical key, and completes a disconnected tree with the pairs
-    ``(0, j)``: over every pair, these are the empty-separator edges it
-    would pick.
+    more than ``v`` (Blair & Peyton 1993).  The tree is canonical: the
+    minimum spanning tree of all cluster pairs under ``(-|sep|, i, j)``,
+    spanning disconnected graphs by empty-separator edges ``(0, j)``.  It
+    has the running intersection property: for every vertex, the clusters
+    containing it induce a connected subtree.
+
+    Each cluster ``j >= 1``, with vertices ``c``, joins the first cluster
+    holding ``t = c[k-1]``, where ``c[:k]`` is the longest prefix of ``c``
+    that earlier clusters hold (cluster 0 when ``k == 0``), with separator
+    ``c[:k]``.  This is the canonical tree, as the vertices of a cluster
+    are each a parent of every later one:
+
+    1. If an earlier cluster ``i`` shares ``a`` with ``j``, some earlier
+       cluster holds ``j`` up to ``a``.  Let ``x`` be ``i``'s vertex where
+       ``i`` and ``j`` first differ (the earlier of the two).  If ``x``
+       follows ``a``, ``i`` itself does.  Else ``x`` is a parent of ``a``,
+       and a maximal cluster over ``a``'s family holds the prefix and
+       ``x``, which ``j`` lacks, so it sorts before ``j``.
+    2. The first cluster holding ``u`` holds ``u``'s family: else, with
+       ``x`` the earliest parent of ``u`` it lacks, a maximal cluster over
+       the family agrees with it before ``x``, holds ``x`` and sorts first.
+    3. So cluster ``first[t] < j`` holds ``c[:k]`` (in ``t``'s family);
+       every cluster holding ``c[:k]`` holds ``t``, and by 1 no earlier
+       cluster shares more with ``j``.  So ``first[t]`` is ``j``'s heaviest
+       earlier partner, the first on ties, and ``j`` meets the earlier
+       clusters only inside it: the running intersection property.
+    4. Removing ``(p, j)`` cuts off ``j``'s subtree, of indices ``>= j``.  A
+       pair across the cut shares at most ``c[:k]`` (running intersection),
+       and if exactly that, its outer end holds ``c[:k]``, so has index
+       ``>= p``.  Each tree edge is the strict key minimum across its cut,
+       so the tree is the unique minimum spanning tree, Kruskal's.
+
+    The cost is O(n + m) plus sorting the clusters, with no pair term.
     """
     if not is_ordered_chordal(g):
         raise ValueError("junction_tree requires an ordered chordal graph")
@@ -413,38 +432,17 @@ def junction_tree(g: OrderedDag) -> ClusterTree:
         key=lambda c: [pos[u] for u in c],
     )
 
-    holding: dict[str, list[int]] = {}  # each vertex's clusters, ascending
+    first: dict[str, int] = {}  # each vertex's first cluster
     for i, c in enumerate(clusters):
         for u in c:
-            holding.setdefault(u, []).append(i)
-    shared: dict[tuple[int, int], int] = {}
-    for held in holding.values():
-        for e in combinations(held, 2):
-            shared[e] = shared.get(e, 0) + 1
-
-    n = len(clusters)
-    candidates = [e for _, e in sorted((-k, e) for e, k in shared.items())]
-    candidates += [(0, j) for j in range(1, n)]
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tree_edges = set()
+            first.setdefault(u, i)
     sepsets = {}
-    for i, j in candidates:
-        if len(tree_edges) == n - 1:
-            break
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree_edges.add((i, j))
-            other = set(clusters[j])
-            sepsets[(i, j)] = tuple(u for u in clusters[i] if u in other)
-    return ClusterTree(tuple(clusters), frozenset(tree_edges), sepsets)
+    for j, c in enumerate(clusters[1:], 1):
+        k = len(c)
+        while k and first[c[k - 1]] == j:  # held by no earlier cluster
+            k -= 1
+        sepsets[(first[c[k - 1]] if k else 0, j)] = c[:k]
+    return ClusterTree(tuple(clusters), frozenset(sepsets), sepsets)
 
 
 def running_intersection_holds(tree: ClusterTree) -> bool:
@@ -455,8 +453,9 @@ def running_intersection_holds(tree: ClusterTree) -> bool:
     vertex is counted once per cluster that holds it and uncounted once
     per tree edge whose two clusters both hold it, and the property holds
     when every count ends at 1.  The count relies on ``tree_edges``
-    forming a tree, which :class:`ClusterTree` requires.  The cost is the
-    total cluster size plus, for each tree edge, its smaller cluster's size.
+    forming a tree: :func:`junction_tree`'s output is one by construction,
+    but :class:`ClusterTree` does not check it.  The cost is the total
+    cluster size plus, for each tree edge, its smaller cluster's size.
     """
     held = [set(c) for c in tree.clusters]
     count = Counter(u for c in held for u in c)

@@ -261,6 +261,33 @@ class TestReports:
             "running intersection: ok",
         ]
 
+    def test_jtree_on_a_disconnected_network(self, capsys, tmp_path):
+        # Two components, A-B and C-D-E, joined by an empty separator.
+        vt = VariableTable(tuple((v, ("0", "1")) for v in "ABCDE"))
+        dag = OrderedDag(vt.names, {("A", "B"), ("C", "D"), ("C", "E"), ("D", "E")})
+        half = [0.5, 0.5]
+        bn = BayesianNetwork(
+            dag,
+            vt,
+            {
+                "A": Kernel("A", (), half),
+                "B": Kernel("B", ("A",), half * 2),
+                "C": Kernel("C", (), half),
+                "D": Kernel("D", ("C",), half * 2),
+                "E": Kernel("E", ("C", "D"), half * 4),
+            },
+        )
+        path = tmp_path / "two.json"
+        path.write_text(dumps_network(bn))
+        code, text, _ = run(capsys, "jtree", str(path))
+        assert code == 0
+        assert text == (
+            "cluster 0: A B\n"
+            "cluster 1: C D E\n"
+            "edge 0-1 sepset: \n"
+            "running intersection: ok\n"
+        )
+
     def test_jtree_needs_directed_kind(self, capsys, misconception_path):
         code, _, err = run(capsys, "jtree", misconception_path)
         assert code == 2

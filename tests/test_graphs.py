@@ -683,6 +683,32 @@ class TestJunctionTreeAgainstReference:
         tree = _same_tree(triangulate_graph(OrderedUGraph(tuple(names), edges)))
         assert running_intersection_holds(tree)
 
+    def test_every_small_ordered_chordal_dag(self):
+        # All 2^(n choose 2) edge sets on n = 1..6 listed vertices, of
+        # which the chordal ones are compared.
+        chordal = 0
+        for n in range(1, 7):
+            names = tuple(f"V{i}" for i in range(n))
+            pairs = list(combinations(names, 2))
+            for mask in range(1 << len(pairs)):
+                g = OrderedDag(names, {p for b, p in enumerate(pairs) if mask >> b & 1})
+                if is_ordered_chordal(g):
+                    _same_tree(g)
+                    chordal += 1
+        assert chordal == 4212
+
+    def test_hub_first_star_is_near_linear(self):
+        # The hub is in every cluster: weighing each pair of clusters that
+        # share a vertex would weigh about 5 * 10^7 pairs here.
+        g = triangulate_graph(hub_first_star(10000).graph)
+        start = time.perf_counter()
+        tree = junction_tree(g)
+        assert running_intersection_holds(tree)
+        assert time.perf_counter() - start < 10.0
+        assert tree.clusters == tuple(("H", f"L{i}") for i in range(10000))
+        assert tree.tree_edges == {(0, j) for j in range(1, 10000)}
+        assert all(sep == ("H",) for sep in tree.sepsets.values())
+
     def test_long_chain_is_near_linear(self):
         # The quadratic construction takes minutes here.
         names = tuple(f"x{i}" for i in range(10000))

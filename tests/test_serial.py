@@ -351,6 +351,14 @@ def test_tables_that_are_not_a_list_are_reported(fixtures_dir, name):
     assert _violations(doc) == ["tables: must be a list"]
 
 
+@pytest.mark.parametrize("edges", [None, {}, "AB", 3])
+@pytest.mark.parametrize("name", ["bear", "misconception"])
+def test_edges_that_are_not_a_list_are_reported(fixtures_dir, name, edges):
+    doc = _fixture(fixtures_dir, name)
+    doc["edges"] = edges
+    assert _violations(doc) == ["edges: must be a list of vertex pairs"]
+
+
 @pytest.mark.parametrize(
     "name, message",
     [
