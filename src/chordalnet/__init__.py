@@ -4,6 +4,7 @@ moralisation, triangulation and variable elimination."""
 from .factors import (
     Factor,
     Kernel,
+    OutOfRangeError,
     TableTooLargeError,
     VariableTable,
     enumerate_assignments,
@@ -47,7 +48,6 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     NetworkValidationError,
-    OutOfRangeError,
     bn_joint,
     cn_product,
     marginal_distribution,

@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from . import transforms
-from .factors import TableTooLargeError, enumerate_assignments
+from .factors import OutOfRangeError, TableTooLargeError, enumerate_assignments
 from .graphs import d_separated, junction_tree, running_intersection_holds, u_separated
 from .networks import (
     BayesianNetwork,
@@ -31,7 +31,6 @@ from .networks import (
     MarkovNetwork,
     Network,
     NetworkValidationError,
-    OutOfRangeError,
     marginal_distribution,
 )
 from .serial import KIND_NAMES, DocumentError, dumps_network, load_network

@@ -25,6 +25,8 @@ has proven finite and nonnegative, without a copy or a scan, and still
 marks it read-only.
 The one table cap, :data:`MAX_TABLE_ENTRIES`, and its one check,
 :func:`_check_entries`, live here: every dense table is checked before it is built.
+So do the range rule's error, :class:`OutOfRangeError`, and its two checks,
+:func:`_in_range` for a result and :func:`_kept` for a kept table.
 A :class:`VariableTable` builds its names tuple, index and cardinalities
 once, at construction, outside its dataclass fields, so ``==``, ``hash``
 and ``repr`` ignore them.
@@ -221,6 +223,20 @@ def _check_entries(
         )
 
 
+class OutOfRangeError(ValueError):
+    """A product or sum-product result is nonzero but outside the range of
+    a double: its largest entry overflows or falls below the normal range,
+    or, in a table the transforms build, a nonzero entry rounds to zero.
+
+    ``log_mass`` is the natural logarithm of its total mass, which is
+    finite whatever the range.
+    """
+
+    def __init__(self, message: str, log_mass: float):
+        self.log_mass = log_mass
+        super().__init__(message)
+
+
 _Table = tuple[tuple[str, ...], np.ndarray]  # sorted variables, flat or shaped values
 
 
@@ -321,14 +337,81 @@ def _log_sum(mantissa: np.ndarray, exponent: np.ndarray | int) -> float:
     return math.log(total) + int(top) * math.log(2.0)
 
 
+def _in_range(
+    vars: tuple[str, ...], table: np.ndarray, exponent: np.ndarray | int
+) -> Factor:
+    """``table * 2**exponent`` as a factor over ``vars``, or
+    :class:`OutOfRangeError` if the table is nonzero and its largest entry
+    is not a normal double: it overflows, or falls below 2**-1022."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.ldexp(table, exponent)
+    peak = float(values.max())
+    if peak == math.inf or (peak < 2.0**_NORMAL and table.max() > 0):
+        log_mass = _log_sum(table, exponent)
+        raise OutOfRangeError(
+            f"the total mass is outside the range of a double: its natural "
+            f"log is {log_mass:.17g}",
+            log_mass,
+        )
+    return Factor(vars, values)
+
+
+def _out_of_range(
+    where: str, mantissa: np.ndarray, exponent: np.ndarray
+) -> OutOfRangeError:
+    """The error for the table at ``where``, ``mantissa * 2**exponent`` from
+    :func:`_wide_product`, which leaves the range of a double; its
+    ``log_mass`` is the natural log of that table's total mass."""
+    log_mass = _log_sum(mantissa, exponent)
+    return OutOfRangeError(
+        f"table values must be finite and nonnegative: the table at {where} "
+        f"is outside the range of a double; the natural log of its total mass "
+        f"is {log_mass:.17g}",
+        log_mass,
+    )
+
+
+def _kept(
+    where: str, tables: list, onto: tuple[str, ...], vt: VariableTable, bound=None
+) -> np.ndarray | float:
+    """The product of ``tables`` over ``onto`` for an unnormalised table
+    that the package keeps (a Markov factor, a chordal kernel): multiplied
+    directly where one table is given, or where ``bound``, a power of two
+    that every nonzero partial product reaches (by default read off the
+    tables' :func:`_lows`), and the result's maximum show that nothing left
+    the normal range; otherwise rebuilt by :func:`_wide_product` (a table's
+    scale, its third item, needs ``bound`` -inf) and rounded, or the error
+    of :func:`_out_of_range` at ``where`` when an entry overflows or a
+    nonzero one rounds to zero.  The caller holds an ``np.errstate`` in
+    which overflow and inf * 0 do not warn.
+    """
+    if bound is None and len(tables) > 1:
+        bound = sum(min(low, 0) for low in _lows([t[1] for t in tables]))
+    if len(tables) < 2 or bound >= _NORMAL:
+        acc = _compact_product(tables, onto, vt)
+        if len(tables) < 2 or acc.max() < math.inf:
+            return acc
+    mantissa, exponent = _wide_product(tables, onto, vt)
+    table = np.ldexp(mantissa, exponent)
+    lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
+    if lost or not table.max() < math.inf:
+        raise _out_of_range(where, mantissa, exponent)
+    return table
+
+
 def _product(
-    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
+    tables: list, onto: tuple[str, ...], vt: VariableTable, where: str | None = None
 ) -> np.ndarray:
     """The cap check, then :func:`_compact_product` broadcast to the shape
     of ``onto``: a read-only view, all ones for no tables, so the
-    :class:`Factor` or :class:`Kernel` built from it makes the only copy."""
+    :class:`Factor` or :class:`Kernel` built from it makes the only copy.
+    A table named by ``where`` is an unnormalised one the package keeps,
+    built by :func:`_kept` instead."""
     _check_entries(vt.shape(onto))
-    return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
+    if where is None:
+        return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.broadcast_to(_kept(where, tables, onto, vt), vt.shape(onto))
 
 
 def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:

@@ -37,7 +37,6 @@ from .factors import (
     VariableTable,
     _adopt,
     _check_entries,
-    _lows,
     _product,
     _stochastic_rows,
     _Table,
@@ -62,7 +61,7 @@ from .networks import (
     network_distribution,
     require_valid,
 )
-from .transforms import _eliminate, _family_marginals, _kept, _triangulate
+from .transforms import _eliminate, _family_marginals, _triangulate
 
 STOCHASTIC_TOL = 1e-9
 PRESERVATION_TOL = 1e-9
@@ -221,18 +220,6 @@ def _product_states(vt: VariableTable, vertices: tuple[str, ...]) -> tuple[str, 
     )
 
 
-def _kept_product(
-    where: str, tables: list[_Table], onto: tuple[str, ...], vt: VariableTable
-) -> np.ndarray:
-    """The cap check, then :func:`transforms._kept` of ``tables``, bounded
-    by their :func:`factors._lows`, broadcast to the shape of ``onto``: a
-    read-only view, so the table built from it makes the only copy."""
-    _check_entries(vt.shape(onto))
-    bound = sum(min(low, 0) for low in _lows([values for _, values in tables]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.broadcast_to(_kept(where, tables, onto, vt, bound), vt.shape(onto))
-
-
 def _regrouped_kernels(
     src_graph: OrderedDag,
     tgt: BayesianNetwork | ChordalNetwork,
@@ -257,10 +244,8 @@ def _regrouped_kernels(
         input_block = tuple(w for p in pa_src for w in alpha.preimage(p))
         tables = [(tgt.kernels[w].parents + (w,), tgt.kernels[w].values) for w in group]
         onto = input_block + group
-        if stochastic:
-            values = _product(tables, onto, tgt.vt)
-        else:
-            values = _kept_product(f"vertex {v}", tables, onto, tgt.vt)
+        where = None if stochastic else f"vertex {v}"
+        values = _product(tables, onto, tgt.vt, where)
         kernels[v] = Kernel(v, pa_src, values, stochastic=stochastic)
     return kernels
 
@@ -279,7 +264,7 @@ def _regrouped_factors(
     for image, tables in groups.items():
         members = tuple(sorted(image, key=src_graph.position))
         axes = tuple(w for v in members for w in alpha.preimage(v))
-        values = _kept_product(f"clique {list(members)}", tables, axes, tgt.vt)
+        values = _product(tables, axes, tgt.vt, f"clique {list(members)}")
         out[frozenset(members)] = Factor(members, values)
     return out
 
@@ -436,12 +421,16 @@ def pearl_update(
     unknown = updates.keys() - net.graph._pos.keys()
     if unknown:
         raise ValueError(f"updates name unknown vertices: {sorted(unknown)}")
+    for v, update in updates.items():
+        if not isinstance(update, PearlVertexUpdate):
+            raise ValueError(f"update for {v} is not a PearlVertexUpdate")
+    no_update = PearlVertexUpdate()
     sigmas = {
-        v: _permutation(getattr(updates.get(v), "iso", None), net.vt.card(v), v)
+        v: _permutation(updates.get(v, no_update).iso, net.vt.card(v), v)
         for v in net.graph.vertices
     }
     weights = {
-        v: _weights(getattr(updates.get(v), "weight", None), net.vt.card(v), v)
+        v: _weights(updates.get(v, no_update).weight, net.vt.card(v), v)
         for v in net.graph.vertices
     }
     for v, w in weights.items():
@@ -466,7 +455,7 @@ def pearl_update(
         key, tables = frozenset({v}), [((v,), w)]
         if key in factors:
             tables.insert(0, ((v,), factors[key].values))
-        values = _kept_product(f"vertex {v}", tables, (v,), net.vt)
+        values = _product(tables, (v,), net.vt, f"vertex {v}")
         factors[key] = Factor((v,), values)
     graph = moralise_graph(net.graph) if isinstance(net, BayesianNetwork) else net.graph
     if not isinstance(net, ChordalNetwork):  # a chordal graph is its own triangulation

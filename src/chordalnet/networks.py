@@ -31,7 +31,7 @@ from .factors import (
     VariableTable,
     _check_entries,
     _compact_product,
-    _log_sum,
+    _in_range,
     _lows,
     _shift,
     _Table,
@@ -263,8 +263,7 @@ def _sum_product(
                 continue
             bucket = buckets.pop(v) or [((v,), np.ones(vt.card(v)), 0, 0)]
             family = tuple(sorted({u for t in bucket for u in t[0]}, key=pos.get))
-            axis = family.index(v)
-            values, exps, low, shift = _reduce_bucket(bucket, family, vt, axis)
+            values, exps, low, shift = _reduce_bucket(bucket, family, vt, v)
             exponent += shift
             place(tuple(u for u in family if u != v), values, exps, low)
         kept = tuple(v for v in net.graph.vertices if v in keep)
@@ -273,12 +272,13 @@ def _sum_product(
 
 
 def _reduce_bucket(
-    tables: list, onto: tuple[str, ...], vt: VariableTable, axis: int | None = None
+    tables: list, onto: tuple[str, ...], vt: VariableTable, v: str | None = None
 ) -> tuple[np.ndarray, np.ndarray | int, float, int]:
-    """The product of ``tables`` over ``onto``, summed over ``axis`` unless
-    it is ``None``, as ``(values, exps, low, shift)``, worth ``values *
-    2**(exps + shift)`` with each nonzero entry of ``values`` at least
-    ``2**low``; ``tables`` hold the same four items, ``shift`` aside.
+    """The product of ``tables`` over ``onto``, with the vertex ``v`` summed
+    out unless it is ``None``, as ``(values, exps, low, shift)``, worth
+    ``values * 2**(exps + shift)`` with each nonzero entry of ``values`` at
+    least ``2**low``; ``tables`` hold the same four items, ``shift`` aside.
+    A product over the table cap is refused naming ``v``.
 
     The direct product is kept when the tables' ``low`` show that no
     partial product fell below the normal range and the result's maximum
@@ -287,9 +287,10 @@ def _reduce_bucket(
     :func:`factors._shift`, or, where none keeps every entry normal, keeps
     per-entry ``exps`` with ``low`` -inf and ``shift`` 0.
     """
-    _check_entries(vt.shape(onto))
+    _check_entries(vt.shape(onto), "" if v is None else f"vertex {v}")
     if not tables:
         return 1.0, 0, 0, 0
+    axis = None if v is None else onto.index(v)
     lows = [low for *_, low in tables]
     if sum(min(low, 0) for low in lows) >= _NORMAL:
         table = _compact_product([t[:2] for t in tables], onto, vt)
@@ -313,39 +314,6 @@ def _reduce_bucket(
     if low - shift < _NORMAL:
         return mantissa, exponent, -math.inf, 0
     return np.ldexp(mantissa, exponent - shift), 0, low - shift, shift
-
-
-class OutOfRangeError(ValueError):
-    """A product or sum-product result is nonzero but outside the range of
-    a double: its largest entry overflows or falls below the normal range,
-    or, in a table the transforms build, a nonzero entry rounds to zero.
-
-    ``log_mass`` is the natural logarithm of its total mass, which is
-    finite whatever the range.
-    """
-
-    def __init__(self, message: str, log_mass: float):
-        self.log_mass = log_mass
-        super().__init__(message)
-
-
-def _in_range(
-    vars: tuple[str, ...], table: np.ndarray, exponent: np.ndarray | int
-) -> Factor:
-    """``table * 2**exponent`` as a factor over ``vars``, or
-    :class:`OutOfRangeError` if the table is nonzero and its largest entry
-    is not a normal double: it overflows, or falls below 2**-1022."""
-    with np.errstate(over="ignore", under="ignore"):
-        values = np.ldexp(table, exponent)
-    peak = float(values.max())
-    if peak == math.inf or (peak < 2.0**_NORMAL and table.max() > 0):
-        log_mass = _log_sum(table, exponent)
-        raise OutOfRangeError(
-            f"the total mass is outside the range of a double: its natural "
-            f"log is {log_mass:.17g}",
-            log_mass,
-        )
-    return Factor(vars, values)
 
 
 def bn_joint(bn: BayesianNetwork) -> Factor:
@@ -449,7 +417,8 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     is not checked again.
 
     Raises:
-        TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``.
+        TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``;
+            the error names the vertex summed out of it, if any.
         OutOfRangeError: if the largest entry of a nonzero marginal is not
             a normal double: it overflows, or falls below 2**-1022.
     """

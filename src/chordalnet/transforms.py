@@ -36,23 +36,21 @@ from fractions import Fraction
 import numpy as np
 
 from .factors import (
-    _NORMAL,
     _TINY,
     Factor,
     Kernel,
     VariableTable,
     _adopt,
     _check_entries,
-    _compact_product,
-    _log_sum,
+    _kept,
     _lows,
+    _out_of_range,
     _shift,
     _spread,
     _stochastic_rows,
     _Table,
     _wide_product,
     factor_marginalize,
-    kernel_to_factor,
 )
 from .graphs import (
     OrderedDag,
@@ -66,7 +64,6 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
-    OutOfRangeError,
     _tables,
     require_valid,
 )
@@ -133,12 +130,8 @@ def _moralise(net: BayesianNetwork | ChordalNetwork) -> MarkovNetwork:
     the moral graph.  In a topologically listed DAG the family of v has v
     as its maximum, so distinct vertices give distinct families."""
     require_valid(net)
-    graph, vt = net.graph, net.vt
-    factors = {
-        frozenset({v, *graph.parents_of(v)}): kernel_to_factor(net.kernels[v], vt)
-        for v in graph.vertices
-    }
-    return MarkovNetwork(moralise_graph(graph), vt, factors)
+    factors = {frozenset(vars): Factor(vars, values) for vars, values in _tables(net)}
+    return MarkovNetwork(moralise_graph(net.graph), net.vt, factors)
 
 
 def moralise_bn(bn: BayesianNetwork) -> MarkovNetwork:
@@ -159,46 +152,6 @@ def moralise_cn(cn: ChordalNetwork) -> MarkovNetwork:
     moral graph adds no edge beyond undirecting.
     """
     return _moralise(cn)
-
-
-def _out_of_range(
-    where: str, mantissa: np.ndarray, exponent: np.ndarray
-) -> OutOfRangeError:
-    """The error for the table at ``where``, ``mantissa * 2**exponent`` from
-    :func:`factors._wide_product`, which leaves the range of a double; its
-    ``log_mass`` is the natural log of that table's total mass."""
-    log_mass = _log_sum(mantissa, exponent)
-    return OutOfRangeError(
-        f"table values must be finite and nonnegative: the table at {where} "
-        f"is outside the range of a double; the natural log of its total mass "
-        f"is {log_mass:.17g}",
-        log_mass,
-    )
-
-
-def _kept(
-    where: str, tables: list, onto: tuple[str, ...], vt: VariableTable, bound: float
-) -> np.ndarray | float:
-    """The product of ``tables`` over ``onto`` for an unnormalised table
-    that the package keeps (a Markov factor, a chordal kernel): multiplied
-    directly where one table is given, or where ``bound``, a power of two
-    that every nonzero partial product reaches, and the result's maximum
-    show that nothing left the normal range; otherwise rebuilt by
-    :func:`factors._wide_product` (a table's scale, its third item, needs
-    ``bound`` -inf) and rounded, or the error of :func:`_out_of_range` at
-    ``where`` when an entry overflows or a nonzero one rounds to zero.  The
-    caller holds an ``np.errstate`` in which overflow and inf * 0 do not warn.
-    """
-    if len(tables) < 2 or bound >= _NORMAL:
-        acc = _compact_product(tables, onto, vt)
-        if len(tables) < 2 or acc.max() < math.inf:
-            return acc
-    mantissa, exponent = _wide_product(tables, onto, vt)
-    table = np.ldexp(mantissa, exponent)
-    lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
-    if lost or not table.max() < math.inf:
-        raise _out_of_range(where, mantissa, exponent)
-    return table
 
 
 def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:

@@ -416,6 +416,21 @@ class TestCheckAndExitCodes:
             "entries, more than the cap of 16,777,216\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("partition",), ("marginal", "--vars", "L0")],
+        ids=["partition", "marginal"],
+    )
+    def test_bucket_above_the_cap_is_exit_three(self, capsys, fixtures_dir, argv):
+        # The hub, declared last, is summed out first, over all 41 vertices.
+        path = str(fixtures_dir / "hub_last.json")
+        code, text, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 3 and text == ""
+        assert err == (
+            "vertex H: a table over 41 variables would have 2,199,023,255,552 "
+            "entries, more than the cap of 16,777,216\n"
+        )
+
     def test_hub_last_fixture_is_the_forty_leaf_star(self, fixtures_dir):
         text = (fixtures_dir / "hub_last.json").read_text()
         assert text == dumps_network(hub_last_star(40))

@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and one module
-holds the table cap.
+holds the table cap and the range error.
 
 A leftover import (``reduce``, ``factor_product``, ``np``) is the usual
 trace of code moved behind a shared helper.  The check parses each
@@ -77,3 +77,41 @@ def test_the_table_cap_lives_in_factors_only():
     assert {p.name: cap_uses(p.read_text(encoding="utf-8")) for p in others} == {
         p.name: [] for p in others
     }
+
+
+RANGE_ERROR = "OutOfRangeError"
+
+
+def range_error_uses(source: str) -> list[tuple[int, str]]:
+    """Lines on which code defines (``class``) or constructs (``call``) the
+    range error; a name in an import, an ``except`` or a docstring is neither."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == RANGE_ERROR:
+            out.append((node.lineno, "class"))
+        elif isinstance(node, ast.Call) and RANGE_ERROR in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            out.append((node.lineno, "call"))
+    return sorted(out)
+
+
+def test_the_check_sees_the_range_error_defined_and_built():
+    source = (
+        '"""OutOfRangeError"""\n'
+        "from .factors import OutOfRangeError\n"
+        "class OutOfRangeError(ValueError): ...\n"
+        "raise OutOfRangeError('x', 0.0)\n"
+        "factors.OutOfRangeError('x', 0.0)\n"
+        "isinstance(error, OutOfRangeError)\n"
+    )
+    assert range_error_uses(source) == [(3, "class"), (4, "call"), (5, "call")]
+
+
+def test_the_range_error_lives_in_factors_only():
+    # One module defines and raises it, so the range rule has one home.
+    paths = SRC.glob("*.py")
+    uses = {p.name: range_error_uses(p.read_text(encoding="utf-8")) for p in paths}
+    assert {kind for _, kind in uses.pop("factors.py")} == {"class", "call"}
+    assert uses == {name: [] for name in uses}

@@ -135,6 +135,12 @@ RAISES = [
         id="pearl_update-unknown-vertex",
     ),
     pytest.param(
+        # Read as no update, the network would come back unchanged.
+        lambda: pearl_update(BN, {"B": {"weight": [0.0, 1.0]}}),
+        "update for B is not a PearlVertexUpdate",
+        id="pearl_update-not-an-update",
+    ),
+    pytest.param(
         lambda: marginalization_morphism(BN, "Z"),
         "unknown vertex Z",
         id="marginalization_morphism-unknown-vertex",

@@ -48,6 +48,7 @@ from helpers import (
     chain_bn,
     chain_mn,
     exact_mn_marginal,
+    hub_last_star,
     misconception_assignments,
     misconception_product,
     oracle_bn_joint,
@@ -377,6 +378,16 @@ class TestSumProduct:
             oracle_chain_marginal(bn, "x39"),
             rtol=1e-12,
         )
+
+    def test_bucket_above_the_cap_names_its_vertex(self):
+        # H, declared last, is summed out first, from a bucket over all 41
+        # vertices; the kept table of the full product names no vertex.
+        mn = hub_last_star(40)
+        match = "^vertex H: a table over 41 variables"
+        with pytest.raises(TableTooLargeError, match=match):
+            mn_partition(mn)
+        with pytest.raises(TableTooLargeError, match="^a table over 41 variables"):
+            mn_unnormalized(mn)
 
 
 def star_mn(leaves: int) -> MarkovNetwork:

@@ -632,14 +632,14 @@ class TestTableCap:
     def test_no_family_is_built_before_a_refusal(self, monkeypatch):
         # L24's family has 2**25 entries; the 24 smaller ones come first.
         built = []
-        compact_product = chordalnet.transforms._compact_product
+        compact_product = chordalnet.factors._compact_product
 
         def counted(*args):
             out = compact_product(*args)
             built.append(args[1])
             return out
 
-        monkeypatch.setattr(chordalnet.transforms, "_compact_product", counted)
+        monkeypatch.setattr(chordalnet.factors, "_compact_product", counted)
         with pytest.raises(TableTooLargeError, match="^vertex L24: "):
             triangulate_mn(hub_last_star(40))
         assert built == []
