@@ -255,11 +255,11 @@ def _compact_product(
     ``onto``, of size 1 where no table mentions it, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls: a
     fresh array for two or more tables, a view of the values for one,
-    and ``1.0`` for none.  Every caller builds the full table over
-    ``onto`` and has checked it against the cap."""
+    and ``1.0`` for none, from each table's first two items, its variables
+    and values.  Every caller has checked ``onto`` against the cap."""
     acc = 1.0
     for i, table in enumerate(tables):
-        spread = _spread(*table, onto, vt)
+        spread = _spread(table[0], table[1], onto, vt)
         # Broadcasting grows ``acc`` to the variables seen so far only.
         acc = acc * spread if i else spread
     return acc
@@ -305,7 +305,7 @@ def _wide_product(
     no partial product overflows or underflows.  A mantissa product lies
     in [1/4, 1), so each entry is rounded as :func:`_compact_product`
     rounds it with an unbounded exponent.  A table's optional third item,
-    one exponent or one per value, scales its values."""
+    one exponent or one per value, scales its values; a fourth is ignored."""
     mantissa, exponent = 0.5, 1
     for vars, values, *scale in tables:
         m, e = np.frexp(values)

@@ -58,10 +58,10 @@ class DegenerateDistributionError(ValueError):
 
 
 class _NetworkBase:
-    """What every network kind shares: a read-only table mapping over a
-    private copy, and ``_valid``, outside the dataclass fields, set once the
-    instance passes validation, or by a triangulation, whose result is valid
-    by construction; unpickling rebuilds it from its fields."""
+    """What every network kind shares: a read-only table mapping over a private
+    copy, and, outside the dataclass fields and dropped by a copy or unpickling,
+    ``_valid``, set once the instance is known valid, and ``_sum_plan``, kept by
+    :func:`_plan`."""
 
     def __reduce__(self):
         graph, vt, tables = (getattr(self, f.name) for f in fields(self))
@@ -224,61 +224,97 @@ def _tables(net: Network) -> list[_Table]:
     return [(k.parents + (k.child,), k.values) for k in kernels]
 
 
+def _plan(net: Network, keep: set[str]) -> tuple:
+    """The syntactic half of :func:`_sum_product`, decided by the tables'
+    scopes alone: ``(tables, steps, kept, last)``.  ``tables`` are the bucket slots
+    ``(vars, values, 0, low)`` of the network's tables, in :func:`_tables`
+    order.  ``steps`` hold, for each vertex ``v`` outside ``keep``, last
+    first, ``(v, family, axis, rest, inputs)``: the bucket's scope, the axis
+    of ``v`` in it, the scope left once ``v`` is summed out, and its tables,
+    each an index into ``tables`` or the vertex whose step made it, none
+    for a vertex no table mentions; ``last`` holds the inputs of the kept
+    table, over ``kept``.  Every bucket, then the kept table, is checked
+    against the cap, in the order the numbers meet them, before anything
+    is multiplied.  The plan for nothing kept is kept on the network, which
+    cannot change; a refusal is not.
+    """
+    if not keep and hasattr(net, "_sum_plan"):
+        return net._sum_plan
+    vt, pos, card = net.vt, net.vt._index, net.vt._card
+    buckets: dict[str, list[tuple]] = {v: [] for v in net.graph.vertices}
+    last: list[tuple] = []
+
+    def place(vars, slot) -> None:
+        # Table variables follow the declared order, so the last free one
+        # is the first to be eliminated.
+        for u in reversed(vars):
+            if u not in keep:
+                buckets[u].append((vars, slot))
+                return
+        last.append((vars, slot))
+
+    tables = _tables(net)
+    tables = [(*t, 0, low) for t, low in zip(tables, _lows([t[1] for t in tables]))]
+    for slot, table in enumerate(tables):
+        place(table[0], slot)
+    steps = []
+    for v in reversed(net.graph.vertices):
+        if v in keep:
+            continue
+        bucket = buckets.pop(v)
+        family = tuple(sorted({u for t, _ in bucket for u in t}, key=pos.get)) or (v,)
+        _check_entries([card[u] for u in family], f"vertex {v}")
+        rest = tuple(u for u in family if u != v)
+        steps.append((v, family, family.index(v), rest, [s for _, s in bucket]))
+        place(rest, v)
+    kept = tuple(v for v in net.graph.vertices if v in keep)
+    _check_entries(vt.shape(kept))
+    plan = tables, steps, kept, [s for _, s in last]
+    if not keep:
+        object.__setattr__(net, "_sum_plan", plan)
+    return plan
+
+
 def _sum_product(
     net: Network, keep: set[str]
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | int]:
-    """Sum every variable outside ``keep`` out of the table product.
-
-    Bucket elimination along the declared order, last vertex first: the
-    tables that mention a vertex are multiplied and the vertex is summed
-    out, so each product spans one family of the triangulated graph plus
-    the kept variables; a vertex no table mentions contributes its
-    cardinality.  Each bucket is reduced by :func:`_reduce_bucket`, on
-    plain arrays, so every product and sum is rounded as with an unbounded
-    exponent, bit for bit as rescaling after every multiply wherever that
-    kept every entry normal.  Returns ``(kept, table, exponent)``: the sum
-    over the kept variables, in declared order, is ``table *
-    2**exponent``, which need not fit in a double; ``exponent`` is one
-    integer, or one per entry where no power of two keeps all normal.
+    """Sum every variable outside ``keep`` out of the table product by
+    bucket elimination along the declared order, last vertex first
+    (Dechter 1996).  :func:`_plan` says which tables meet over which scope
+    and sizes every bucket; this pass does the numbers, each bucket by
+    :func:`_reduce_bucket` on plain arrays, so every product and sum is
+    rounded as with an unbounded exponent, bit for bit as rescaling after
+    every multiply wherever that kept every entry normal.  Returns
+    ``(kept, table, exponent)``: the sum over the kept variables, in
+    declared order, is ``table * 2**exponent``, which need not fit in a
+    double; ``exponent`` is one integer, or one per entry where no power
+    of two keeps all normal.
     """
-    vt, pos = net.vt, net.vt._index
-    # A bucket table is (vars, values, exps, low); see _reduce_bucket.
-    buckets: dict[str, list[tuple]] = {v: [] for v in net.graph.vertices}
-    done: list[tuple] = []
-
-    def place(vars, values, exps, low) -> None:
-        # Table variables follow the declared order, so the last free one
-        # is the first to be eliminated.
-        free = [u for u in vars if u not in keep]
-        (buckets[free[-1]] if free else done).append((vars, values, exps, low))
-
-    tables = _tables(net)
-    for (vars, values), low in zip(tables, _lows([values for _, values in tables])):
-        place(vars, values, 0, low)
+    tables, steps, kept, last = _plan(net, keep)
+    vt = net.vt
+    slots = dict(enumerate(tables))
     exponent = 0
     # An overflow, or inf * 0 after one, sends a bucket to the exact product.
     with np.errstate(over="ignore", invalid="ignore"):
-        for v in reversed(net.graph.vertices):
-            if v in keep:
-                continue
-            bucket = buckets.pop(v) or [((v,), np.ones(vt.card(v)), 0, 0)]
-            family = tuple(sorted({u for t in bucket for u in t[0]}, key=pos.get))
-            values, exps, low, shift = _reduce_bucket(bucket, family, vt, v)
+        for v, family, axis, rest, inputs in steps:
+            bucket = [slots.pop(s) for s in inputs]
+            # A vertex that no table mentions contributes its cardinality.
+            bucket = bucket or [((v,), np.ones(vt.card(v)), 0, 0)]
+            values, exps, low, shift = _reduce_bucket(bucket, family, vt, axis)
             exponent += shift
-            place(tuple(u for u in family if u != v), values, exps, low)
-        kept = tuple(v for v in net.graph.vertices if v in keep)
-        values, exps, _, shift = _reduce_bucket(done, kept, vt)
+            slots[v] = (rest, values, exps, low)
+        values, exps, _, shift = _reduce_bucket([slots.pop(s) for s in last], kept, vt)
     return kept, np.broadcast_to(values, vt.shape(kept)), exponent + shift + exps
 
 
 def _reduce_bucket(
-    tables: list, onto: tuple[str, ...], vt: VariableTable, v: str | None = None
+    tables: list, onto: tuple[str, ...], vt: VariableTable, axis: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | int, float, int]:
-    """The product of ``tables`` over ``onto``, with the vertex ``v`` summed
-    out unless it is ``None``, as ``(values, exps, low, shift)``, worth
+    """The product of ``tables`` over ``onto``, with ``axis`` summed out
+    unless it is ``None``, as ``(values, exps, low, shift)``, worth
     ``values * 2**(exps + shift)`` with each nonzero entry of ``values`` at
     least ``2**low``; ``tables`` hold the same four items, ``shift`` aside.
-    A product over the table cap is refused naming ``v``.
+    The caller has checked ``onto`` against the table cap.
 
     The direct product is kept when the tables' ``low`` show that no
     partial product fell below the normal range and the result's maximum
@@ -287,21 +323,21 @@ def _reduce_bucket(
     :func:`factors._shift`, or, where none keeps every entry normal, keeps
     per-entry ``exps`` with ``low`` -inf and ``shift`` 0.
     """
-    _check_entries(vt.shape(onto), "" if v is None else f"vertex {v}")
     if not tables:
         return 1.0, 0, 0, 0
-    axis = None if v is None else onto.index(v)
-    lows = [low for *_, low in tables]
+    lows = [t[3] for t in tables]
     if sum(min(low, 0) for low in lows) >= _NORMAL:
-        table = _compact_product([t[:2] for t in tables], onto, vt)
+        table = _compact_product(tables, onto, vt)
         if axis is not None:
             table = table.sum(axis)
         peak = table.max()
         if peak < math.inf:
             low = sum(lows)
             shift = _shift(peak, low, 0, table)
-            return np.ldexp(table, -shift), 0, max(low - shift, _NORMAL), shift
-    mantissa, exponent = _wide_product([t[:3] for t in tables], onto, vt)
+            if shift:  # dividing by 2**0 is exact
+                table = np.ldexp(table, -shift)
+            return table, 0, max(low - shift, _NORMAL), shift
+    mantissa, exponent = _wide_product(tables, onto, vt)
     if axis is not None:
         total, top = _wide_sum(mantissa, exponent, axis)
         mantissa, exponent = np.frexp(total)
@@ -361,9 +397,12 @@ def mn_partition(mn: MarkovNetwork) -> float:
     building the product: the cost is O(n * d^(w+1)) for n variables of at
     most d states and induced width w.  Every product and sum is rounded
     as with an unbounded exponent (see :func:`_sum_product`), so Z is
-    exact up to that rounding whatever the range of the tables.
+    exact up to that rounding whatever the range of the tables.  The plan
+    is kept on the network: a second call only multiplies and sums.
 
     Raises:
+        TableTooLargeError: if a bucket would exceed ``factors.MAX_TABLE_ENTRIES``,
+            found before any is multiplied; the error names its vertex.
         OutOfRangeError: if Z is nonzero but not a normal double: it
             overflows, or falls below 2**-1022; the error carries log Z.
     """
@@ -411,14 +450,15 @@ def marginal_distribution(net: Network, vars: list[str]) -> Factor:
     unnormalized, so ``marginal_distribution(net, [])`` holds the total
     mass.  The other variables are summed out by elimination along the
     declared order, without building the full table: the cost is
-    O(n * d^(w+1+k)) for n variables of at most d states, induced width w
-    and k kept variables.  Keeping every vertex gives the full table: every
-    other full-table function calls this one.  A network found valid before
-    is not checked again.
+    O(n * d^(w+1+k)) for n variables of at most d states, k kept variables
+    and w the induced width of the order on the tables' scopes.  Keeping
+    every vertex gives the full table: every other full-table function
+    calls this one.  A network found valid before is not checked again.
 
     Raises:
-        TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``;
-            the error names the vertex summed out of it, if any.
+        TableTooLargeError: if a product would exceed ``factors.MAX_TABLE_ENTRIES``,
+            found before any is multiplied; the error names the vertex
+            summed out of the first such bucket, if any.
         OutOfRangeError: if the largest entry of a nonzero marginal is not
             a normal double: it overflows, or falls below 2**-1022.
     """

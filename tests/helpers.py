@@ -707,6 +707,24 @@ def mixed_chain_mn(rng: np.random.Generator, n: int) -> MarkovNetwork:
     return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
 
 
+def random_order_grid(rng: np.random.Generator, k: int, card: int) -> MarkovNetwork:
+    """The k-by-k grid ``g{row}{col}`` with ``card`` states per variable and
+    one pairwise factor per edge, entries uniform in [0.5, 2.0], its
+    vertices declared in an order drawn from ``rng``.  Each factor is laid
+    out over its pair in declared order.  Along such an order the buckets
+    of elimination far exceed the table cap from k = 8 on, where the
+    row-major order keeps every family within k + 1 variables."""
+    cells = [f"g{r:02d}{c:02d}" for r in range(k) for c in range(k)]
+    names = tuple(cells[i] for i in rng.permutation(k * k))
+    pos = {v: i for i, v in enumerate(names)}
+    edges = [(cells[i], cells[i + 1]) for i in range(k * k) if (i + 1) % k]
+    edges += [(cells[i], cells[i + k]) for i in range(k * k - k)]
+    pairs = [tuple(sorted(e, key=pos.get)) for e in edges]
+    vt = VariableTable(tuple((v, tuple(f"s{j}" for j in range(card))) for v in names))
+    factors = {frozenset(p): Factor(p, rng.uniform(0.5, 2.0, card * card)) for p in pairs}
+    return MarkovNetwork(OrderedUGraph(names, {frozenset(p) for p in pairs}), vt, factors)
+
+
 def wide_range_mn() -> MarkovNetwork:
     """Binary Y - X, declared in that order, whose tables each span more than
     a double's range from one power of two: {Y} = (1e-300, 1e100) and

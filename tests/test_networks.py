@@ -4,8 +4,10 @@ import copy
 import math
 import pickle
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -59,6 +61,7 @@ from helpers import (
     random_bn,
     random_cn,
     random_mn,
+    random_order_grid,
     reference_sum_product,
     wide_random_mn,
     wide_range_mn,
@@ -390,6 +393,61 @@ class TestSumProduct:
             mn_unnormalized(mn)
 
 
+
+class TestPlanBeforeProducts:
+    """Sum-product sizes every bucket from the tables' scopes before it
+    multiplies any, so a query over the cap is refused at once."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """The scope of every bucket product multiplied, call by call."""
+        made = []
+        for name in ("_compact_product", "_wide_product"):
+
+            def spied(tables, onto, vt, build=getattr(chordalnet.networks, name)):
+                made.append(onto)
+                return build(tables, onto, vt)
+
+            monkeypatch.setattr(chordalnet.networks, name, spied)
+        return made
+
+    def test_a_random_order_grid_is_refused_before_any_product(self, products):
+        # Along this order the bucket of g0602, the 22nd vertex eliminated,
+        # spans 17 variables; the 21 buckets before it are multiplied no more.
+        net = random_order_grid(np.random.default_rng(1), 8, 3)
+        message = (
+            "vertex g0602: a table over 17 variables would have 129,140,163 "
+            "entries, more than the cap of 16,777,216"
+        )
+        queries = [mn_partition, lambda n: marginal_distribution(n, n.graph.vertices[:1])]
+        for query in queries:
+            with pytest.raises(TableTooLargeError) as refused:
+                query(net)
+            assert str(refused.value) == message
+        assert products == []
+
+    def test_a_large_random_order_grid_is_refused_at_once(self, products):
+        net = random_order_grid(np.random.default_rng(1), 12, 3)
+        start = time.perf_counter()
+        with pytest.raises(TableTooLargeError, match="^vertex g0904: "):
+            mn_partition(net)
+        assert time.perf_counter() - start < 0.1
+        assert products == []
+
+    def test_graph_edges_without_factors_do_not_refuse(self):
+        # The chain's factors on the complete graph: the buckets follow the
+        # tables' scopes, while the triangulation follows the graph.
+        chain = chain_mn(np.random.default_rng(5), 30)
+        names = chain.graph.vertices
+        graph = OrderedUGraph(names, {frozenset(p) for p in combinations(names, 2)})
+        mn = MarkovNetwork(graph, chain.vt, chain.factors)
+        log_z = oracle_chain_log_partition(chain)
+        assert math.log(mn_partition(mn)) == pytest.approx(log_z, rel=1e-12, abs=0)
+        refusal = "^vertex x24: .* 33,554,432 entries"
+        with pytest.raises(TableTooLargeError, match=refusal):
+            triangulate_mn(mn)
+
+
 def star_mn(leaves: int) -> MarkovNetwork:
     names = ("c",) + tuple(f"l{i}" for i in range(leaves))
     edges = {frozenset(("c", leaf)) for leaf in names[1:]}
@@ -647,3 +705,64 @@ class TestValidateOnce:
                 assert not any(t.values.flags.writeable for t in tables.values())
                 with pytest.raises(TypeError):
                     tables[next(iter(tables))] = None
+
+
+class TestPlanOnce:
+    """The plan of a sum with nothing kept is built once per network, which
+    cannot change; a plan that keeps variables, and a refusal, are not kept."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The networks whose tables a plan read, call by call."""
+        seen = []
+        original = chordalnet.networks._tables
+
+        def spy(net):
+            seen.append(net)
+            return original(net)
+
+        monkeypatch.setattr(chordalnet.networks, "_tables", spy)
+        return seen
+
+    def test_repeated_partitions_plan_once(self, planned):
+        mn = chain_mn(np.random.default_rng(5), 8)
+        assert len({mn_partition(mn).hex() for _ in range(3)}) == 1
+        assert planned == [mn]
+
+    def test_a_marginal_plans_on_every_call(self, planned):
+        mn = chain_mn(np.random.default_rng(5), 8)
+        mn_partition(mn)
+        for _ in range(3):
+            marginal_distribution(mn, ["x3"])
+        assert planned == [mn] * 4
+
+    def test_a_refused_network_is_refused_on_every_call(self, planned):
+        mn = hub_last_star(40)
+        for _ in range(3):
+            with pytest.raises(TableTooLargeError, match="^vertex H: "):
+                mn_partition(mn)
+        assert planned == [mn] * 3
+
+    def test_a_kept_plan_gives_the_same_bits(self):
+        # B is in no table, so its bucket is empty; the chain's mass leaves
+        # the range of a double, and the wide networks' sums can carry one
+        # exponent per entry.
+        vt = binary_vt("A", "B")
+        factors = {frozenset("A"): Factor(("A",), [1.0, 3.0])}
+        lone = MarkovNetwork(OrderedUGraph(("A", "B")), vt, factors)
+        chain = chain_mn(np.random.default_rng(600), 600, 0.01, 0.1)
+        rng = np.random.default_rng(17)
+        for net in [lone, chain] + [wide_random_mn(rng) for _ in range(20)]:
+            kept, table, exponent = chordalnet.networks._sum_product(net, set())
+            for _ in range(2):
+                again = chordalnet.networks._sum_product(net, set())
+                assert again[0] == kept
+                assert again[1].tobytes() == table.tobytes()
+                assert np.asarray(again[2]).tobytes() == np.asarray(exponent).tobytes()
+
+    def test_clones_plan_afresh_and_give_the_same_z(self, planned, misconception):
+        z = mn_partition(misconception)
+        clones = [pickle.loads(pickle.dumps(misconception)), copy.deepcopy(misconception)]
+        for clone in clones:
+            assert mn_partition(clone).hex() == z.hex()
+        assert planned == [misconception] + clones
