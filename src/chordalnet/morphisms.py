@@ -51,6 +51,7 @@ from .graphs import (
     triangulate_graph,
 )
 from .networks import (
+    STOCHASTIC_TOL,
     BayesianNetwork,
     ChordalNetwork,
     DegenerateDistributionError,
@@ -63,7 +64,6 @@ from .networks import (
 )
 from .transforms import _eliminate, _family_marginals, _triangulate
 
-STOCHASTIC_TOL = 1e-9
 PRESERVATION_TOL = 1e-9
 
 

@@ -40,6 +40,9 @@ from .factors import (
 )
 from .graphs import OrderedDag, OrderedUGraph, is_ordered_chordal
 
+# How far a stochastic column's sum may stray from 1.
+STOCHASTIC_TOL = 1e-9
+
 
 class NetworkValidationError(ValueError):
     """A network failed validation; ``violations`` lists every failure."""
@@ -142,10 +145,10 @@ def _kernel_map_violations(
             out.append(f"kernel for {v} has {k.values.size} values, expected {size}")
         elif k.stochastic:
             dev = np.abs(k.values.reshape(-1, net.vt.card(v)).sum(axis=1) - 1.0)
-            if dev.max() > 1e-9:
+            if dev.max() > STOCHASTIC_TOL:
                 out.append(
                     f"kernel for {v} is flagged stochastic but "
-                    f"{int((dev > 1e-9).sum())} column(s) do not sum to 1 "
+                    f"{int((dev > STOCHASTIC_TOL).sum())} column(s) do not sum to 1 "
                     f"(worst deviation {float(dev.max()):.3g})"
                 )
     return out
@@ -215,7 +218,10 @@ def require_valid(net: Network) -> None:
 
 
 def _tables(net: Network) -> list[_Table]:
-    """A valid network's tables as arrays; a kernel's layout is its family's."""
+    """A valid network's tables as arrays; a kernel's layout is its family's.
+    The one list of a network's tables, their order and their families, for
+    :func:`_plan`, ``_triangulate``, ``_moralise``, ``pearl_update``,
+    ``_regrouped_factors`` and the writer ``dumps_network``."""
     if isinstance(net, MarkovNetwork):
         pos = net.vt._index
         ranked = sorted(net.factors.values(), key=lambda f: [pos[u] for u in f.vars])

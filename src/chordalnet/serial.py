@@ -33,8 +33,9 @@ table becomes one array, checked once and wrapped without a copy.
 
 Saving emits a canonical key order and round-trip-exact floats, so
 ``save(load(x))`` is byte-identical for canonical files.
-:func:`dumps_network` alone fixes the layout: key order, sorting, edge
-order and indentation.  It writes each line of the fixed layout straight
+:func:`dumps_network` alone fixes the layout: key order, edge order and
+indentation; the table order and each table's family come from
+``networks._tables``.  It writes each line of the fixed layout straight
 from the tables: objects and lists that hold containers take one line per
 member, and every other list takes one line.  Strings are encoded by
 ``json.encoder.encode_basestring_ascii`` and the finite table values by
@@ -59,6 +60,7 @@ from .networks import (
     ChordalNetwork,
     MarkovNetwork,
     Network,
+    _tables,
     network_violations,
 )
 
@@ -403,37 +405,27 @@ def dumps_network(net: Network) -> str:
     vt, pos = net.vt, net.vt._index
     name = {v: encode_basestring_ascii(v) for v in vt.names}
     labels = {v: [*map(encode_basestring_ascii, s)] for v, s in vt.entries}
-    if isinstance(net, MarkovNetwork):
+    markov = isinstance(net, MarkovNetwork)
+    if markov:
         nbrs = net.graph.neighbours_of
         pairs = [(u, w) for u in vt.names for w in nbrs(u) if pos[u] < pos[w]]
-        members = (sorted(c, key=pos.get) for c in net.factors)
-        cliques = sorted(members, key=lambda m: [*map(pos.get, m)])
-        heads = [
-            (f'"clique": [{", ".join(map(name.get, m))}]', net.factors[frozenset(m)], m)
-            for m in cliques
-        ]
     else:
         pairs = [(u, w) for u in vt.names for w in net.graph.children_of(u)]
-        heads = [
-            (
-                f'"child": {name[k.child]},\n'
-                f'      "parents": [{", ".join(map(name.get, k.parents))}]',
-                k,
-                [*k.parents, k.child],
-            )
-            for k in map(net.kernels.get, net.graph.vertices)
-        ]
     variables = [
         f'    {{\n      "name": {name[v]},\n'
         f'      "states": [{", ".join(labels[v])}]\n    }}'
         for v in vt.names
     ]
     edges = [f"    [{name[u]}, {name[w]}]" for u, w in pairs]
-    tables = [
-        f'    {{\n      {head},\n'
-        f'      "rows": [\n{_rows(t.values, family, labels)}\n      ]\n    }}'
-        for head, t, family in heads
-    ]
+    tables = []
+    for vars, values in _tables(net):
+        if markov:
+            head = f'"clique": [{", ".join(map(name.get, vars))}]'
+        else:
+            parents = ", ".join(map(name.get, vars[:-1]))
+            head = f'"child": {name[vars[-1]]},\n      "parents": [{parents}]'
+        rows = _rows(values, vars, labels)
+        tables.append(f'    {{\n      {head},\n      "rows": [\n{rows}\n      ]\n    }}')
     return (
         f'{{\n  "kind": "{KIND_NAMES[type(net)]}",\n'
         f'  "variables": {_members(variables)},\n'

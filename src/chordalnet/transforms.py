@@ -161,8 +161,8 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
     clique's maximal element; the kernel of a vertex is the pointwise
     product of the factors it consumed, extended constantly over any
     parents they do not cover.  The kernel product therefore equals the
-    factor product exactly.  Each kernel is one fresh array: the product
-    is checked before it is broadcast, and a single factor needs no check.
+    factor product exactly.  Each kernel is copied into a fresh family array
+    once: a product of factors is checked before the copy, one factor is not.
 
     Raises:
         TableTooLargeError: when a vertex's family table would exceed
@@ -184,8 +184,9 @@ def _triangulate(
     """The kernels of :func:`triangulate_mn` for ``tables``, each vertex's
     in :func:`networks._tables` order, over ``graph``, a triangulation of
     their (moral) graph, as a network of type ``kind``; stochastic when
-    ``kind`` is Bayesian.  Every family is checked before any is built.
-    The result is valid by construction and is recorded as valid."""
+    ``kind`` is Bayesian.  Every family is checked before any is built, and
+    every kernel is copied once into a fresh family array.  The result is
+    valid by construction and is recorded as valid."""
     families = [(v, graph.parents_of(v) + (v,)) for v in graph.vertices]
     shapes = [vt.shape(family) for _, family in families]
     for (v, _), shape in zip(families, shapes):
@@ -205,12 +206,8 @@ def _triangulate(
     # An overflow, or inf * 0 after one, is caught by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for (v, family), shape in zip(families, shapes):
-            tables = consumed[v]
-            acc = _kept(f"vertex {v}", tables, family, vt, bound.get(v, 0))
-            fresh = len(tables) > 1 and np.shape(acc) == shape
-            values = acc if fresh else np.empty(shape)
-            if not fresh:
-                values[...] = acc  # one table or none, copied once
+            values = np.empty(shape)
+            values[...] = _kept(f"vertex {v}", consumed[v], family, vt, bound.get(v, 0))
             kernels[v] = _adopt(
                 Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
             )

@@ -39,6 +39,7 @@ from chordalnet import (
     decompose_morphism,
     identity_morphism,
     load_network,
+    marginal_distribution,
     marginalization_morphism,
     mn_to_bn,
     mn_unnormalized,
@@ -194,6 +195,22 @@ class TestMarginalizationMorphism:
         target, m = marginalization_morphism(misconception, "C")
         assert isinstance(target, MarkovNetwork)
         assert morphism_violations(m, misconception, target) == []
+
+    def test_markov_target_is_one_factor_over_the_vertex(self, misconception):
+        rng = np.random.default_rng(517)
+        for mn in [misconception] + [random_mn(rng) for _ in range(8)]:
+            for v in mn.graph.vertices:
+                target, m = marginalization_morphism(mn, v)
+                assert isinstance(target, MarkovNetwork)
+                assert target.graph.vertices == (v,)
+                assert list(target.factors) == [frozenset({v})]
+                factor = target.factors[frozenset({v})]
+                assert factor.vars == (v,)
+                want = marginal_distribution(mn, [v]).values
+                np.testing.assert_allclose(
+                    factor.values, want / want.sum(), rtol=0, atol=1e-12
+                )
+                assert morphism_violations(m, mn, target) == []
 
 
 class TestMarginalizationWithoutJoint:
