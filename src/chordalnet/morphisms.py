@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ from .factors import (
     _product,
     _stochastic_rows,
     _Table,
+    enumerate_assignments,
 )
 from .graphs import (
     GraphHom,
@@ -214,10 +214,7 @@ def _product_states(vt: VariableTable, vertices: tuple[str, ...]) -> tuple[str, 
         return ("()",)
     if len(vertices) == 1:
         return vt.states(vertices[0])
-    return tuple(
-        "(" + ",".join(combo) + ")"
-        for combo in iter_product(*(vt.states(w) for w in vertices))
-    )
+    return tuple("(" + ",".join(c) + ")" for c in enumerate_assignments(vt, vertices))
 
 
 def _regrouped_kernels(

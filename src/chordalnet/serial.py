@@ -26,10 +26,10 @@ context; a text that is not UTF-8, or is nested too deeply to decode, is
 refused with one line.  One loop reads the tables of every kind; only the
 reader of a table's head differs, child and parents checked against the
 graph, or a clique of known, distinct vertices in declaration order.  Each
-row's labels are looked up once, in a map from every assignment to its
-place in the table; a row of plain numbers that fills an empty place is
-taken at once, and only any other row is diagnosed check by check.  Each
-table becomes one array, checked once and wrapped without a copy.
+row is looked up once in a map from every assignment to its place; a
+miss, values that are not a list of the right count of numbers, or a place
+already filled runs the checks that name the fault, in a fixed order.
+Each table becomes one array, checked once and wrapped without a copy.
 
 Saving emits a canonical key order and round-trip-exact floats, so
 ``save(load(x))`` is byte-identical for canonical files.
@@ -171,33 +171,25 @@ def _parse_rows(
         errors.append(f"{where}.rows: must be a list")
         return None
     # Each assignment's slot in canonical order.  A row whose labels hit a
-    # slot has the right label count and only known labels, so the
-    # diagnosis of each runs only on a miss.
+    # slot has the right label count and only known labels, so only a miss
+    # is diagnosed label by label.
     slot = {key: i for i, key in enumerate(iter_product(*map(vt.states, given_vars)))}
     card = vt.card(out_var)
     seen: list[list[float] | None] = [None] * len(slot)
     ok = True
     for i, row in enumerate(rows):
-        # A dict row whose labels hit an empty slot and whose values are
-        # ``card`` plain ints or floats passes every check below.
-        if type(row) is dict:
-            given, values = row.get("given"), row.get("values")
-            if type(given) is list and type(values) is list and len(values) == card:
-                try:
-                    at = slot.get(tuple(given))
-                except TypeError:  # an unhashable label
-                    at = None
-                if at is not None and seen[at] is None:
-                    if _PLAIN.issuperset(map(type, values)):
-                        seen[at] = values
-                        continue
+        given = row.get("given") if isinstance(row, dict) else None
+        try:
+            at = slot.get(tuple(given)) if isinstance(given, list) else None
+        except TypeError:  # an unhashable label
+            at = None
         if not isinstance(row, dict):
             fault = ": must be an object with given and values"
-        elif not isinstance(given := row.get("given"), list) or not all(
-            isinstance(s, str) for s in given
+        elif at is None and not (
+            isinstance(given, list) and all(isinstance(s, str) for s in given)
         ):
             fault = ".given: must be a list of state labels"
-        elif (at := slot.get(tuple(given))) is None and len(given) != len(given_vars):
+        elif at is None and len(given) != len(given_vars):
             fault = (
                 f".given: has {len(given)} labels, expected one per "
                 f"conditioning variable {list(given_vars)}"
@@ -207,8 +199,9 @@ def _parse_rows(
                 (p, s) for p, s in zip(given_vars, given) if s not in vt.states(p)
             )
             fault = f".given: {s!r} is not a state of {p}"
-        elif not isinstance(values := row.get("values"), list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+        elif not isinstance(values := row.get("values"), list) or not (
+            _PLAIN.issuperset(map(type, values))
+            or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
         ):
             fault = ".values: must be a list of numbers"
         elif len(values) != card:

@@ -106,16 +106,14 @@ class EliminationTrace:
     def partition_mass(self) -> float:
         """The partition constant: the total mass of the input kernel product.
 
-        The scalars' mantissas are multiplied with a separate exponent, so
-        the result is rounded as the product with an unbounded exponent;
-        it overflows to ``inf`` or underflows to ``0.0`` only when Z itself
-        is out of double range, where :meth:`log_partition` still holds.
+        The scalars are multiplied by :func:`factors._wide_product`, so the
+        result is rounded as the product with an unbounded exponent; it
+        overflows to ``inf`` or underflows to ``0.0`` only when Z itself is
+        out of double range, where :meth:`log_partition` still holds.
         """
-        mantissa, exponent = 1.0, sum(s.log2_scale for s in self.steps)
-        for scalar in self._scalars():
-            m, e = math.frexp(scalar)
-            mantissa, shift = math.frexp(mantissa * m)
-            exponent += e + shift
+        scalars = [((), np.float64(s)) for s in self._scalars()]
+        mantissa, exponent = _wide_product(scalars, (), VariableTable(()))
+        exponent += sum(s.log2_scale for s in self.steps)
         with np.errstate(over="ignore", under="ignore"):
             return float(np.ldexp(mantissa, exponent))
 

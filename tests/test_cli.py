@@ -15,6 +15,7 @@ import numpy as np
 
 import chordalnet
 import chordalnet.factors
+import chordalnet.transforms
 from chordalnet import (
     BayesianNetwork,
     ChordalNetwork,
@@ -89,6 +90,34 @@ class TestTransforms:
         out = tmp_path / "bn.json"
         assert run(capsys, "trmor", bear_path, "-o", str(out))[0] == 0
         assert json.loads(out.read_text())["kind"] == "bayesian"
+
+    @pytest.mark.parametrize(
+        "command, conversion, document",
+        [
+            ("moralise", "moralise_bn", "fixtures/bear.json"),
+            ("triangulate", "triangulate_mn", "fixtures/misconception.json"),
+            ("ve", "variable_elimination", "golden/triangulate_misconception.json"),
+            ("tr", "mn_to_bn", "fixtures/misconception.json"),
+            ("trmor", "triangulate_bn", "fixtures/bear.json"),
+        ],
+    )
+    def test_each_transform_calls_its_conversion_at_call_time(
+        self, capsys, monkeypatch, fixtures_dir, command, conversion, document
+    ):
+        # A wrapper put in ``transforms`` after import, as a tracer's span
+        # is, must be the function the command runs.
+        path = str(fixtures_dir.parent / document)
+        expected = run(capsys, command, path)
+        original = getattr(chordalnet.transforms, conversion)
+        calls = []
+
+        def spy(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(chordalnet.transforms, conversion, spy)
+        assert run(capsys, command, path) == expected
+        assert expected[0] == 0 and len(calls) == 1
 
     def test_transform_to_stdout(self, capsys, misconception_path):
         code, text, _ = run(capsys, "triangulate", misconception_path)

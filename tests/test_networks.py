@@ -571,6 +571,46 @@ class TestRangeExact:
         assert expected == [0, 0, 0, 0.5, 0, 0.5]
         assert network_distribution(mn).values.tolist() == expected
 
+    # Known wrong answers of the sweep on the oracle corpus above.  Each is
+    # a ``FOUND`` line of CHANGES.md; the mend removes the marker.
+    HOST_UNDERFLOW = (
+        "FOUND: transforms._eliminate loses mass silently when a host's product "
+        "of a tiny kernel entry and a tiny absorbed mass underflows"
+    )
+    SUBNORMAL_KEPT = (
+        "FOUND: transforms._kept accepts a product entry that rounds to a nonzero "
+        "subnormal, with the bits it lost"
+    )
+
+    @staticmethod
+    def wide_network(seed, index):
+        rng = np.random.default_rng(seed)
+        for _ in range(index):
+            wide_random_mn(rng)
+        return wide_random_mn(rng)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=HOST_UNDERFLOW)
+    def test_first_kernel_where_a_host_product_underflows(self):
+        mn = self.wide_network(17, 292)
+        exact = exact_mn_marginal(mn, {"V0"})
+        expected = [float(x / sum(exact)) for x in exact]
+        kernel = mn_to_bn(mn).kernels["V0"].values
+        np.testing.assert_allclose(kernel, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=HOST_UNDERFLOW)
+    def test_partition_mass_where_a_host_product_underflows(self):
+        mn = self.wide_network(17, 292)
+        z = float(sum(exact_mn_marginal(mn)))
+        _, trace = variable_elimination(triangulate_mn(mn))
+        assert trace.partition_mass() == pytest.approx(z, rel=1e-12, abs=0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUBNORMAL_KEPT)
+    def test_partition_mass_where_a_kernel_entry_is_subnormal(self):
+        mn = self.wide_network(5, 85)
+        z = float(sum(exact_mn_marginal(mn)))
+        _, trace = variable_elimination(triangulate_mn(mn))
+        assert trace.partition_mass() == pytest.approx(z, rel=1e-12, abs=0)
+
 
 class TestSumProductOnArrays:
     """The sweep on plain arrays against the sweep on ``Factor`` objects."""

@@ -498,6 +498,18 @@ def _set_row(field, value):
                 "to 1 (worst deviation 0.01)"
             ],
         ),
+        (
+            _set_row("given", ("a0",)),
+            ["tables[1].rows[0].given: must be a list of state labels", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("given", [0]),
+            ["tables[1].rows[0].given: must be a list of state labels", _MISSING_A0, _NO_B],
+        ),
+        (
+            _set_row("values", (0.5, 0.25, 0.25)),
+            ["tables[1].rows[0].values: must be a list of numbers", _MISSING_A0, _NO_B],
+        ),
     ],
     ids=[
         "row-not-an-object",
@@ -513,6 +525,9 @@ def _set_row(field, value):
         "nan-value",
         "negative-value",
         "not-stochastic",
+        "given-a-tuple",
+        "given-a-number",
+        "values-a-tuple",
     ],
 )
 def test_each_row_fault_gives_exactly_its_diagnosis(edit, violations):
@@ -529,6 +544,26 @@ def test_numpy_float_values_are_accepted():
         row["values"] = [np.float64(x) for x in row["values"]]
     net = document_to_network(doc)
     assert dumps_network(net) == dumps_network(document_to_network(_two_variable_document()))
+
+
+class _Label(list):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def test_rows_of_list_and_number_subclasses_and_extra_keys_are_accepted():
+    doc = _two_variable_document()
+    first, second = doc["tables"][1]["rows"]
+    first["given"] = _Label(first["given"])
+    first["values"] = [np.float64(0.5), _Count(0), 0.5]
+    second["note"] = "an extra key"
+    expected = _two_variable_document()
+    expected["tables"][1]["rows"][0]["values"] = [0.5, 0, 0.5]
+    net = document_to_network(doc)
+    assert dumps_network(net) == dumps_network(document_to_network(expected))
 
 
 def test_faults_in_two_tables_are_listed_in_table_order():
