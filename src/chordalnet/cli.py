@@ -170,50 +170,49 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_STDIN = "input document path, or - for stdin"
 _OUTPUT = [(("-o", "--output"), {"default": None, "help": "output path, or - for stdout"})]
 _SEPARATION = [
-    (("--x",), {"required": True}),
-    (("--y",), {"required": True}),
-    (("--given",), {"default": ""}),
+    (("--x",), {"required": True, "help": "comma-separated vertex names"}),
+    (("--y",), {"required": True, "help": "comma-separated vertex names"}),
+    (("--given",),
+     {"default": "", "help": "comma-separated conditioning vertices; none if omitted"}),
 ]
-# Every command: its help, its input's help, its options after the input,
-# its handler.  A transform's conversion is looked up in ``transforms`` at
-# call time, so that a wrapper put there after import (a tracer's span, a
-# test's spy) is called.
+# Every command: its help, its options after the input, its handler.  A
+# transform's conversion is looked up in ``transforms`` at call time, so
+# that a wrapper put there after import (a tracer's span, a test's spy) is
+# called.
 _COMMANDS = {
     "moralise": (
-        "bayesian -> markov on the moral graph", _STDIN, _OUTPUT,
+        "bayesian -> markov on the moral graph", _OUTPUT,
         _transform(BayesianNetwork, lambda bn: transforms.moralise_bn(bn)),
     ),
     "triangulate": (
-        "markov -> chordal on the triangulated graph", _STDIN, _OUTPUT,
+        "markov -> chordal on the triangulated graph", _OUTPUT,
         _transform(MarkovNetwork, lambda mn: transforms.triangulate_mn(mn)),
     ),
     "ve": (
-        "chordal -> bayesian by variable elimination", _STDIN, _OUTPUT,
+        "chordal -> bayesian by variable elimination", _OUTPUT,
         _transform(ChordalNetwork, lambda cn: transforms.variable_elimination(cn)[0]),
     ),
     "tr": (
-        "markov -> bayesian (triangulate then eliminate)", _STDIN, _OUTPUT,
+        "markov -> bayesian (triangulate then eliminate)", _OUTPUT,
         _transform(MarkovNetwork, lambda mn: transforms.mn_to_bn(mn)),
     ),
     "trmor": (
-        "bayesian -> bayesian over the triangulated moral graph", _STDIN, _OUTPUT,
+        "bayesian -> bayesian over the triangulated moral graph", _OUTPUT,
         _transform(BayesianNetwork, lambda bn: transforms.triangulate_bn(bn)),
     ),
-    "joint": ("print the full joint / unnormalized table", None, [], _cmd_marginal),
+    "joint": ("print the full joint / unnormalized table", [], _cmd_marginal),
     "marginal": (
         "print a marginal, summing the other variables out by elimination",
-        None,
         [(("--vars",), {"required": True, "help": "comma-separated variable names"})],
         _cmd_marginal,
     ),
-    "partition": ("print the total mass Z", None, [], _cmd_marginal),
-    "jtree": ("print the junction tree of a chordal-graph document", None, [], _cmd_jtree),
-    "dsep": ("directed separation query", None, _SEPARATION, _cmd_separation),
-    "usep": ("undirected separation query", None, _SEPARATION, _cmd_separation),
-    "check": ("validate a document; exit 0 iff it passes", None, [], _cmd_check),
+    "partition": ("print the total mass Z", [], _cmd_marginal),
+    "jtree": ("print the junction tree of a chordal-graph document", [], _cmd_jtree),
+    "dsep": ("directed separation query", _SEPARATION, _cmd_separation),
+    "usep": ("undirected separation query", _SEPARATION, _cmd_separation),
+    "check": ("validate a document; exit 0 iff it passes", [], _cmd_check),
 }
 
 
@@ -225,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transform and query discrete graphical-model documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, input_help, options, handler) in _COMMANDS.items():
+    for name, (blurb, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("input", help=input_help)
+        p.add_argument("input", help="input document path, or - for stdin")
         for flags, settings in options:
             p.add_argument(*flags, **settings)
         p.set_defaults(func=handler)

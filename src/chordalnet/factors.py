@@ -379,11 +379,10 @@ def _kept(
     directly where one table is given, or where ``bound``, a power of two
     that every nonzero partial product reaches (by default read off the
     tables' :func:`_lows`), and the result's maximum show that nothing left
-    the normal range; otherwise rebuilt by :func:`_wide_product` (a table's
-    scale, its third item, needs ``bound`` -inf) and rounded, or the error
-    of :func:`_out_of_range` at ``where`` when an entry overflows or a
-    nonzero one rounds to zero.  The caller holds an ``np.errstate`` in
-    which overflow and inf * 0 do not warn.
+    the normal range; otherwise rebuilt by :func:`_wide_product` and
+    rounded, or the error of :func:`_out_of_range` at ``where`` when an
+    entry overflows or a nonzero one rounds to zero.  The caller holds an
+    ``np.errstate`` in which overflow and inf * 0 do not warn.
     """
     if bound is None and len(tables) > 1:
         bound = sum(min(low, 0) for low in _lows([t[1] for t in tables]))

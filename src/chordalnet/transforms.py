@@ -14,8 +14,8 @@ Four total conversions are provided, plus the Bayesian triangulation:
   from largest to smallest.  At each vertex the kernel is normalized and
   its mass is multiplied into the largest parent's kernel; ordered
   chordality guarantees the mass table fits there.  Parentless vertices
-  leave scalar masses whose product, times the power-of-two scales of the
-  absorbed masses, is the partition constant, which is what the final
+  leave scalar masses whose product, times the power-of-two scales that
+  the steps record, is the partition constant, which is what the final
   normalization divides out.
 * :func:`mn_to_bn` is the composition of the previous two.
 * :func:`triangulate_bn` (Bayesian to Bayesian) is :func:`triangulate_mn`
@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .factors import (
+    _NORMAL,
     _TINY,
     Factor,
     Kernel,
@@ -64,6 +65,7 @@ from .networks import (
     DegenerateDistributionError,
     MarkovNetwork,
     Network,
+    _reduce_bucket,
     _tables,
     require_valid,
 )
@@ -76,12 +78,11 @@ class EliminationStep:
     ``absorbed_into`` is the vertex's largest parent, or ``None`` for a
     parentless vertex whose scalar mass contributes to the partition
     constant directly.  ``lam`` is the mass as computed; the host's table
-    was multiplied by ``lam * 2 ** -log2_scale``, exact since the scale is
-    a power of two picked by the one rule of :func:`factors._shift`: the
-    one that brings the mass's maximum into [1, 2), or a smaller one where
-    that would push its smallest nonzero entry below 2**-1022, plus, at
-    every 64th mass absorbed into one host, the one the rule picks for the
-    host's table.
+    was multiplied by ``lam`` divided by the power of two of the one rule of
+    :func:`factors._shift`: the one that brings the mass's maximum into
+    [1, 2), or a smaller one where that would push its smallest nonzero
+    entry below 2**-1022.  ``log2_scale`` is that power plus, for a working
+    table rebuilt exactly, the one its row masses were divided by.
     """
 
     vertex: str
@@ -223,22 +224,23 @@ def variable_elimination(
     into a stochastic kernel and a mass table over the parents, with
     uniform fill on zero columns; the mass is multiplied into the largest
     parent's working table, which ordered chordality guarantees can host
-    it.  The absorbed copy, and at every 64th absorption the host, are
-    divided by the power of two of :func:`factors._shift` (target [1, 2)),
-    so that neither a long network nor a host with many children
-    overflows or underflows; the kernels are unchanged because
-    normalization cancels the scale exactly.  Scalar masses at parentless
-    vertices, with the recorded scales, make up the partition constant,
-    divided out implicitly by the normalizations.  A mass whose maximum is
-    not in (0, inf) sends its working table to the exact product, which
-    raises one of the errors below or lets the sweep go on exactly.
+    it.  The absorbed copy is divided by the power of two of
+    :func:`factors._shift` (target [1, 2)); the kernels are unchanged
+    because normalization cancels the scale exactly.  Scalar masses at
+    parentless vertices, with the recorded scales, make up the partition
+    constant, divided out implicitly by the normalizations.  A working
+    table whose mass maximum is not in (0, inf), or which lost bits to an
+    underflow in a host multiply, is rebuilt by the exact product: each
+    row is split at its own largest entry's scale, and the row masses are
+    divided by the power of two of sum-product (``networks._reduce_bucket``),
+    added to the step's scale.
 
     The sweep works on plain arrays: parents precede the child, so each
     kernel's flat layout is already that of its family table, and a mass
     is multiplied into its host by broadcasting.  That is one pass per
     family table: the normaliser's rows and masses become the returned
     kernels and masses without a copy, and one check of each mass's
-    maximum shows the whole family table in range.
+    maximum, with the FPU's underflow flag, shows the family table in range.
 
     Returns the Bayesian network on the same graph plus the trace of
     ``(vertex, mass, absorbed_into, log2_scale)`` steps.
@@ -248,11 +250,10 @@ def variable_elimination(
             table is zero, which happens exactly when the kernel product
             has zero total mass; the error names the first such vertex in
             processing order.
-        OutOfRangeError: when a working table, exactly, leaves the range
-            of a double (an entry or its mass overflows, or a nonzero entry
-            rounds to zero); a :class:`ValueError` whose message names the
-            vertex and whose ``log_mass`` is the natural log of that
-            table's total mass.
+        OutOfRangeError: when no one power of two brings the row masses
+            of a rebuilt working table into the normal range of a double;
+            a :class:`ValueError` whose message names the vertex and whose
+            ``log_mass`` is the natural log of that table's total mass.
     """
     require_valid(cn)
     bn, steps = _eliminate(cn)
@@ -272,18 +273,42 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     steps: list[tuple] = []
     # Each host's absorbed masses, with the power of two each was divided by.
     absorbed: dict[str, list[tuple]] = {v: [] for v in graph.vertices}
-    # An overflow in a host's table, inf * 0 after one, or an underflow to
-    # zero is caught by the check of the host's mass below; 0/0 by the
-    # normaliser's zero test.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # The hosts that lost bits in a multiply: numpy reads the FPU's underflow
+    # flag after each ufunc, raised only by a tiny result that is inexact.
+    underflows: list[str] = []
+    lost: set[str] = set()
+    # An overflow in a host's table, or inf * 0 after one, is caught by the
+    # check of the host's mass below; 0/0 by the normaliser's zero test.
+    with np.errstate(
+        over="ignore", invalid="ignore", divide="ignore", under="call",
+        call=lambda kind, flag: underflows.append(kind),
+    ):
         for v in reversed(graph.vertices):
             parents = graph.parents_of(v)
             rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
             # Working entries are >= 0, inf or NaN: a finite row sum proves
             # its row finite, and NaN, which max propagates, fails the test.
-            peak = mass.max()
-            if not 0 < peak < math.inf:
-                rows, mass, least, peak = _exact_rows(cn, v, absorbed.pop(v))
+            peak, scale = mass.max(), 0
+            if not 0 < peak < math.inf or v in lost:
+                family = parents + (v,)
+                tables = [(family, cn.kernels[v].values), *absorbed[v]]
+                m, e = _wide_product(tables, family, vt)
+                if not m.any():
+                    raise DegenerateDistributionError(
+                        f"degenerate network: the mass table at vertex {v} is "
+                        "identically zero", vertex=v
+                    )
+                m, e = m.reshape(rows.shape), e.reshape(rows.shape)
+                top = np.max(e, 1, where=m > 0, initial=-(1 << 30))
+                rows, mass, _ = _stochastic_rows(np.ldexp(m, e - top[:, None]))
+                # The row masses, an exponent each, divided as sum-product's.
+                m, e = np.frexp(mass)
+                masses = [(parents, m, e + top, -math.inf)]
+                mass, e, low, scale = _reduce_bucket(masses, parents, vt)
+                if low < _NORMAL:
+                    raise _out_of_range(f"vertex {v}", mass, e)
+                mass = mass.flatten()  # a fresh array, also at a root
+                least, peak = mass.min(), mass.max()
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
             host, shift = None, 0
             if parents:
@@ -291,40 +316,15 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 low = math.frexp(least)[1] - 1 if least > 0 else _TINY
                 shift = _shift(peak, low, 1, mass)
                 family = graph.parents_of(host) + (host,)
+                flagged = len(underflows)
                 spread = _spread(parents, np.ldexp(mass, -shift), family, vt)
                 table = working[host].reshape(vt.shape(family)) * spread
-                if len(absorbed[host]) % 64 == 63:
-                    rescale = _shift(table.max(), _TINY, 1, table)
-                    np.ldexp(table, -rescale, out=table)
-                    shift += rescale
+                if len(underflows) > flagged:
+                    lost.add(host)
                 working[host] = table
                 absorbed[host].append((parents, mass, -shift))
-            steps.append((v, parents, mass, host, shift))
+            steps.append((v, parents, mass, host, scale + shift))
     return BayesianNetwork(graph, vt, kernels), steps
-
-
-def _exact_rows(
-    cn: ChordalNetwork, v: str, masses: list[tuple]
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``v``'s working table in the sweep, rebuilt by the exact product of
-    its kernel and ``masses``, the masses absorbed into it with their
-    scales, and split as the sweep splits it; or the error of a zero
-    table, or of one or a mass out of the range of a double."""
-    vt, kernel = cn.vt, cn.kernels[v]
-    family = kernel.parents + (v,)
-    tables = [(family, kernel.values), *masses]
-    # The sweep's own product failed, so no bound is known.
-    table = _kept(f"vertex {v}", tables, family, vt, -math.inf)
-    if not table.any():
-        raise DegenerateDistributionError(
-            f"degenerate network: the mass table at vertex {v} is identically zero",
-            vertex=v,
-        )
-    rows, mass, least = _stochastic_rows(table.reshape(-1, vt.card(v)))
-    peak = mass.max()
-    if not peak < math.inf:
-        raise _out_of_range(f"vertex {v}", *_wide_product(tables, family, vt))
-    return rows, mass, least, peak
 
 
 def _family_marginals(bn: BayesianNetwork) -> dict[str, np.ndarray]:

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,9 @@ from chordalnet import (
     VariableTable,
     dumps_network,
     load_network,
+    loads_network,
     marginal_distribution,
+    variable_elimination,
 )
 from chordalnet.cli import _print_table, build_parser, main
 from helpers import (
@@ -172,7 +175,8 @@ class TestOutOfRangeKernels:
         assert "Warning" not in err
 
     def test_elimination_overflow(self, capsys, tmp_path):
-        # B passes A a mass of 1.9, and A's kernel is near the largest double.
+        # B passes A a mass of 1.9, and A's kernel is near the largest double:
+        # A's working table overflows, and its exact rebuild is answered.
         vt = VariableTable((("A", ("a0", "a1")), ("B", ("b0", "b1"))))
         cnw = ChordalNetwork(
             OrderedDag(("A", "B"), {("A", "B")}),
@@ -185,9 +189,16 @@ class TestOutOfRangeKernels:
         path = tmp_path / "cn.json"
         path.write_text(dumps_network(cnw))
         code, text, err = self.quiet_run(capsys, "ve", str(path))
-        assert code == 3 and text == ""
-        assert err.startswith(self.PREFIX) and "vertex A " in err
-        assert "Warning" not in err
+        assert code == 0 and err == ""
+        bn = loads_network(text)
+        np.testing.assert_allclose(bn.kernels["A"].values, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(
+            bn.kernels["B"].values, [1.5 / 1.9, 0.4 / 1.9] * 2, rtol=1e-12
+        )
+        _, trace = variable_elimination(cnw)
+        assert trace.log_partition() == pytest.approx(
+            math.log(2 * 1.7 * 1.9) + 308 * math.log(10), rel=1e-12
+        )
 
 
 class TestReports:
@@ -581,16 +592,22 @@ class TestCheckAndExitCodes:
 
 # Each subcommand in parser order: its help line, then each argument as
 # (dest, option strings, required, default, help), after -h.
-_INPUT = ("input", (), True, None, None)
+_INPUT = ("input", (), True, None, "input document path, or - for stdin")
 _TRANSFORM_ARGS = [
     ("input", (), True, None, "input document path, or - for stdin"),
     ("output", ("-o", "--output"), False, None, "output path, or - for stdout"),
 ]
 _SEPARATION_ARGS = [
     _INPUT,
-    ("x", ("--x",), True, None, None),
-    ("y", ("--y",), True, None, None),
-    ("given", ("--given",), False, "", None),
+    ("x", ("--x",), True, None, "comma-separated vertex names"),
+    ("y", ("--y",), True, None, "comma-separated vertex names"),
+    (
+        "given",
+        ("--given",),
+        False,
+        "",
+        "comma-separated conditioning vertices; none if omitted",
+    ),
 ]
 PARSER_TABLE = [
     ("moralise", "bayesian -> markov on the moral graph", _TRANSFORM_ARGS),

@@ -571,12 +571,8 @@ class TestRangeExact:
         assert expected == [0, 0, 0, 0.5, 0, 0.5]
         assert network_distribution(mn).values.tolist() == expected
 
-    # Known wrong answers of the sweep on the oracle corpus above.  Each is
+    # A known wrong answer of the sweep on the oracle corpus above.  It is
     # a ``FOUND`` line of CHANGES.md; the mend removes the marker.
-    HOST_UNDERFLOW = (
-        "FOUND: transforms._eliminate loses mass silently when a host's product "
-        "of a tiny kernel entry and a tiny absorbed mass underflows"
-    )
     SUBNORMAL_KEPT = (
         "FOUND: transforms._kept accepts a product entry that rounds to a nonzero "
         "subnormal, with the bits it lost"
@@ -589,7 +585,6 @@ class TestRangeExact:
             wide_random_mn(rng)
         return wide_random_mn(rng)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=HOST_UNDERFLOW)
     def test_first_kernel_where_a_host_product_underflows(self):
         mn = self.wide_network(17, 292)
         exact = exact_mn_marginal(mn, {"V0"})
@@ -597,12 +592,32 @@ class TestRangeExact:
         kernel = mn_to_bn(mn).kernels["V0"].values
         np.testing.assert_allclose(kernel, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=HOST_UNDERFLOW)
     def test_partition_mass_where_a_host_product_underflows(self):
         mn = self.wide_network(17, 292)
         z = float(sum(exact_mn_marginal(mn)))
         _, trace = variable_elimination(triangulate_mn(mn))
         assert trace.partition_mass() == pytest.approx(z, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed, index", [(17, 28), (17, 177), (17, 292), (5, 292)])
+    def test_kernels_where_a_host_product_underflows(self, seed, index):
+        # A tiny kernel entry times a tiny absorbed mass underflows in the
+        # host's table while the host's mass stays positive in another row.
+        # Each kernel row is compared where its parents' marginal is nonzero,
+        # the rows on which the conditional is defined.
+        mn = self.wide_network(seed, index)
+        bn = mn_to_bn(mn)
+        for v in mn.graph.vertices:
+            family = bn.graph.parents_of(v) + (v,)
+            exact = exact_mn_marginal(mn, set(family))
+            card = mn.vt.card(v)
+            rows = bn.kernels[v].values.reshape(-1, card)
+            for got, i in zip(rows, range(0, len(exact), card)):
+                total = sum(exact[i : i + card])
+                if total:
+                    expected = [float(x / total) for x in exact[i : i + card]]
+                    np.testing.assert_allclose(
+                        got, expected, rtol=1e-12, atol=2 * 2.0**-1074
+                    )
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUBNORMAL_KEPT)
     def test_partition_mass_where_a_kernel_entry_is_subnormal(self):

@@ -386,6 +386,12 @@ def test_clique_order_is_reported_before_a_repeat(fixtures_dir):
     ]
 
 
+def test_unknown_clique_vertex_is_reported(fixtures_dir):
+    doc = _fixture(fixtures_dir, "misconception")
+    doc["tables"].append(dict(doc["tables"][0], clique=["A", "Z"]))
+    assert _violations(doc) == ["tables[4].clique: unknown vertices ['Z']"]
+
+
 def test_too_deeply_nested_json_is_a_document_error():
     with pytest.raises(DocumentError) as err:
         loads_network("[" * 100000)

@@ -387,6 +387,8 @@ class TestEliminationAgainstReference:
     def test_host_overflow_is_still_a_value_error(self):
         # B's mass (1.9, 1.9) is absorbed unscaled into A's kernel, whose
         # entries are near the largest double, so the product overflows.
+        # The factor sweep refuses; the array sweep rebuilds A's table
+        # exactly and answers.
         vt = binary_vt("A", "B")
         cnw = ChordalNetwork(
             OrderedDag(("A", "B"), {("A", "B")}),
@@ -396,14 +398,17 @@ class TestEliminationAgainstReference:
                 "B": Kernel("B", ("A",), [1.5, 0.4, 1.5, 0.4], stochastic=False),
             },
         )
-        with pytest.raises(ValueError, match="table values must be finite"):
-            variable_elimination(cnw)
+        bn, trace = variable_elimination(cnw)
+        assert bn.kernels["A"].values.tolist() == [0.5, 0.5]
+        assert trace.log_partition() == pytest.approx(
+            math.log(2 * 1.7 * 1.9) + 308 * math.log(10), rel=1e-12
+        )
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             reference_variable_elimination(cnw)
 
     def test_host_with_many_children_stays_in_range(self):
         # Each leaf absorbs (1.5, 1.5) into the hub; 1.5**2000 overflows
-        # unless the hub's own table is rescaled as it fills.
+        # the hub's table, which is then rebuilt exactly, once.
         n = 2000
         mn = hub_first_star(n)
         with warnings.catch_warnings():
@@ -422,7 +427,9 @@ class TestEliminationAgainstReference:
 class TestOutOfRangeTables:
     """A table that the transforms build and that leaves the range of a
     double raises :class:`OutOfRangeError`, quietly, naming its vertex;
-    ``log_mass`` is the natural log of that table's total mass."""
+    ``log_mass`` is the natural log of that table's total mass.  A working
+    table of the sweep that leaves the range is rebuilt exactly, and
+    answered wherever one power of two brings its row masses into range."""
 
     PREFIX = "^table values must be finite and nonnegative: "
 
@@ -441,7 +448,9 @@ class TestOutOfRangeTables:
 
     def test_host_overflow(self):
         # B's mass (1.9, 1.9) is absorbed unscaled into A's kernel, whose
-        # entries are near the largest double, so A's working table overflows.
+        # entries are near the largest double, so A's working table
+        # overflows; its exact rebuild has the mass 2 * 1.7e308 * 1.9, which
+        # one power of two brings into range.
         cnw = ChordalNetwork(
             OrderedDag(("A", "B"), {("A", "B")}),
             binary_vt("A", "B"),
@@ -452,10 +461,12 @@ class TestOutOfRangeTables:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRangeError, match=self.PREFIX) as info:
-                variable_elimination(cnw)
-        assert "vertex A " in str(info.value)
-        assert info.value.log_mass == pytest.approx(
+            bn, trace = variable_elimination(cnw)
+        np.testing.assert_allclose(bn.kernels["A"].values, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(
+            bn.kernels["B"].values, [1.5 / 1.9, 0.4 / 1.9] * 2, rtol=1e-12
+        )
+        assert trace.log_partition() == pytest.approx(
             math.log(2 * 1.7 * 1.9) + 308 * math.log(10), rel=1e-12
         )
 
@@ -466,16 +477,18 @@ class TestOutOfRangeTables:
             binary_vt("A"),
             {"A": Kernel("A", (), [1e308, 1e308], stochastic=False)},
         )
-        with pytest.raises(ValueError, match=self.PREFIX) as info:
-            variable_elimination(cnw)
-        assert info.value.log_mass == pytest.approx(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bn, trace = variable_elimination(cnw)
+        np.testing.assert_allclose(bn.kernels["A"].values, [0.5, 0.5], rtol=1e-12)
+        assert trace.log_partition() == pytest.approx(
             math.log(2) + 308 * math.log(10), rel=1e-12
         )
 
     def test_overflow_then_zero_is_caught(self):
         # C's mass (1.9, 1.9) overflows A's table, and B's mass (1, 0) then
-        # makes A's second entry inf * 0 = NaN.  In log space that entry is
-        # log 0, so the total is A's first entry alone.
+        # makes A's second entry inf * 0 = NaN.  The exact entry is 0, so
+        # A's kernel is (1, 0) and the total is A's first entry alone.
         vt = binary_vt("A", "B", "C")
         graph = OrderedDag(("A", "B", "C"), {("A", "B"), ("A", "C")})
         kernels = {
@@ -485,10 +498,30 @@ class TestOutOfRangeTables:
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRangeError, match="vertex A ") as info:
-                variable_elimination(ChordalNetwork(graph, vt, kernels))
-        assert info.value.log_mass == pytest.approx(
+            bn, trace = variable_elimination(ChordalNetwork(graph, vt, kernels))
+        assert bn.kernels["A"].values.tolist() == [1.0, 0.0]
+        assert trace.log_partition() == pytest.approx(
             math.log(1.7 * 1.9) + 308 * math.log(10), rel=1e-12
+        )
+
+    def test_row_masses_that_no_power_brings_into_range(self):
+        # B's row masses are 3.4e308, which overflows, and 5e-324: they span
+        # more than 2**2046, so no one power of two keeps both normal.
+        cnw = ChordalNetwork(
+            OrderedDag(("A", "B"), {("A", "B")}),
+            binary_vt("A", "B"),
+            {
+                "A": Kernel("A", (), [1.0, 1.0], stochastic=False),
+                "B": Kernel("B", ("A",), [1.7e308, 1.7e308, 5e-324, 0.0], stochastic=False),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match=self.PREFIX) as info:
+                variable_elimination(cnw)
+        assert "vertex B " in str(info.value)
+        assert info.value.log_mass == pytest.approx(
+            math.log(3.4) + 308 * math.log(10), rel=1e-12
         )
 
     def test_zero_factor_after_product_overflow(self):
@@ -995,3 +1028,17 @@ def test_every_triangulation_is_valid_as_recorded(monkeypatch):
     for net in results + built:
         assert net._valid
         assert network_violations(net) == []
+
+
+def test_the_underflow_flag_marks_only_an_inexact_tiny_result():
+    # The sweep reads the FPU's underflow flag after each host multiply to
+    # find a host whose table lost bits.  IEEE 754 raises it for a tiny
+    # result only when that result is inexact, and numpy reports it after
+    # the ufunc that raised it.
+    flags = []
+    with np.errstate(under="call", call=lambda kind, flag: flags.append(kind)):
+        np.array([1e-200]) * np.array([1e-200])
+        assert flags == ["underflow"]
+        exact = np.array([2.0**-1000]) * np.array([2.0**-40])
+        assert flags == ["underflow"]
+    assert exact[0] == 2.0**-1040
