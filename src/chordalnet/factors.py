@@ -372,26 +372,30 @@ def _out_of_range(
 
 
 def _kept(
-    where: str, tables: list, onto: tuple[str, ...], vt: VariableTable, bound=None
+    where: str, tables: list, onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray | float:
     """The product of ``tables`` over ``onto`` for an unnormalised table
     that the package keeps (a Markov factor, a chordal kernel): multiplied
-    directly where one table is given, or where ``bound``, a power of two
-    that every nonzero partial product reaches (by default read off the
-    tables' :func:`_lows`), and the result's maximum show that nothing left
-    the normal range; otherwise rebuilt by :func:`_wide_product` and
-    rounded, or the error of :func:`_out_of_range` at ``where`` when an
-    entry overflows or a nonzero one rounds to zero.  The caller holds an
-    ``np.errstate`` in which overflow and inf * 0 do not warn.
+    directly where one table is given, or where no multiply raised the
+    FPU's underflow flag (set only by a tiny result that is inexact) and
+    the result's maximum is finite, the test of the elimination sweep;
+    otherwise rebuilt by :func:`_wide_product` and rounded, or the error
+    of :func:`_out_of_range` at ``where`` when an entry overflows or a
+    nonzero one rounds to zero.
     """
-    if bound is None and len(tables) > 1:
-        bound = sum(min(low, 0) for low in _lows([t[1] for t in tables]))
-    if len(tables) < 2 or bound >= _NORMAL:
+    if len(tables) < 2:
+        return _compact_product(tables, onto, vt)
+    underflows: list[str] = []
+    # An overflow, or inf * 0 after one, fails the maximum's test.
+    with np.errstate(
+        over="ignore", invalid="ignore", under="call",
+        call=lambda kind, flag: underflows.append(kind),
+    ):
         acc = _compact_product(tables, onto, vt)
-        if len(tables) < 2 or acc.max() < math.inf:
+        if not underflows and acc.max() < math.inf:
             return acc
-    mantissa, exponent = _wide_product(tables, onto, vt)
-    table = np.ldexp(mantissa, exponent)
+        mantissa, exponent = _wide_product(tables, onto, vt)
+        table = np.ldexp(mantissa, exponent)
     lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
     if lost or not table.max() < math.inf:
         raise _out_of_range(where, mantissa, exponent)
@@ -405,12 +409,11 @@ def _product(
     of ``onto``: a read-only view, all ones for no tables, so the
     :class:`Factor` or :class:`Kernel` built from it makes the only copy.
     A table named by ``where`` is an unnormalised one the package keeps,
-    built by :func:`_kept` instead."""
+    built by :func:`_kept` instead, which reads the FPU's flags itself."""
     _check_entries(vt.shape(onto))
     if where is None:
         return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.broadcast_to(_kept(where, tables, onto, vt), vt.shape(onto))
+    return np.broadcast_to(_kept(where, tables, onto, vt), vt.shape(onto))
 
 
 def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:

@@ -44,7 +44,6 @@ from .factors import (
     _adopt,
     _check_entries,
     _kept,
-    _lows,
     _out_of_range,
     _shift,
     _spread,
@@ -169,9 +168,10 @@ def triangulate_mn(mn: MarkovNetwork) -> ChordalNetwork:
             is built, and the error names the vertex.
         OutOfRangeError: when the product of a vertex's factors leaves
             the range of a double (an entry overflows, or a nonzero one
-            rounds to zero); the error names the vertex.  A product that
-            may have left the normal range only part-way is rebuilt with
-            an exponent per entry.
+            rounds to zero); the error names the vertex.  A product in
+            which a multiply overflowed, or underflowed with lost bits
+            (the FPU's underflow flag), is rebuilt with an exponent per
+            entry.
     """
     require_valid(mn)
     return _triangulate(_tables(mn), mn.vt, triangulate_graph(mn.graph), ChordalNetwork)
@@ -194,22 +194,14 @@ def _triangulate(
     for table in tables:
         # Table variables follow the declared order: the last is the maximum.
         consumed[table[0][-1]].append(table)
-    # Where two or more tables meet, every nonzero partial product of theirs
-    # is at least 2**bound[v].
-    shared = {v: ts for v, ts in consumed.items() if len(ts) > 1}
-    lows = iter(_lows([values for ts in shared.values() for _, values in ts]))
-    bound = {v: sum(min(next(lows), 0) for _ in ts) for v, ts in shared.items()}
-
     stochastic = kind is BayesianNetwork
     kernels: dict[str, Kernel] = {}
-    # An overflow, or inf * 0 after one, is caught by the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (v, family), shape in zip(families, shapes):
-            values = np.empty(shape)
-            values[...] = _kept(f"vertex {v}", consumed[v], family, vt, bound.get(v, 0))
-            kernels[v] = _adopt(
-                Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
-            )
+    for (v, family), shape in zip(families, shapes):
+        values = np.empty(shape)
+        values[...] = _kept(f"vertex {v}", consumed[v], family, vt)
+        kernels[v] = _adopt(
+            Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
+        )
     net = kind(graph, vt, kernels)
     object.__setattr__(net, "_valid", True)
     return net
@@ -302,8 +294,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 top = np.max(e, 1, where=m > 0, initial=-(1 << 30))
                 rows, mass, _ = _stochastic_rows(np.ldexp(m, e - top[:, None]))
                 # The row masses, an exponent each, divided as sum-product's.
-                m, e = np.frexp(mass)
-                masses = [(parents, m, e + top, -math.inf)]
+                masses = [(parents, mass, top, -math.inf)]
                 mass, e, low, scale = _reduce_bucket(masses, parents, vt)
                 if low < _NORMAL:
                     raise _out_of_range(f"vertex {v}", mass, e)

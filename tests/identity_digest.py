@@ -1,9 +1,11 @@
-"""Byte-identity digests of the conversions over a fixed seeded corpus.
+"""Byte-identity digests of the conversions and the queries over a fixed
+seeded corpus.
 
     python tests/identity_digest.py [--limit N] [--against PATH]
 
 prints one line per case and output family: the case, the family and the
-first 16 hex digits of the SHA-256 of that output.  The families are:
+first 16 hex digits of the SHA-256 of that output.  The conversions'
+families come first:
 
 * ``tr``: ``dumps_network(mn_to_bn(mn))``;
 * ``ve``: ``variable_elimination`` of the chordal network (of
@@ -14,13 +16,25 @@ first 16 hex digits of the SHA-256 of that output.  The families are:
   first vertex;
 * ``trmor``: ``dumps_network(triangulate_bn(bn))``.
 
+Then the sum-product queries' families, as the bytes of each result's
+values:
+
+* ``z``: ``marginal_distribution(net, [])``, the total mass;
+* ``m1``: ``marginal_distribution`` onto the first vertex;
+* ``m2``: ``marginal_distribution`` onto the last and the middle vertex;
+* ``dist``: ``network_distribution``, where the joint has at most 2**14
+  entries;
+* ``part``: ``mn_partition(mn).hex()``, for a Markov case.
+
 A family that raises is digested as its error's type and text, and a
 RuntimeWarning is such an error.  The corpus comes from ``tests/helpers.py``:
 500 each of ``random_mn``, ``random_bn`` and ``random_cn``, each from its
 own ``default_rng(20261020)``; 300 ``wide_random_mn`` each for seeds 17
 and 5; three 600-variable ``chain_mn`` with entries in [1, 3], [0.01, 0.1]
 and [0.5, 2] (seeds 600-602); and ``hub_first_star`` with 500 and 2,000
-leaves.  ``--limit N`` keeps the first N cases of each generator.  A run
+leaves.  The queries also run on ternary 5-by-5 ``random_order_grid``
+networks (seeds 1-3) and 40-variable ``mixed_chain_mn`` networks (seeds
+0-19).  ``--limit N`` keeps the first N cases of each generator.  A run
 takes a few seconds.
 
 ``--against PATH`` computes the same lines with the package in
@@ -71,6 +85,18 @@ def corpus(limit: int | None = None):
         yield f"star{leaves}", "mn", hub_first_star(leaves)
 
 
+def query_corpus(limit: int | None = None):
+    """The cases of :func:`corpus`, then those only the queries take."""
+    import numpy as np
+    from helpers import mixed_chain_mn, random_order_grid
+
+    yield from corpus(limit)
+    for seed in (1, 2, 3)[:limit]:
+        yield f"grid{seed}", "mn", random_order_grid(np.random.default_rng(seed), 5, 3)
+    for seed in range(20)[:limit]:
+        yield f"mixed{seed}", "mn", mixed_chain_mn(np.random.default_rng(seed), 40)
+
+
 def outputs(kind: str, net):
     """``(family, thunk)`` for each family of a case of ``kind``; each thunk
     returns the bytes to digest."""
@@ -108,13 +134,40 @@ def outputs(kind: str, net):
         yield "trmor", lambda: dumps_network(triangulate_bn(net)).encode()
 
 
+def queries(kind: str, net):
+    """``(family, thunk)`` for each sum-product query of a case of ``kind``,
+    as :func:`outputs`."""
+    import math
+
+    from chordalnet import marginal_distribution, mn_partition, network_distribution
+
+    vertices = net.graph.vertices
+    first, middle, last = vertices[0], vertices[len(vertices) // 2], vertices[-1]
+    yield "z", lambda: marginal_distribution(net, []).values.tobytes()
+    yield "m1", lambda: marginal_distribution(net, [first]).values.tobytes()
+    yield "m2", lambda: marginal_distribution(net, [last, middle]).values.tobytes()
+    if math.prod(net.vt.shape(vertices)) <= 1 << 14:
+        yield "dist", lambda: network_distribution(net).values.tobytes()
+    if kind == "mn":
+        yield "part", lambda: mn_partition(net).hex().encode()
+
+
 def digest_lines(limit: int | None = None) -> list[str]:
-    """One ``case family digest`` line per case and family."""
+    """One ``case family digest`` line per case and conversion family."""
+    return _lines(corpus(limit), outputs)
+
+
+def query_lines(limit: int | None = None) -> list[str]:
+    """One ``case family digest`` line per case and query family."""
+    return _lines(query_corpus(limit), queries)
+
+
+def _lines(cases, families) -> list[str]:
     lines = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for case, kind, net in corpus(limit):
-            for family, output in outputs(kind, net):
+        for case, kind, net in cases:
+            for family, output in families(kind, net):
                 try:
                     data = output()
                 except (ValueError, RuntimeWarning) as exc:  # an output too
@@ -138,7 +191,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(HERE)]
-    here = digest_lines(args.limit)
+    here = digest_lines(args.limit) + query_lines(args.limit)
     if args.against is None:
         print("\n".join(here))
         return 0

@@ -18,3 +18,25 @@ def test_two_runs_on_a_slice_agree(monkeypatch, capsys):
     repo = Path(__file__).resolve().parent.parent
     assert identity_digest.main(["--limit", "1", "--against", str(repo)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_the_queries_cover_every_generator():
+    # One case of each generator, the query-only ones included: the joint
+    # only where it is small, the partition function for a Markov case.
+    cases = {}
+    for line in identity_digest.query_lines(limit=1):
+        assert re.fullmatch(r"\S+ (z|m1|m2|dist|part) [0-9a-f]{16}", line)
+        case, family, _ = line.split()
+        cases.setdefault(case, []).append(family)
+    small, large = ["z", "m1", "m2", "dist"], ["z", "m1", "m2"]
+    assert cases == {
+        "mn:0": small + ["part"],
+        "bn:0": small,
+        "cn:0": small,
+        "17:0": small + ["part"],
+        "5:0": small + ["part"],
+        "chain[1.0,3.0]": large + ["part"],
+        "star500": large + ["part"],
+        "grid1": large + ["part"],
+        "mixed0": large + ["part"],
+    }

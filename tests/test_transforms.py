@@ -584,6 +584,32 @@ class TestOutOfRangeTables:
         assert float(cn.kernels["C"].values.sum()) == pytest.approx(8e100, rel=1e-12)
         assert trace.partition_mass() == pytest.approx(8e100, rel=1e-12)
 
+    def test_product_of_tiny_and_unit_entries_is_multiplied_directly(self, monkeypatch):
+        # C's two tables each reach down to 2**-600, so their smallest
+        # entries could multiply to 2**-1200; but each small entry meets a 1,
+        # no multiply underflows, and the direct product is the kernel.
+        vt = binary_vt("A", "B", "C")
+        graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+        tiny = 2.0**-600
+        factors = {
+            frozenset("AC"): Factor(("A", "C"), [tiny, 1, tiny, 1]),
+            frozenset("BC"): Factor(("B", "C"), [1, tiny, 1, tiny]),
+        }
+        calls = []
+        wide_product = chordalnet.factors._wide_product
+
+        def counted(*args):
+            calls.append(args[1])
+            return wide_product(*args)
+
+        monkeypatch.setattr(chordalnet.factors, "_wide_product", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cn = triangulate_mn(MarkovNetwork(graph, vt, factors))
+        assert calls == []
+        assert cn.kernels["C"].parents == ("A", "B")
+        assert cn.kernels["C"].values.tolist() == [tiny] * 8
+
     def test_wide_product_rounds_as_the_direct_product(self):
         # In range, the per-entry exponent changes no bit of the product.
         rng = np.random.default_rng(7)
