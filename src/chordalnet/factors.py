@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -265,35 +264,20 @@ def _compact_product(
     return acc
 
 
-# Every nonzero double is at least 2**-1074, every normal one 2**-1022.
-_TINY, _NORMAL = -1074, -1022
+# Every normal double is at least 2**-1022.
+_NORMAL = -1022
 
 
-def _lows(arrays: Sequence[np.ndarray]) -> list[int]:
-    """For each array, the largest ``low`` with every nonzero entry at least
-    ``2**low``, from one ``min`` pass over all the arrays together (and
-    one over the nonzero entries of an array whose minimum is zero)."""
-    if not arrays:
-        return []
-    starts = list(accumulate((a.size for a in arrays[:-1]), initial=0))
-    least = np.minimum.reduceat(np.concatenate(arrays, axis=None), starts)
-    for i in np.flatnonzero(least == 0):
-        least[i] = np.min(arrays[i], where=arrays[i] > 0, initial=math.inf)
-    return (np.frexp(least)[1] - 1).tolist()
-
-
-def _shift(peak: float, low: int, top: int, table: np.ndarray | None = None) -> int:
+def _shift(peak: float, low: int, top: int) -> int:
     """The power of two that a table is divided by: the one range rule of
-    both engines.  It brings the table's largest entry, ``peak``, into the
-    target binade [2**(top-1), 2**top), or takes a smaller power where
-    that would push a nonzero entry, each at least ``2**low``, below
-    2**-1022; ``table``'s entries are looked up when the bound ``low``
-    alone would decide that.  The largest entry is never pushed above the
-    range, so where no power fits both ends, ``low - shift`` stays below
-    -1022 for the caller to see."""
+    both engines, for each mass the sweep absorbs and each bucket that
+    sum-product rebuilt exactly.  It brings the table's largest entry,
+    ``peak``, into the target binade [2**(top-1), 2**top), or takes a
+    smaller power where that would push a nonzero entry, each at least
+    ``2**low``, below 2**-1022.  The largest entry is never pushed above
+    the range, so where no power fits both ends, ``low - shift`` stays
+    below -1022 for the caller to see."""
     peak = math.frexp(peak)[1]
-    if low - (peak - top) < _NORMAL and table is not None:
-        (low,) = _lows([table])
     return max(peak - 1024, min(peak - top, low - _NORMAL))
 
 
@@ -305,7 +289,7 @@ def _wide_product(
     no partial product overflows or underflows.  A mantissa product lies
     in [1/4, 1), so each entry is rounded as :func:`_compact_product`
     rounds it with an unbounded exponent.  A table's optional third item,
-    one exponent or one per value, scales its values; a fourth is ignored."""
+    one exponent or one per value, scales its values."""
     mantissa, exponent = 0.5, 1
     for vars, values, *scale in tables:
         m, e = np.frexp(values)

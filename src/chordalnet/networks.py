@@ -32,7 +32,6 @@ from .factors import (
     _check_entries,
     _compact_product,
     _in_range,
-    _lows,
     _shift,
     _Table,
     _wide_product,
@@ -232,9 +231,9 @@ def _tables(net: Network) -> list[_Table]:
 
 def _plan(net: Network, keep: set[str]) -> tuple:
     """The syntactic half of :func:`_sum_product`, decided by the tables'
-    scopes alone: ``(tables, steps, kept, last)``.  ``tables`` are the bucket slots
-    ``(vars, values, 0, low)`` of the network's tables, in :func:`_tables`
-    order.  ``steps`` hold, for each vertex ``v`` outside ``keep``, last
+    scopes alone, with no value read: ``(tables, steps, kept, last)``.
+    ``tables`` are the bucket slots ``(vars, values, 0)`` of the network's
+    tables, in :func:`_tables` order.  ``steps`` hold, for each vertex ``v`` outside ``keep``, last
     first, ``(v, family, axis, rest, inputs)``: the bucket's scope, the axis
     of ``v`` in it, the scope left once ``v`` is summed out, and its tables,
     each an index into ``tables`` or the vertex whose step made it, none
@@ -259,8 +258,7 @@ def _plan(net: Network, keep: set[str]) -> tuple:
                 return
         last.append((vars, slot))
 
-    tables = _tables(net)
-    tables = [(*t, 0, low) for t, low in zip(tables, _lows([t[1] for t in tables]))]
+    tables = [(*t, 0) for t in _tables(net)]
     for slot, table in enumerate(tables):
         place(table[0], slot)
     steps = []
@@ -288,9 +286,10 @@ def _sum_product(
     bucket elimination along the declared order, last vertex first
     (Dechter 1996).  :func:`_plan` says which tables meet over which scope
     and sizes every bucket; this pass does the numbers, each bucket by
-    :func:`_reduce_bucket` on plain arrays, so every product and sum is
-    rounded as with an unbounded exponent, bit for bit as rescaling after
-    every multiply wherever that kept every entry normal.  Returns
+    :func:`_reduce_bucket` on plain arrays, which reads the FPU's flags
+    itself, so every product and sum is rounded as with an unbounded
+    exponent, bit for bit as rescaling after every multiply wherever that
+    kept every entry normal.  Returns
     ``(kept, table, exponent)``: the sum over the kept variables, in
     declared order, is ``table * 2**exponent``, which need not fit in a
     double; ``exponent`` is one integer, or one per entry where no power
@@ -300,49 +299,54 @@ def _sum_product(
     vt = net.vt
     slots = dict(enumerate(tables))
     exponent = 0
-    # An overflow, or inf * 0 after one, sends a bucket to the exact product.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v, family, axis, rest, inputs in steps:
-            bucket = [slots.pop(s) for s in inputs]
-            # A vertex that no table mentions contributes its cardinality.
-            bucket = bucket or [((v,), np.ones(vt.card(v)), 0, 0)]
-            values, exps, low, shift = _reduce_bucket(bucket, family, vt, axis)
-            exponent += shift
-            slots[v] = (rest, values, exps, low)
-        values, exps, _, shift = _reduce_bucket([slots.pop(s) for s in last], kept, vt)
+    for v, family, axis, rest, inputs in steps:
+        bucket = [slots.pop(s) for s in inputs]
+        # A vertex that no table mentions contributes its cardinality.
+        bucket = bucket or [((v,), np.ones(vt.card(v)), 0)]
+        values, exps, shift = _reduce_bucket(bucket, family, vt, axis)
+        exponent += shift
+        slots[v] = (rest, values, exps)
+    values, exps, shift = _reduce_bucket([slots.pop(s) for s in last], kept, vt)
     return kept, np.broadcast_to(values, vt.shape(kept)), exponent + shift + exps
 
 
 def _reduce_bucket(
     tables: list, onto: tuple[str, ...], vt: VariableTable, axis: int | None = None
-) -> tuple[np.ndarray, np.ndarray | int, float, int]:
+) -> tuple[np.ndarray, np.ndarray | int, int]:
     """The product of ``tables`` over ``onto``, with ``axis`` summed out
-    unless it is ``None``, as ``(values, exps, low, shift)``, worth
-    ``values * 2**(exps + shift)`` with each nonzero entry of ``values`` at
-    least ``2**low``; ``tables`` hold the same four items, ``shift`` aside.
+    unless it is ``None``, as ``(values, exps, shift)``, worth
+    ``values * 2**(exps + shift)``; ``tables`` hold ``(vars, values, exps)``.
     The caller has checked ``onto`` against the table cap.
 
-    The direct product is kept when the tables' ``low`` show that no
-    partial product fell below the normal range and the result's maximum
-    shows none overflowed (inf, or NaN from inf * 0); otherwise it is
-    rebuilt with an exponent per entry.  Either is divided by the power of
-    :func:`factors._shift`, or, where none keeps every entry normal, keeps
-    per-entry ``exps`` with ``low`` -inf and ``shift`` 0.
+    Where every table has one scale, the product is multiplied, summed and
+    divided by the power of two that brings its maximum into [1/2, 1)
+    directly, and kept, as :func:`factors._kept` keeps a product, when no
+    step raised the FPU's underflow flag (set only by a tiny result that is
+    inexact) and the maximum is finite.  Otherwise it is rebuilt with an
+    exponent per entry and divided by the power of :func:`factors._shift`,
+    or, where none keeps every entry normal, keeps per-entry ``exps`` with
+    ``shift`` 0.
     """
     if not tables:
-        return 1.0, 0, 0, 0
-    lows = [t[3] for t in tables]
-    if sum(min(low, 0) for low in lows) >= _NORMAL:
-        table = _compact_product(tables, onto, vt)
-        if axis is not None:
-            table = table.sum(axis)
-        peak = table.max()
-        if peak < math.inf:
-            low = sum(lows)
-            shift = _shift(peak, low, 0, table)
-            if shift:  # dividing by 2**0 is exact
-                table = np.ldexp(table, -shift)
-            return table, 0, max(low - shift, _NORMAL), shift
+        return 1.0, 0, 0
+    # isinstance, not np.ndim, which takes numpy's slow path for an int.
+    if not any(isinstance(t[2], np.ndarray) for t in tables):
+        underflows: list[str] = []
+        # An overflow, or inf * 0 after one, fails the maximum's test.
+        with np.errstate(
+            over="ignore", invalid="ignore", under="call",
+            call=lambda kind, flag: underflows.append(kind),
+        ):
+            table = _compact_product(tables, onto, vt)
+            if axis is not None:
+                table = table.sum(axis)
+            peak = table.max()
+            if peak < math.inf:
+                shift = math.frexp(peak)[1]
+                if shift:  # dividing by 2**0 is exact
+                    table = np.ldexp(table, -shift)
+        if not underflows and peak < math.inf:
+            return table, 0, shift
     mantissa, exponent = _wide_product(tables, onto, vt)
     if axis is not None:
         total, top = _wide_sum(mantissa, exponent, axis)
@@ -354,8 +358,8 @@ def _reduce_bucket(
     peak, low = (int(exps.max()), int(exps.min()) - 1) if exps.size else (0, 0)
     shift = peak + _shift(0.5, low - peak, 0)
     if low - shift < _NORMAL:
-        return mantissa, exponent, -math.inf, 0
-    return np.ldexp(mantissa, exponent - shift), 0, low - shift, shift
+        return mantissa, exponent, 0
+    return np.ldexp(mantissa, exponent - shift), 0, shift
 
 
 def bn_joint(bn: BayesianNetwork) -> Factor:

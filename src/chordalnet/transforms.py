@@ -36,8 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from .factors import (
-    _NORMAL,
-    _TINY,
     Factor,
     Kernel,
     VariableTable,
@@ -294,9 +292,8 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 top = np.max(e, 1, where=m > 0, initial=-(1 << 30))
                 rows, mass, _ = _stochastic_rows(np.ldexp(m, e - top[:, None]))
                 # The row masses, an exponent each, divided as sum-product's.
-                masses = [(parents, mass, top, -math.inf)]
-                mass, e, low, scale = _reduce_bucket(masses, parents, vt)
-                if low < _NORMAL:
+                mass, e, scale = _reduce_bucket([(parents, mass, top)], parents, vt)
+                if np.ndim(e):  # no one power of two keeps every mass normal
                     raise _out_of_range(f"vertex {v}", mass, e)
                 mass = mass.flatten()  # a fresh array, also at a root
                 least, peak = mass.min(), mass.max()
@@ -304,8 +301,9 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
             host, shift = None, 0
             if parents:
                 host = parents[-1]
-                low = math.frexp(least)[1] - 1 if least > 0 else _TINY
-                shift = _shift(peak, low, 1, mass)
+                if not least > 0:  # the least nonzero mass
+                    least = np.min(mass, where=mass > 0, initial=math.inf)
+                shift = _shift(peak, math.frexp(least)[1] - 1, 1)
                 family = graph.parents_of(host) + (host,)
                 flagged = len(underflows)
                 spread = _spread(parents, np.ldexp(mass, -shift), family, vt)

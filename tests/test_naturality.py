@@ -4,10 +4,15 @@ The conversions are functors, so relabelling the input, by a permutation
 of each variable's states or by an order-preserving renaming of the
 vertices, must relabel the output the same way.  This would catch an axis
 or layout slip in the products, the normaliser, the loader or the writer.
+The relabelling is itself a network morphism, which the checker of
+:mod:`chordalnet.morphisms` accepts between the two outputs, and a renaming
+carries every separation verdict of the graph over.
 The triangulations and moralisations only copy and multiply entries in
 place, so they commute bit for bit; elimination sums each row in another
 order once its states are permuted, so it commutes within a few ulp.
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,16 +21,21 @@ from chordalnet import (
     Factor,
     Kernel,
     MarkovNetwork,
+    NetworkMorphism,
+    d_separated,
     document_to_network,
+    identity_hom,
     junction_tree,
     marginal_distribution,
     mn_partition,
     mn_to_bn,
     moralise_bn,
     moralise_cn,
+    morphism_violations,
     network_to_document,
     triangulate_bn,
     triangulate_mn,
+    u_separated,
     variable_elimination,
 )
 from helpers import random_bn, random_cn, random_mn
@@ -154,3 +164,44 @@ def test_renaming_carries_the_junction_tree_over():
         assert other.sepsets == {
             edge: tuple("Zq" + v for v in sep) for edge, sep in tree.sepsets.items()
         }
+
+
+@pytest.mark.parametrize(
+    "make, separated",
+    [(random_bn, d_separated), (random_mn, u_separated)],
+    ids=["d_separated", "u_separated"],
+)
+def test_renaming_carries_separation_over(make, separated):
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for _ in range(CASES):
+        doc = network_to_document(make(rng))
+        graph = document_to_network(doc).graph
+        other = document_to_network(renamed(doc)).graph
+        for _ in range(6):
+            # Each vertex joins x, y, z or none of them.
+            sides = rng.integers(0, 4, len(graph.vertices))
+            x, y, z = ([v for v, s in zip(graph.vertices, sides) if s == i] for i in range(3))
+            verdict = separated(graph, x, y, z)
+            assert separated(other, *(["Zq" + v for v in q] for q in (x, y, z))) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("name", list(CONVERSIONS))
+def test_state_permutations_are_morphisms_of_the_outputs(name):
+    # The permutation matrix that sends each state of the output to its
+    # place in the output of the permuted input: row i is the state
+    # order[i].  The identity is refused wherever the permutation moves
+    # mass, so the check is not vacuous.
+    convert, make = CONVERSIONS[name]
+    refused = 0
+    for net, orders in islice(state_permutations(np.random.default_rng(7), make), 100):
+        out = convert(net)
+        other = convert(permuted(net, orders))
+        eta = {v: np.eye(len(order))[order] for v, order in orders.items()}
+        hom = identity_hom(out.graph)
+        assert morphism_violations(NetworkMorphism(hom, eta), out, other) == []
+        identity = {v: np.eye(len(order)) for v, order in orders.items()}
+        refused += bool(morphism_violations(NetworkMorphism(hom, identity), out, other))
+    assert refused > 0

@@ -689,6 +689,29 @@ class TestSumProductOnArrays:
         for keep in (set(), {"x0"}):
             self.assert_bit_identical(mn, keep)
 
+    def test_a_tiny_entry_that_meets_a_one_is_multiplied_directly(self, monkeypatch):
+        # Each table's least entry is 2**-600, so C's bucket might have held
+        # 2**-1200; but every small entry meets a 1, no multiply loses a bit,
+        # and the FPU's underflow flag stays down: no bucket is rebuilt.
+        calls = []
+        wide_product = chordalnet.networks._wide_product
+
+        def counted(*args):
+            calls.append(args)
+            return wide_product(*args)
+
+        monkeypatch.setattr(chordalnet.networks, "_wide_product", counted)
+        tiny = 2.0**-600
+        graph = OrderedUGraph(("A", "B", "C"), {frozenset("AC"), frozenset("BC")})
+        factors = {
+            frozenset("AC"): Factor(("A", "C"), [tiny, 1, tiny, 1]),
+            frozenset("BC"): Factor(("B", "C"), [1, tiny, 1, tiny]),
+        }
+        mn = MarkovNetwork(graph, binary_vt("A", "B", "C"), factors)
+        assert mn_partition(mn) == 2.0**-597
+        assert marginal_distribution(mn, ["A"]).values.tolist() == [2.0**-598] * 2
+        assert calls == []
+
 
 class TestValidateOnce:
     """A network that passed validation is not checked again; it cannot

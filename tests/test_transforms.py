@@ -1057,14 +1057,24 @@ def test_every_triangulation_is_valid_as_recorded(monkeypatch):
 
 
 def test_the_underflow_flag_marks_only_an_inexact_tiny_result():
-    # The sweep reads the FPU's underflow flag after each host multiply to
-    # find a host whose table lost bits.  IEEE 754 raises it for a tiny
-    # result only when that result is inexact, and numpy reports it after
-    # the ufunc that raised it.
+    # All three engines read the FPU's underflow flag to find a product
+    # that lost bits: the sweep after each host multiply, the checked
+    # product of triangulation, and sum-product after each bucket's
+    # multiplies, sum and rescale.  IEEE 754 raises it for a tiny result
+    # only when that result is inexact, also in a rescale by a power of two
+    # and in a sum, and numpy reports it after the ufunc that raised it.
     flags = []
     with np.errstate(under="call", call=lambda kind, flag: flags.append(kind)):
         np.array([1e-200]) * np.array([1e-200])
         assert flags == ["underflow"]
         exact = np.array([2.0**-1000]) * np.array([2.0**-40])
         assert flags == ["underflow"]
+        rounded = np.ldexp(np.array([3 * 2.0**-1000]), -75)
+        assert flags == ["underflow"] * 2
+        least = np.ldexp(np.array([2.0**-1000]), -74)
+        total = np.array([2.0**-1074, 2.0**-1074]).sum()
+        assert flags == ["underflow"] * 2
     assert exact[0] == 2.0**-1040
+    assert rounded[0] == 2.0**-1073
+    assert least[0] == 2.0**-1074
+    assert total == 2.0**-1073
