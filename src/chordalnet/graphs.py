@@ -9,8 +9,9 @@ are not listed topologically are rejected instead of silently re-sorted.
 
 Graph values are immutable after construction and every operation in this
 module is a pure function, so values may be shared freely across threads.
-Each graph indexes its vertex positions and sorted adjacency once, at
-construction, outside its dataclass fields, so ``==`` and ``hash`` ignore them.
+Each graph indexes its vertex positions and sorted adjacency at construction,
+and keeps its triangulation or family plan, outside its dataclass fields:
+``==``, ``hash``, a pickle and a copy (made by the constructor) ignore them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ def _adjacency(pairs: Iterable[tuple[str, str]], pos: dict) -> dict:
     for u, v in pairs:
         out.setdefault(u, []).append(v)
     return {u: tuple(sorted(vs, key=pos.get)) for u, vs in out.items()}
+
+
+def _reduce(g: Graph) -> tuple:
+    return type(g), (g.vertices, g.edges)
 
 
 def _position(g: Graph, v: str) -> int:
@@ -74,6 +79,7 @@ class OrderedDag:
         object.__setattr__(self, "_children", _adjacency(self.edges, pos))
 
     position = _position
+    __reduce__ = _reduce
 
     def parents_of(self, v: str) -> tuple[str, ...]:
         """Parents of ``v``, sorted by the vertex order."""
@@ -115,6 +121,7 @@ class OrderedUGraph:
         object.__setattr__(self, "_neighbours", _adjacency(pairs + [e[::-1] for e in pairs], pos))
 
     position = _position
+    __reduce__ = _reduce
 
     def neighbours_of(self, v: str) -> tuple[str, ...]:
         """Neighbours of ``v``, sorted by the vertex order."""
@@ -236,8 +243,11 @@ def triangulate_graph(h: OrderedUGraph) -> OrderedDag:
     Computed by the elimination game (Rose, Tarjan & Lueker 1976) in
     O(n + m + fill): walking ``w`` from last to first, its earlier
     neighbours become its parents, and all but the latest of them, the
-    host, join the host's earlier neighbours.
+    host, join the host's earlier neighbours.  The result is kept on ``h``,
+    which cannot change, so a later call returns the same object.
     """
+    if hasattr(h, "_triangulation"):
+        return h._triangulation
     pos = h._pos
     lower = {w: {v for v in h.neighbours_of(w) if pos[v] < pos[w]} for w in h.vertices}
     edges = set()
@@ -247,7 +257,8 @@ def triangulate_graph(h: OrderedUGraph) -> OrderedDag:
             edges.update((v, w) for v in below)
             host = max(below, key=pos.get)
             lower[host] |= below - {host}
-    return OrderedDag(h.vertices, edges)
+    object.__setattr__(h, "_triangulation", OrderedDag(h.vertices, edges))
+    return h._triangulation
 
 
 def is_ordered_chordal(g: OrderedDag) -> bool:

@@ -44,7 +44,6 @@ from .factors import (
     _kept,
     _out_of_range,
     _shift,
-    _spread,
     _stochastic_rows,
     _Table,
     _wide_product,
@@ -181,28 +180,47 @@ def _triangulate(
     """The kernels of :func:`triangulate_mn` for ``tables``, each vertex's
     in :func:`networks._tables` order, over ``graph``, a triangulation of
     their (moral) graph, as a network of type ``kind``; stochastic when
-    ``kind`` is Bayesian.  Every family is checked before any is built, and
-    every kernel is copied once into a fresh family array.  The result is
-    valid by construction and is recorded as valid."""
-    families = [(v, graph.parents_of(v) + (v,)) for v in graph.vertices]
-    shapes = [vt.shape(family) for _, family in families]
-    for (v, _), shape in zip(families, shapes):
-        _check_entries(shape, f"vertex {v}")
+    ``kind`` is Bayesian.  Every family is checked before any is built, by
+    :func:`_families`, kept on the graph, and every kernel is copied once
+    into a fresh family array.  The result is recorded as valid."""
+    plan = _families(graph, vt)
     consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
     for table in tables:
         # Table variables follow the declared order: the last is the maximum.
         consumed[table[0][-1]].append(table)
     stochastic = kind is BayesianNetwork
     kernels: dict[str, Kernel] = {}
-    for (v, family), shape in zip(families, shapes):
+    for v, (parents, family, shape, _, _) in plan.items():
         values = np.empty(shape)
         values[...] = _kept(f"vertex {v}", consumed[v], family, vt)
         kernels[v] = _adopt(
-            Kernel, values, child=v, parents=family[:-1], stochastic=stochastic
+            Kernel, values, child=v, parents=parents, stochastic=stochastic
         )
     net = kind(graph, vt, kernels)
     object.__setattr__(net, "_valid", True)
     return net
+
+
+def _families(graph: OrderedDag, vt: VariableTable) -> dict[str, tuple]:
+    """The syntactic half of :func:`_triangulate` and :func:`_eliminate`:
+    for each vertex ``v``, ``(parents, family, shape, host, onto)``: its
+    family ``parents + (v,)``, that table's shape, checked against the cap
+    in vertex order, its latest parent, and the shape that lays its mass on
+    the host's family (:func:`factors._spread`).  Kept on the graph with
+    ``vt``, reused for an equal table only; a refusal is not kept."""
+    slot = getattr(graph, "_families", (None,))  # one read: another thread may swap it
+    if slot[0] == vt:
+        return slot[1]
+    plan: dict[str, tuple] = {}
+    for v in graph.vertices:
+        parents = graph.parents_of(v)
+        shape = vt.shape(parents + (v,))
+        _check_entries(shape, f"vertex {v}")
+        host = parents[-1] if parents else None
+        onto = parents and [vt._card[u] if u in parents else 1 for u in plan[host][1]]
+        plan[v] = parents, parents + (v,), shape, host, onto
+    object.__setattr__(graph, "_families", (vt, plan))
+    return plan
 
 
 def variable_elimination(
@@ -244,6 +262,7 @@ def variable_elimination(
             of a rebuilt working table into the normal range of a double;
             a :class:`ValueError` whose message names the vertex and whose
             ``log_mass`` is the natural log of that table's total mass.
+        TableTooLargeError: as :func:`triangulate_mn`, for a kernel that large.
     """
     require_valid(cn)
     bn, steps = _eliminate(cn)
@@ -258,6 +277,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
     with its steps as tuples ``(vertex, parents, mass, host, log2_scale)``,
     from which only a caller that wants the trace builds it."""
     graph, vt = cn.graph, cn.vt
+    plan = _families(graph, vt)
     working = {v: cn.kernels[v].values for v in graph.vertices}
     kernels: dict[str, Kernel] = {}
     steps: list[tuple] = []
@@ -274,13 +294,12 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
         call=lambda kind, flag: underflows.append(kind),
     ):
         for v in reversed(graph.vertices):
-            parents = graph.parents_of(v)
-            rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, vt.card(v)))
+            parents, family, shape, host, onto = plan[v]
+            rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, shape[-1]))
             # Working entries are >= 0, inf or NaN: a finite row sum proves
             # its row finite, and NaN, which max propagates, fails the test.
             peak, scale = mass.max(), 0
             if not 0 < peak < math.inf or v in lost:
-                family = parents + (v,)
                 tables = [(family, cn.kernels[v].values), *absorbed[v]]
                 m, e = _wide_product(tables, family, vt)
                 if not m.any():
@@ -298,16 +317,14 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 mass = mass.flatten()  # a fresh array, also at a root
                 least, peak = mass.min(), mass.max()
             kernels[v] = _adopt(Kernel, rows, child=v, parents=parents, stochastic=True)
-            host, shift = None, 0
-            if parents:
-                host = parents[-1]
+            shift = 0
+            if host is not None:
                 if not least > 0:  # the least nonzero mass
                     least = np.min(mass, where=mass > 0, initial=math.inf)
                 shift = _shift(peak, math.frexp(least)[1] - 1, 1)
-                family = graph.parents_of(host) + (host,)
                 flagged = len(underflows)
-                spread = _spread(parents, np.ldexp(mass, -shift), family, vt)
-                table = working[host].reshape(vt.shape(family)) * spread
+                spread = np.ldexp(mass, -shift).reshape(onto)
+                table = working[host].reshape(plan[host][2]) * spread
                 if len(underflows) > flagged:
                     lost.add(host)
                 working[host] = table
@@ -347,6 +364,8 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
     Raises:
         TableTooLargeError: as :func:`triangulate_mn`.
         DegenerateDistributionError: for degenerate input (Z = 0).
+        OutOfRangeError: as :func:`triangulate_mn` and
+            :func:`variable_elimination`; the error names the vertex.
     """
     bn, _ = _eliminate(triangulate_mn(mn))
     return bn

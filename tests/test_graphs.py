@@ -136,6 +136,23 @@ class TestLookups:
             assert repr(a) == f"{name}(vertices={a.vertices!r}, edges={a.edges!r})"
         assert g1 != OrderedDag(("A", "B", "C"), {("A", "C")})
 
+    def test_copies_go_through_the_constructor(self):
+        # A pickle or a copy carries neither the index nor the kept
+        # triangulation: it pickles as a fresh equal graph and is
+        # triangulated afresh, to an equal DAG.
+        h = grid_ugraph(4)
+        dag = triangulate_graph(h)
+        assert pickle.dumps(h) == pickle.dumps(grid_ugraph(4))
+        assert pickle.dumps(dag) == pickle.dumps(triangulate_graph(grid_ugraph(4)))
+        for g in (h, dag):
+            for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+                assert other == g and other is not g
+                assert other.position("r3c3") == 15
+                assert other.has_edge(*sorted(g.edges, key=str)[0])
+        for other in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+            assert triangulate_graph(other) == dag
+            assert triangulate_graph(other) is not dag
+
 
 class TestMoralise:
     def test_bear_marries_coparents(self):
@@ -179,6 +196,13 @@ class TestTriangulate:
         h = OrderedUGraph(("A", "B", "C"), udag(("A", "B"), ("A", "C"), ("B", "C")))
         t = triangulate_graph(h)
         assert t.edges == {("A", "B"), ("A", "C"), ("B", "C")}
+
+    def test_the_triangulation_is_kept_on_the_graph(self):
+        h, twin = grid_ugraph(5), grid_ugraph(5)
+        t = triangulate_graph(h)
+        assert triangulate_graph(h) is t
+        assert twin is not h and triangulate_graph(twin) == t
+        assert triangulate_graph(twin) is not t
 
     def test_five_cycle_against_path_oracle(self):
         names = ("A", "B", "C", "D", "E")

@@ -7,6 +7,7 @@ claims run at acceptance scale in test_acceptance.py; here they run on
 smaller seeded samples.
 """
 
+import copy
 import hashlib
 import math
 import pickle
@@ -39,6 +40,7 @@ from chordalnet import (
     bn_joint,
     check_hom,
     cn_product,
+    dumps_network,
     factor_entry,
     is_ordered_chordal,
     kernel_to_factor,
@@ -53,6 +55,7 @@ from chordalnet import (
     pearl_update,
     require_valid,
     triangulate_bn,
+    triangulate_graph,
     triangulate_mn,
     variable_elimination,
     vstructure_counterexample,
@@ -68,6 +71,7 @@ from helpers import (
     random_bn,
     random_cn,
     random_mn,
+    random_order_grid,
     reference_triangulate_mn,
     reference_variable_elimination,
     zero_behind_overflow_cn,
@@ -702,6 +706,84 @@ class TestTableCap:
         with pytest.raises(TableTooLargeError, match="^vertex L24: "):
             triangulate_mn(hub_last_star(40))
         assert built == []
+
+
+class TestFamilyPlanOnce:
+    """Each graph is triangulated once, and the family plan that
+    ``_triangulate`` and ``_eliminate`` share is built once per graph and
+    variable table; the graph cannot change.  A refusal is not kept."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The vertices whose family a plan checked against the cap."""
+        seen = []
+        original = chordalnet.transforms._check_entries
+
+        def spy(sizes, where="", *rest):
+            seen.append(where)
+            return original(sizes, where, *rest)
+
+        monkeypatch.setattr(chordalnet.transforms, "_check_entries", spy)
+        return seen
+
+    @staticmethod
+    def on(graph, card, rng):
+        """A Markov network on ``graph``, ``card`` states per variable."""
+        states = tuple(str(i) for i in range(card))
+        vt = VariableTable(tuple((v, states) for v in graph.vertices))
+        factors = {}
+        for edge in graph.edges:
+            pair = tuple(sorted(edge, key=graph.position))
+            factors[edge] = Factor(pair, rng.uniform(0.5, 2.0, card * card))
+        return MarkovNetwork(graph, vt, factors)
+
+    def test_a_second_conversion_plans_nothing(self, planned):
+        mn = random_order_grid(np.random.default_rng(1), 4, 3)
+        first = dumps_network(mn_to_bn(mn))
+        assert planned == [f"vertex {v}" for v in mn.graph.vertices]
+        assert dumps_network(mn_to_bn(mn)) == first
+        cn = triangulate_mn(mn)
+        assert cn.graph is triangulate_graph(mn.graph)
+        assert dumps_network(variable_elimination(cn)[0]) == first
+        assert len(planned) == 16
+
+    def test_one_graph_under_two_tables(self, planned):
+        # Binary, ternary, then binary again on one graph: each network
+        # gets its own shapes and the kernels of a fresh equal graph.
+        graph = random_order_grid(np.random.default_rng(2), 3, 2).graph
+        rng = np.random.default_rng(3)
+        for card in (2, 3, 2):
+            mn = self.on(graph, card, rng)
+            twin = OrderedUGraph(graph.vertices, graph.edges)
+            fresh = MarkovNetwork(twin, mn.vt, mn.factors)
+            pairs = [(triangulate_mn(mn), triangulate_mn(fresh))]
+            pairs.append((mn_to_bn(mn), mn_to_bn(fresh)))
+            for got, want in pairs:
+                for v, k in got.kernels.items():
+                    assert k.values.size == card ** (len(k.parents) + 1)
+                    assert k.values.tobytes() == want.kernels[v].values.tobytes()
+        # Each new table replans the one graph, and each twin plans once.
+        assert len(planned) == 6 * 9
+
+    def test_a_refused_network_is_refused_on_every_call(self, planned):
+        mn = hub_last_star(40)
+        for transform in (triangulate_mn, mn_to_bn, triangulate_mn):
+            with pytest.raises(TableTooLargeError, match="^vertex L24: "):
+                transform(mn)
+        assert planned.count("vertex L24") == 3
+
+    def test_a_copy_carries_no_plan(self, planned):
+        mn = random_order_grid(np.random.default_rng(4), 3, 3)
+        dag = triangulate_mn(mn).graph
+        twin = OrderedUGraph(mn.graph.vertices, mn.graph.edges)
+        assert pickle.dumps(dag) == pickle.dumps(triangulate_graph(twin))
+        first = dumps_network(mn_to_bn(mn))
+        for clone in (pickle.loads(pickle.dumps(mn)), copy.deepcopy(mn), copy.copy(mn.graph)):
+            if isinstance(clone, OrderedUGraph):
+                clone = MarkovNetwork(clone, mn.vt, mn.factors)
+            assert dumps_network(mn_to_bn(clone)) == first
+        # The network, then each clone, plans once.
+        assert len(planned) == 4 * 9
 
 
 def adopted_tables(cnw, mn, bn):
