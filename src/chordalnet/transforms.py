@@ -202,12 +202,13 @@ def _triangulate(
 
 
 def _families(graph: OrderedDag, vt: VariableTable) -> dict[str, tuple]:
-    """The syntactic half of :func:`_triangulate` and :func:`_eliminate`:
-    for each vertex ``v``, ``(parents, family, shape, host, onto)``: its
-    family ``parents + (v,)``, that table's shape, checked against the cap
-    in vertex order, its latest parent, and the shape that lays its mass on
-    the host's family (:func:`factors._spread`).  Kept on the graph with
-    ``vt``, reused for an equal table only; a refusal is not kept."""
+    """The syntactic half of :func:`_triangulate`, :func:`_eliminate` and
+    :func:`_family_marginals`: for each vertex ``v``, ``(parents, family,
+    shape, host, onto)``: its family ``parents + (v,)``, that table's shape,
+    checked against the cap in vertex order, its latest parent (``None`` at
+    a root), and the shape that lays its mass on the host's family (as
+    :func:`factors._spread` does).  Kept on the graph with ``vt``, reused
+    for an equal table only; a refusal is not kept."""
     slot = getattr(graph, "_families", (None,))  # one read: another thread may swap it
     if slot[0] == vt:
         return slot[1]
@@ -340,17 +341,14 @@ def _family_marginals(bn: BayesianNetwork) -> dict[str, np.ndarray]:
     ``v`` in the family of its largest parent, whose marginal gives
     p(parents(v)), and p(family(v)) = p(parents(v)) * k(v | parents(v)).
     """
-    graph, vt = bn.graph, bn.vt
+    plan = _families(bn.graph, bn.vt)
     out: dict[str, np.ndarray] = {}
-    for v in graph.vertices:
-        parents = graph.parents_of(v)
-        kernel = bn.kernels[v].values.reshape(vt.shape(parents + (v,)))
-        if not parents:
+    for v, (parents, _, shape, host, _) in plan.items():
+        kernel = bn.kernels[v].values.reshape(shape)
+        if host is None:
             out[v] = kernel
             continue
-        host = parents[-1]
-        family = graph.parents_of(host) + (host,)
-        drop = tuple(i for i, u in enumerate(family) if u not in parents)
+        drop = tuple(i for i, u in enumerate(plan[host][1]) if u not in parents)
         out[v] = out[host].sum(axis=drop)[..., None] * kernel
     return out
 
