@@ -355,26 +355,28 @@ def _out_of_range(
     )
 
 
+def _flags(underflows: list) -> np.errstate:
+    """An ``np.errstate`` that appends the FPU's underflow flag, raised only
+    by an inexact tiny result, to ``underflows``, and ignores the other
+    errors: each caller tests a maximum, which an overflow or a NaN fails."""
+    return np.errstate(
+        all="ignore", under="call", call=lambda kind, flag: underflows.append(kind)
+    )
+
+
 def _kept(
     where: str, tables: list, onto: tuple[str, ...], vt: VariableTable
 ) -> np.ndarray | float:
-    """The product of ``tables`` over ``onto`` for an unnormalised table
-    that the package keeps (a Markov factor, a chordal kernel): multiplied
-    directly where one table is given, or where no multiply raised the
-    FPU's underflow flag (set only by a tiny result that is inexact) and
-    the result's maximum is finite, the test of the elimination sweep;
-    otherwise rebuilt by :func:`_wide_product` and rounded, or the error
+    """The product of ``tables`` over ``onto`` for an unnormalised table the
+    package keeps (a Markov factor, a chordal kernel): direct where no
+    multiply raised the underflow flag (:func:`_flags`) and the maximum is
+    finite, else rebuilt by :func:`_wide_product` and rounded, or the error
     of :func:`_out_of_range` at ``where`` when an entry overflows or a
-    nonzero one rounds to zero.
-    """
+    nonzero one rounds to zero."""
     if len(tables) < 2:
         return _compact_product(tables, onto, vt)
     underflows: list[str] = []
-    # An overflow, or inf * 0 after one, fails the maximum's test.
-    with np.errstate(
-        over="ignore", invalid="ignore", under="call",
-        call=lambda kind, flag: underflows.append(kind),
-    ):
+    with _flags(underflows):
         acc = _compact_product(tables, onto, vt)
         if not underflows and acc.max() < math.inf:
             return acc

@@ -62,7 +62,7 @@ from .networks import (
     network_distribution,
     require_valid,
 )
-from .transforms import _eliminate, _family_marginals, _triangulate
+from .transforms import _eliminate, _family_marginals
 
 PRESERVATION_TOL = 1e-9
 
@@ -388,12 +388,12 @@ def pearl_update(
     tables of the triangulated graph.  The network's tables are relabelled
     as the factors of a Markov network on its graph, moralised first if
     directed (each kernel on its family clique), and the weights join the
-    singleton-clique factors; those tables are triangulated (a chordal
-    network's graph is its own triangulation), eliminated, and every family
-    marginal found by one forward pass.  A directed vertex keeps its
-    elimination kernel, or, when triangulation gave it parents, gets the
-    normalized marginal over its own family after a check that the
-    posterior does not depend on the added parents.
+    singleton-clique factors; those tables are eliminated as in
+    :func:`transforms.mn_to_bn` over the triangulated graph (a chordal one
+    is its own), and every family marginal found by one forward pass.  A
+    directed vertex keeps its elimination kernel, or, when triangulation
+    gave it parents, gets the normalized marginal over its own family after
+    a check that the posterior does not depend on the added parents.
 
     Returns the updated network and a morphism from the input to it.  When
     every weight vector is constant the morphism components are the
@@ -409,7 +409,7 @@ def pearl_update(
             exceed ``factors.MAX_TABLE_ENTRIES``; the error names the vertex.
         OutOfRangeError: if a weighted singleton factor leaves the range
             of a double (an entry overflows, or a nonzero one rounds to
-            zero); the error names the vertex.
+            zero), or as :func:`transforms.mn_to_bn`; names the vertex.
         ValueError: if a directed graph's posterior does not factor over it
             (possible for colliders under evidence), or on malformed
             update data.
@@ -459,9 +459,8 @@ def pearl_update(
         graph = triangulate_graph(graph)
     # In ``_tables`` order per vertex: a new weight factor sorts last.
     tables = [(f.vars, f.values) for f in factors.values()]
-    chordal = _triangulate(tables, net.vt, graph, ChordalNetwork)
     try:
-        bn, _ = _eliminate(chordal)
+        bn, _ = _eliminate(tables, net.vt, graph)
     except DegenerateDistributionError as exc:
         raise DegenerateDistributionError(
             f"update annihilates the joint: {exc}", vertex=exc.vertex

@@ -31,6 +31,7 @@ from .factors import (
     VariableTable,
     _check_entries,
     _compact_product,
+    _flags,
     _in_range,
     _shift,
     _Table,
@@ -219,8 +220,8 @@ def require_valid(net: Network) -> None:
 def _tables(net: Network) -> list[_Table]:
     """A valid network's tables as arrays; a kernel's layout is its family's.
     The one list of a network's tables, their order and their families, for
-    :func:`_plan`, ``_triangulate``, ``_moralise``, ``pearl_update``,
-    ``_regrouped_factors`` and the writer ``dumps_network``."""
+    :func:`_plan`, ``_triangulate``, ``_eliminate``, ``_moralise``,
+    ``pearl_update``, ``_regrouped_factors`` and the writer ``dumps_network``."""
     if isinstance(net, MarkovNetwork):
         pos = net.vt._index
         ranked = sorted(net.factors.values(), key=lambda f: [pos[u] for u in f.vars])
@@ -332,11 +333,7 @@ def _reduce_bucket(
     # isinstance, not np.ndim, which takes numpy's slow path for an int.
     if not any(isinstance(t[2], np.ndarray) for t in tables):
         underflows: list[str] = []
-        # An overflow, or inf * 0 after one, fails the maximum's test.
-        with np.errstate(
-            over="ignore", invalid="ignore", under="call",
-            call=lambda kind, flag: underflows.append(kind),
-        ):
+        with _flags(underflows):
             table = _compact_product(tables, onto, vt)
             if axis is not None:
                 table = table.sum(axis)

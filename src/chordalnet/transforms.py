@@ -17,7 +17,7 @@ Four total conversions are provided, plus the Bayesian triangulation:
   leave scalar masses whose product, times the power-of-two scales that
   the steps record, is the partition constant, which is what the final
   normalization divides out.
-* :func:`mn_to_bn` is the composition of the previous two.
+* :func:`mn_to_bn` is the composition of the previous two, storing no kernel.
 * :func:`triangulate_bn` (Bayesian to Bayesian) is :func:`triangulate_mn`
   pre-composed with moralisation.  Each vertex consumes only its own
   kernel, so the numbers are untouched: each kernel is broadcast
@@ -41,6 +41,8 @@ from .factors import (
     VariableTable,
     _adopt,
     _check_entries,
+    _compact_product,
+    _flags,
     _kept,
     _out_of_range,
     _shift,
@@ -224,32 +226,21 @@ def _families(graph: OrderedDag, vt: VariableTable) -> dict[str, tuple]:
     return plan
 
 
-def variable_elimination(
-    cn: ChordalNetwork,
-) -> tuple[BayesianNetwork, EliminationTrace]:
+def variable_elimination(cn: ChordalNetwork) -> tuple[BayesianNetwork, EliminationTrace]:
     """Normalize a chordal network into a Bayesian network, largest first.
 
     Processing vertices in descending order, each working table is split
     into a stochastic kernel and a mass table over the parents, with
-    uniform fill on zero columns; the mass is multiplied into the largest
-    parent's working table, which ordered chordality guarantees can host
-    it.  The absorbed copy is divided by the power of two of
-    :func:`factors._shift` (target [1, 2)); the kernels are unchanged
-    because normalization cancels the scale exactly.  Scalar masses at
-    parentless vertices, with the recorded scales, make up the partition
-    constant, divided out implicitly by the normalizations.  A working
-    table whose mass maximum is not in (0, inf), or which lost bits to an
-    underflow in a host multiply, is rebuilt by the exact product: each
-    row is split at its own largest entry's scale, and the row masses are
-    divided by the power of two of sum-product (``networks._reduce_bucket``),
-    added to the step's scale.
-
-    The sweep works on plain arrays: parents precede the child, so each
-    kernel's flat layout is already that of its family table, and a mass
-    is multiplied into its host by broadcasting.  That is one pass per
-    family table: the normaliser's rows and masses become the returned
-    kernels and masses without a copy, and one check of each mass's
-    maximum, with the FPU's underflow flag, shows the family table in range.
+    uniform fill on zero columns; the mass, divided by the power of two of
+    :func:`factors._shift` (target [1, 2)), which normalization cancels, is
+    multiplied into the largest parent's working table, which ordered
+    chordality guarantees can host it.  The masses left at parentless
+    vertices, with the recorded scales, make up the partition constant.  A
+    working table whose mass maximum is not in (0, inf), or which lost bits
+    to an underflow in a host multiply, is rebuilt by the exact product:
+    each row is split at its own largest entry's scale, and the row masses
+    are divided by the power of two of sum-product
+    (``networks._reduce_bucket``), added to the step's scale.
 
     Returns the Bayesian network on the same graph plus the trace of
     ``(vertex, mass, absorbed_into, log2_scale)`` steps.
@@ -266,34 +257,44 @@ def variable_elimination(
         TableTooLargeError: as :func:`triangulate_mn`, for a kernel that large.
     """
     require_valid(cn)
-    bn, steps = _eliminate(cn)
+    bn, steps = _eliminate(_tables(cn), cn.vt, cn.graph)
     return bn, EliminationTrace(tuple(
         EliminationStep(v, _adopt(Factor, mass, vars=parents), host, shift)
         for v, parents, mass, host, shift in steps
     ))
 
 
-def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
-    """The sweep of :func:`variable_elimination` on a network known valid,
-    with its steps as tuples ``(vertex, parents, mass, host, log2_scale)``,
-    from which only a caller that wants the trace builds it."""
-    graph, vt = cn.graph, cn.vt
+def _eliminate(
+    tables: list[_Table], vt: VariableTable, graph: OrderedDag
+) -> tuple[BayesianNetwork, list[tuple]]:
+    """The sweep of :func:`variable_elimination` on ``tables``, taken as by
+    :func:`_triangulate`, over ``graph``, with steps ``(vertex, parents, mass,
+    host, log2_scale)``.  A working table that starts as a product that lost
+    bits is refused as by :func:`triangulate_mn` or rebuilt exactly."""
     plan = _families(graph, vt)
-    working = {v: cn.kernels[v].values for v in graph.vertices}
+    # Each vertex's tables, by their last variable, then the masses it absorbs.
+    bucket: dict[str, list[tuple]] = {v: [] for v in graph.vertices}
+    for table in tables:
+        bucket[table[0][-1]].append(table)
+    working: dict[str, np.ndarray] = {}
     kernels: dict[str, Kernel] = {}
     steps: list[tuple] = []
-    # Each host's absorbed masses, with the power of two each was divided by.
-    absorbed: dict[str, list[tuple]] = {v: [] for v in graph.vertices}
-    # The hosts that lost bits in a multiply: numpy reads the FPU's underflow
-    # flag after each ufunc, raised only by a tiny result that is inexact.
+    # The working tables that lost bits in a multiply, by the underflow flag.
     underflows: list[str] = []
     lost: set[str] = set()
     # An overflow in a host's table, or inf * 0 after one, is caught by the
     # check of the host's mass below; 0/0 by the normaliser's zero test.
-    with np.errstate(
-        over="ignore", invalid="ignore", divide="ignore", under="call",
-        call=lambda kind, flag: underflows.append(kind),
-    ):
+    with _flags(underflows):
+        for v, (_, family, shape, _, _) in plan.items():
+            flagged, own = len(underflows), bucket[v]
+            if len(own) == 1 and own[0][0] == family:  # a kernel is its family's table
+                working[v] = own[0][1]
+                continue
+            table = _compact_product(own, family, vt)
+            if len(underflows) > flagged or len(own) > 1 and not table.max() < math.inf:
+                _kept(f"vertex {v}", own, family, vt)  # raises as triangulate_mn
+                lost.add(v)
+            working[v] = np.broadcast_to(table, shape)
         for v in reversed(graph.vertices):
             parents, family, shape, host, onto = plan[v]
             rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, shape[-1]))
@@ -301,8 +302,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
             # its row finite, and NaN, which max propagates, fails the test.
             peak, scale = mass.max(), 0
             if not 0 < peak < math.inf or v in lost:
-                tables = [(family, cn.kernels[v].values), *absorbed[v]]
-                m, e = _wide_product(tables, family, vt)
+                m, e = _wide_product(bucket[v], family, vt)
                 if not m.any():
                     raise DegenerateDistributionError(
                         f"degenerate network: the mass table at vertex {v} is "
@@ -329,7 +329,7 @@ def _eliminate(cn: ChordalNetwork) -> tuple[BayesianNetwork, list[tuple]]:
                 if len(underflows) > flagged:
                     lost.add(host)
                 working[host] = table
-                absorbed[host].append((parents, mass, -shift))
+                bucket[host].append((parents, mass, -shift))
             steps.append((v, parents, mass, host, scale + shift))
     return BayesianNetwork(graph, vt, kernels), steps
 
@@ -357,7 +357,8 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
     """Turn a Markov network into a Bayesian one: triangulate then eliminate.
 
     The joint of the result equals the normalized factor product of the
-    input.
+    input; the output and the refusals are those of triangulating then
+    eliminating, but no chordal kernel is stored, so none is rounded.
 
     Raises:
         TableTooLargeError: as :func:`triangulate_mn`.
@@ -365,7 +366,8 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
         OutOfRangeError: as :func:`triangulate_mn` and
             :func:`variable_elimination`; the error names the vertex.
     """
-    bn, _ = _eliminate(triangulate_mn(mn))
+    require_valid(mn)
+    bn, _ = _eliminate(_tables(mn), mn.vt, triangulate_graph(mn.graph))
     return bn
 
 

@@ -450,6 +450,30 @@ class TestOutOfRangeTables:
                 400 * math.log(10) + math.log(4), rel=1e-12
             )
 
+    def test_an_out_of_range_kernel_is_refused_before_the_sweep(self):
+        # A - B - C: B's product 1e200 * 1e200 overflows, and C's product is
+        # zero, which the sweep, largest vertex first, would meet first.
+        # Every transform refuses B, as triangulate_mn refuses it.
+        vt = binary_vt("A", "B", "C")
+        tables = {"AB": 1e200, "B": 1e200, "BC": 0.0, "C": 1e200}
+        mn = MarkovNetwork(
+            OrderedUGraph(("A", "B", "C"), {("A", "B"), ("B", "C")}),
+            vt,
+            {
+                frozenset(vars): Factor(tuple(vars), [x] * 2 ** len(vars))
+                for vars, x in tables.items()
+            },
+        )
+        for transform in (triangulate_mn, mn_to_bn, lambda net: pearl_update(net, {})):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRangeError, match=self.PREFIX) as info:
+                    transform(mn)
+            assert "the table at vertex B " in str(info.value)
+            assert info.value.log_mass == pytest.approx(
+                400 * math.log(10) + math.log(4), rel=1e-12
+            )
+
     def test_host_overflow(self):
         # B's mass (1.9, 1.9) is absorbed unscaled into A's kernel, whose
         # entries are near the largest double, so A's working table
@@ -945,6 +969,32 @@ class TestMnToBn:
         with pytest.raises(DegenerateDistributionError):
             mn_to_bn(mn)
 
+    def test_builds_no_chordal_kernel(self, monkeypatch, misconception):
+        # mn_to_bn and pearl_update eliminate the network's own tables over
+        # the triangulated graph: neither stores a kernel of triangulate_mn.
+        cnw = triangulate_mn(misconception)
+        update = {"A": PearlVertexUpdate(weight=[0.3, 1.7])}
+        nets = [misconception, mn_to_bn(misconception), cnw]
+        want = [dumps_network(mn_to_bn(misconception))]
+        want += [dumps_network(pearl_update(net, update)[0]) for net in nets]
+
+        def refuse(*args):
+            raise AssertionError("a chordal kernel was built")
+
+        monkeypatch.setattr(chordalnet.transforms, "_triangulate", refuse)
+        got = [dumps_network(mn_to_bn(misconception))]
+        got += [dumps_network(pearl_update(net, update)[0]) for net in nets]
+        assert got == want
+
+    def test_equals_triangulate_then_eliminate(self):
+        # Same numbers whether or not the kernels are stored first, where
+        # triangulate_mn stores no subnormal that lost bits.
+        rng = np.random.default_rng(20261020)
+        for _ in range(500):
+            mn = random_mn(rng)
+            bn, _ = variable_elimination(triangulate_mn(mn))
+            assert dumps_network(mn_to_bn(mn)) == dumps_network(bn)
+
 
 class TestTriangulateBn:
     def test_chain_is_unchanged(self):
@@ -1112,15 +1162,16 @@ def test_trace_of_the_three_state_chain_is_pinned(fixtures_dir):
 
 def test_every_triangulation_is_valid_as_recorded(monkeypatch):
     # _triangulate records its result as valid without a check; the full
-    # check agrees for each of its callers.
+    # check agrees for each of its callers, triangulate_mn and
+    # triangulate_bn.  pearl_update eliminates its tables without it.
     built = []
-    real = chordalnet.morphisms._triangulate
+    real = chordalnet.transforms._triangulate
 
     def recording(*args):
         built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(chordalnet.morphisms, "_triangulate", recording)
+    monkeypatch.setattr(chordalnet.transforms, "_triangulate", recording)
     rng = np.random.default_rng(31)
     results = []
     for _ in range(40):
@@ -1132,8 +1183,9 @@ def test_every_triangulation_is_valid_as_recorded(monkeypatch):
                 pearl_update(net, {v: PearlVertexUpdate(weight=w) for v, w in weights.items()})
             except ValueError:  # a collider family under evidence
                 pass
-    assert len(built) == 120
-    for net in results + built:
+    # The 80 results, and nothing built by pearl_update.
+    assert [id(net) for net in built] == [id(net) for net in results]
+    for net in results:
         assert net._valid
         assert network_violations(net) == []
 
