@@ -366,26 +366,25 @@ def _flags(underflows: list) -> np.errstate:
 
 def _kept(
     where: str, tables: list, onto: tuple[str, ...], vt: VariableTable
-) -> np.ndarray | float:
+) -> tuple[np.ndarray | float, bool]:
     """The product of ``tables`` over ``onto`` for an unnormalised table the
-    package keeps (a Markov factor, a chordal kernel): direct where no
-    multiply raised the underflow flag (:func:`_flags`) and the maximum is
-    finite, else rebuilt by :func:`_wide_product` and rounded, or the error
-    of :func:`_out_of_range` at ``where`` when an entry overflows or a
-    nonzero one rounds to zero."""
+    package keeps (a Markov factor, a chordal kernel), and whether it was
+    rebuilt: direct unless a multiply raised the underflow flag (:func:`_flags`)
+    or the maximum is not finite, else by :func:`_wide_product`, rounded, or
+    :func:`_out_of_range`'s error at ``where`` if an entry leaves the range."""
     if len(tables) < 2:
-        return _compact_product(tables, onto, vt)
+        return _compact_product(tables, onto, vt), False
     underflows: list[str] = []
     with _flags(underflows):
         acc = _compact_product(tables, onto, vt)
         if not underflows and acc.max() < math.inf:
-            return acc
+            return acc, False
         mantissa, exponent = _wide_product(tables, onto, vt)
         table = np.ldexp(mantissa, exponent)
     lost = np.count_nonzero(table) < np.count_nonzero(mantissa)
     if lost or not table.max() < math.inf:
         raise _out_of_range(where, mantissa, exponent)
-    return table
+    return table, True
 
 
 def _product(
@@ -399,7 +398,7 @@ def _product(
     _check_entries(vt.shape(onto))
     if where is None:
         return np.broadcast_to(_compact_product(tables, onto, vt), vt.shape(onto))
-    return np.broadcast_to(_kept(where, tables, onto, vt), vt.shape(onto))
+    return np.broadcast_to(_kept(where, tables, onto, vt)[0], vt.shape(onto))
 
 
 def factor_product(a: Factor, b: Factor, vt: VariableTable) -> Factor:

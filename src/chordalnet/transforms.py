@@ -17,7 +17,7 @@ Four total conversions are provided, plus the Bayesian triangulation:
   leave scalar masses whose product, times the power-of-two scales that
   the steps record, is the partition constant, which is what the final
   normalization divides out.
-* :func:`mn_to_bn` is the composition of the previous two, storing no kernel.
+* :func:`mn_to_bn` eliminates a Markov network's factors, storing no kernel.
 * :func:`triangulate_bn` (Bayesian to Bayesian) is :func:`triangulate_mn`
   pre-composed with moralisation.  Each vertex consumes only its own
   kernel, so the numbers are untouched: each kernel is broadcast
@@ -41,7 +41,6 @@ from .factors import (
     VariableTable,
     _adopt,
     _check_entries,
-    _compact_product,
     _flags,
     _kept,
     _out_of_range,
@@ -186,21 +185,26 @@ def _triangulate(
     :func:`_families`, kept on the graph, and every kernel is copied once
     into a fresh family array.  The result is recorded as valid."""
     plan = _families(graph, vt)
-    consumed: dict[str, list[_Table]] = {v: [] for v in graph.vertices}
-    for table in tables:
-        # Table variables follow the declared order: the last is the maximum.
-        consumed[table[0][-1]].append(table)
+    consumed = _consumed(tables, graph)
     stochastic = kind is BayesianNetwork
     kernels: dict[str, Kernel] = {}
     for v, (parents, family, shape, _, _) in plan.items():
         values = np.empty(shape)
-        values[...] = _kept(f"vertex {v}", consumed[v], family, vt)
+        values[...] = _kept(f"vertex {v}", consumed[v], family, vt)[0]
         kernels[v] = _adopt(
             Kernel, values, child=v, parents=parents, stochastic=stochastic
         )
     net = kind(graph, vt, kernels)
     object.__setattr__(net, "_valid", True)
     return net
+
+
+def _consumed(tables: list[_Table], graph: OrderedDag) -> dict[str, list]:
+    """``tables`` by the vertex that consumes each, its last, largest, variable."""
+    consumed: dict[str, list] = {v: [] for v in graph.vertices}
+    for table in tables:
+        consumed[table[0][-1]].append(table)
+    return consumed
 
 
 def _families(graph: OrderedDag, vt: VariableTable) -> dict[str, tuple]:
@@ -267,34 +271,30 @@ def variable_elimination(cn: ChordalNetwork) -> tuple[BayesianNetwork, Eliminati
 def _eliminate(
     tables: list[_Table], vt: VariableTable, graph: OrderedDag
 ) -> tuple[BayesianNetwork, list[tuple]]:
-    """The sweep of :func:`variable_elimination` on ``tables``, taken as by
-    :func:`_triangulate`, over ``graph``, with steps ``(vertex, parents, mass,
-    host, log2_scale)``.  A working table that starts as a product that lost
-    bits is refused as by :func:`triangulate_mn` or rebuilt exactly."""
+    """The sweep of :func:`variable_elimination` over ``graph``, from the
+    product of each vertex's own ``tables``, with steps ``(vertex, parents,
+    mass, host, log2_scale)``."""
     plan = _families(graph, vt)
-    # Each vertex's tables, by their last variable, then the masses it absorbs.
-    bucket: dict[str, list[tuple]] = {v: [] for v in graph.vertices}
-    for table in tables:
-        bucket[table[0][-1]].append(table)
+    # Each vertex's own tables, then the masses it absorbs.
+    bucket = _consumed(tables, graph)
     working: dict[str, np.ndarray] = {}
     kernels: dict[str, Kernel] = {}
     steps: list[tuple] = []
-    # The working tables that lost bits in a multiply, by the underflow flag.
-    underflows: list[str] = []
-    lost: set[str] = set()
+    # Working tables that lost bits, rebuilt exactly at their turn: own tables
+    # that _kept rebuilt (it refuses as triangulate_mn), or a host, by the flag.
+    underflows, lost = [], set()
+    for v, (_, family, shape, _, _) in plan.items():
+        own = bucket[v]
+        if len(own) == 1 and own[0][0] == family:  # a kernel is its family's table
+            working[v] = own[0][1]
+            continue
+        table, rebuilt = _kept(f"vertex {v}", own, family, vt)
+        if rebuilt:
+            lost.add(v)
+        working[v] = np.broadcast_to(table, shape)
     # An overflow in a host's table, or inf * 0 after one, is caught by the
     # check of the host's mass below; 0/0 by the normaliser's zero test.
     with _flags(underflows):
-        for v, (_, family, shape, _, _) in plan.items():
-            flagged, own = len(underflows), bucket[v]
-            if len(own) == 1 and own[0][0] == family:  # a kernel is its family's table
-                working[v] = own[0][1]
-                continue
-            table = _compact_product(own, family, vt)
-            if len(underflows) > flagged or len(own) > 1 and not table.max() < math.inf:
-                _kept(f"vertex {v}", own, family, vt)  # raises as triangulate_mn
-                lost.add(v)
-            working[v] = np.broadcast_to(table, shape)
         for v in reversed(graph.vertices):
             parents, family, shape, host, onto = plan[v]
             rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, shape[-1]))
@@ -357,8 +357,9 @@ def mn_to_bn(mn: MarkovNetwork) -> BayesianNetwork:
     """Turn a Markov network into a Bayesian one: triangulate then eliminate.
 
     The joint of the result equals the normalized factor product of the
-    input; the output and the refusals are those of triangulating then
-    eliminating, but no chordal kernel is stored, so none is rounded.
+    input.  Refusals and output are those of triangulating then eliminating,
+    except where :func:`triangulate_mn` stores a subnormal kernel entry
+    that lost bits: no kernel is stored here, so this output is exact.
 
     Raises:
         TableTooLargeError: as :func:`triangulate_mn`.
