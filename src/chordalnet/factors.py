@@ -248,17 +248,19 @@ def _spread(
 
 
 def _compact_product(
-    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable
+    tables: Iterable[_Table], onto: tuple[str, ...], vt: VariableTable, shapes=None
 ) -> np.ndarray | float:
     """The exact product of ``tables`` with one axis per variable of
     ``onto``, of size 1 where no table mentions it, multiplied left to
     right and so rounded as a chain of :func:`factor_product` calls: a
     fresh array for two or more tables, a view of the values for one,
     and ``1.0`` for none, from each table's first two items, its variables
-    and values.  Every caller has checked ``onto`` against the cap."""
+    and values.  ``shapes``, where given, holds each table's shape on
+    ``onto``, as :func:`_spread` finds it.  Every caller has checked
+    ``onto`` against the cap."""
     acc = 1.0
     for i, table in enumerate(tables):
-        spread = _spread(table[0], table[1], onto, vt)
+        spread = table[1].reshape(shapes[i]) if shapes else _spread(*table[:2], onto, vt)
         # Broadcasting grows ``acc`` to the variables seen so far only.
         acc = acc * spread if i else spread
     return acc
@@ -358,7 +360,8 @@ def _out_of_range(
 def _flags(underflows: list) -> np.errstate:
     """An ``np.errstate`` that appends the FPU's underflow flag, raised only
     by an inexact tiny result, to ``underflows``, and ignores the other
-    errors: each caller tests a maximum, which an overflow or a NaN fails."""
+    errors: each caller tests a maximum, which an overflow or a NaN fails,
+    and whether the list grew during a product, so one block spans a pass."""
     return np.errstate(
         all="ignore", under="call", call=lambda kind, flag: underflows.append(kind)
     )

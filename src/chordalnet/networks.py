@@ -232,14 +232,15 @@ def _tables(net: Network) -> list[_Table]:
 
 def _plan(net: Network, keep: set[str]) -> tuple:
     """The syntactic half of :func:`_sum_product`, decided by the tables'
-    scopes alone, with no value read: ``(tables, steps, kept, last)``.
-    ``tables`` are the bucket slots ``(vars, values, 0)`` of the network's
-    tables, in :func:`_tables` order.  ``steps`` hold, for each vertex ``v`` outside ``keep``, last
-    first, ``(v, family, axis, rest, inputs)``: the bucket's scope, the axis
-    of ``v`` in it, the scope left once ``v`` is summed out, and its tables,
-    each an index into ``tables`` or the vertex whose step made it, none
-    for a vertex no table mentions; ``last`` holds the inputs of the kept
-    table, over ``kept``.  Every bucket, then the kept table, is checked
+    scopes alone, with no value read: ``(tables, steps, kept)``.  ``tables``
+    are the slots ``(vars, values, 0)`` of :func:`_tables`, then an all-ones
+    table over ``(v,)`` for each vertex ``v`` no table mentions.  ``steps``
+    hold, for each vertex outside ``keep``, last first, ``(v, family, axis,
+    rest, inputs, shapes)``: the bucket's scope, the axis of ``v`` in it,
+    the scope left once ``v`` is summed out, its tables, each an index into
+    ``tables`` or the vertex whose step made it, and each one's shape on
+    ``family``; then the kept table's, ``(None, kept, None, kept, ...)``,
+    if a table reaches it.  Every bucket, then the kept table, is checked
     against the cap, in the order the numbers meet them, before anything
     is multiplied.  The plan for nothing kept is kept on the network, which
     cannot change; a refusal is not.
@@ -249,6 +250,7 @@ def _plan(net: Network, keep: set[str]) -> tuple:
     vt, pos, card = net.vt, net.vt._index, net.vt._card
     buckets: dict[str, list[tuple]] = {v: [] for v in net.graph.vertices}
     last: list[tuple] = []
+    steps: list[tuple] = []
 
     def place(vars, slot) -> None:
         # Table variables follow the declared order, so the last free one
@@ -259,22 +261,30 @@ def _plan(net: Network, keep: set[str]) -> tuple:
                 return
         last.append((vars, slot))
 
+    def step(v, family, axis, rest, bucket) -> None:
+        shapes = [[card[u] if u in t else 1 for u in family] for t, _ in bucket]
+        steps.append((v, family, axis, rest, [s for _, s in bucket], shapes))
+
     tables = [(*t, 0) for t in _tables(net)]
     for slot, table in enumerate(tables):
         place(table[0], slot)
-    steps = []
     for v in reversed(net.graph.vertices):
         if v in keep:
             continue
         bucket = buckets.pop(v)
-        family = tuple(sorted({u for t, _ in bucket for u in t}, key=pos.get)) or (v,)
+        if not bucket:  # a vertex no table mentions contributes its cardinality
+            tables.append(((v,), np.ones(card[v]), 0))
+            bucket = [((v,), len(tables) - 1)]
+        family = tuple(sorted({u for t, _ in bucket for u in t}, key=pos.get))
         _check_entries([card[u] for u in family], f"vertex {v}")
         rest = tuple(u for u in family if u != v)
-        steps.append((v, family, family.index(v), rest, [s for _, s in bucket]))
+        step(v, family, family.index(v), rest, bucket)
         place(rest, v)
     kept = tuple(v for v in net.graph.vertices if v in keep)
     _check_entries(vt.shape(kept))
-    plan = tables, steps, kept, [s for _, s in last]
+    if last:
+        step(None, kept, None, kept, last)
+    plan = tables, steps, kept
     if not keep:
         object.__setattr__(net, "_sum_plan", plan)
     return plan
@@ -285,65 +295,60 @@ def _sum_product(
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | int]:
     """Sum every variable outside ``keep`` out of the table product by
     bucket elimination along the declared order, last vertex first
-    (Dechter 1996).  :func:`_plan` says which tables meet over which scope
-    and sizes every bucket; this pass does the numbers, each bucket by
-    :func:`_reduce_bucket` on plain arrays, which reads the FPU's flags
-    itself, so every product and sum is rounded as with an unbounded
-    exponent, bit for bit as rescaling after every multiply wherever that
-    kept every entry normal.  Returns
-    ``(kept, table, exponent)``: the sum over the kept variables, in
-    declared order, is ``table * 2**exponent``, which need not fit in a
-    double; ``exponent`` is one integer, or one per entry where no power
-    of two keeps all normal.
+    (Dechter 1996).  :func:`_plan` gives each bucket's tables, their shapes
+    and its scope; this pass does the numbers on plain arrays in one flag
+    block (:func:`factors._flags`).  A bucket's direct product, sum and
+    rescale into [1/2, 1) are kept when the flag list did not grow during
+    them and the maximum is finite, else :func:`_reduce_bucket` rebuilds
+    it, so every product and sum is rounded as with an unbounded exponent,
+    bit for bit as rescaling after every multiply wherever that kept every
+    entry normal.  Returns ``(kept, table, exponent)``: the sum over the
+    kept variables, in declared order, is ``table * 2**exponent``, which
+    need not fit in a double; ``exponent`` is one integer, or one per
+    entry where no power of two keeps all normal.
     """
-    tables, steps, kept, last = _plan(net, keep)
-    vt = net.vt
-    slots = dict(enumerate(tables))
-    exponent = 0
-    for v, family, axis, rest, inputs in steps:
-        bucket = [slots.pop(s) for s in inputs]
-        # A vertex that no table mentions contributes its cardinality.
-        bucket = bucket or [((v,), np.ones(vt.card(v)), 0)]
-        values, exps, shift = _reduce_bucket(bucket, family, vt, axis)
-        exponent += shift
-        slots[v] = (rest, values, exps)
-    values, exps, shift = _reduce_bucket([slots.pop(s) for s in last], kept, vt)
-    return kept, np.broadcast_to(values, vt.shape(kept)), exponent + shift + exps
+    tables, steps, kept = _plan(net, keep)
+    vt, slots, wide = net.vt, dict(enumerate(tables)), set()
+    exponent, underflows = 0, []
+    with _flags(underflows):
+        for v, family, axis, rest, inputs, shapes in steps:
+            bucket = [slots.pop(s) for s in inputs]
+            flagged, peak, exps = len(underflows), math.inf, 0
+            if wide.isdisjoint(inputs):  # every input has one scale
+                values = _compact_product(bucket, family, vt, shapes)
+                if axis is not None:
+                    values = values.sum(axis)
+                peak = values.max()
+                if peak < math.inf:
+                    shift = math.frexp(peak)[1]
+                    if shift:  # dividing by 2**0 is exact
+                        values = np.ldexp(values, -shift)
+            if len(underflows) > flagged or not peak < math.inf:
+                values, exps, shift = _reduce_bucket(bucket, family, vt, axis)
+                if np.ndim(exps):
+                    wide.add(v)
+            exponent += shift
+            slots[v] = (rest, values, exps)
+    _, values, exps = slots.pop(None, (kept, 1.0, 0))
+    return kept, np.broadcast_to(values, vt.shape(kept)), exponent + exps
 
 
 def _reduce_bucket(
     tables: list, onto: tuple[str, ...], vt: VariableTable, axis: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | int, int]:
-    """The product of ``tables`` over ``onto``, with ``axis`` summed out
-    unless it is ``None``, as ``(values, exps, shift)``, worth
+    """The exact product of ``tables`` over ``onto``, with ``axis`` summed
+    out unless it is ``None``, as ``(values, exps, shift)``, worth
     ``values * 2**(exps + shift)``; ``tables`` hold ``(vars, values, exps)``.
     The caller has checked ``onto`` against the table cap.
 
-    Where every table has one scale, the product is multiplied, summed and
-    divided by the power of two that brings its maximum into [1/2, 1)
-    directly, and kept, as :func:`factors._kept` keeps a product, when no
-    step raised the FPU's underflow flag (set only by a tiny result that is
-    inexact) and the maximum is finite.  Otherwise it is rebuilt with an
-    exponent per entry and divided by the power of :func:`factors._shift`,
-    or, where none keeps every entry normal, keeps per-entry ``exps`` with
-    ``shift`` 0.
+    It is built with an exponent per entry (:func:`factors._wide_product`,
+    :func:`factors._wide_sum`) and divided by the power of
+    :func:`factors._shift`, or, where none keeps every entry normal, keeps
+    per-entry ``exps`` with ``shift`` 0.  It reads no flag and opens no
+    ``np.errstate``: :func:`_sum_product` calls it for a bucket that its
+    direct product failed, inside the pass's one flag block, and the sweep
+    for a rebuilt vertex's row masses, inside its own.
     """
-    if not tables:
-        return 1.0, 0, 0
-    # isinstance, not np.ndim, which takes numpy's slow path for an int.
-    if not any(isinstance(t[2], np.ndarray) for t in tables):
-        underflows: list[str] = []
-        with _flags(underflows):
-            table = _compact_product(tables, onto, vt)
-            if axis is not None:
-                table = table.sum(axis)
-            peak = table.max()
-            if peak < math.inf:
-                shift = math.frexp(peak)[1]
-                if shift:  # dividing by 2**0 is exact
-                    table = np.ldexp(table, -shift)
-        if not underflows and peak < math.inf:
-            return table, 0, shift
     mantissa, exponent = _wide_product(tables, onto, vt)
     if axis is not None:
         total, top = _wide_sum(mantissa, exponent, axis)

@@ -330,8 +330,9 @@ class TestSumProduct:
         # The full joint of a 20-variable binary chain has 2**20 entries;
         # elimination multiplies at most a pair factor, a message and the
         # kept variables, 8 entries here.  Every bucket product is multiplied
-        # on arrays by _compact_product, or by _wide_product when a partial
-        # product may leave the normal range; factor_product is watched as well.
+        # on arrays by _compact_product, in the plan's shapes, or by
+        # _wide_product when a partial product leaves the normal range;
+        # factor_product is watched as well.
         original = chordalnet.factors.factor_product
         sizes = []
 
@@ -341,8 +342,8 @@ class TestSumProduct:
             return out
 
         def bucket_spy(build):
-            def spied(tables, onto, vt):
-                out = build(tables, onto, vt)
+            def spied(tables, onto, vt, *shapes):
+                out = build(tables, onto, vt, *shapes)
                 sizes.append(np.size(out[0] if isinstance(out, tuple) else out))
                 return out
 
@@ -404,9 +405,9 @@ class TestPlanBeforeProducts:
         made = []
         for name in ("_compact_product", "_wide_product"):
 
-            def spied(tables, onto, vt, build=getattr(chordalnet.networks, name)):
+            def spied(tables, onto, vt, *shapes, build=getattr(chordalnet.networks, name)):
                 made.append(onto)
-                return build(tables, onto, vt)
+                return build(tables, onto, vt, *shapes)
 
             monkeypatch.setattr(chordalnet.networks, name, spied)
         return made
@@ -844,3 +845,51 @@ class TestPlanOnce:
         for clone in clones:
             assert mn_partition(clone).hex() == z.hex()
         assert planned == [misconception] + clones
+
+
+class TestOneFlagBlock:
+    """Sum-product reads the FPU's underflow flag in one block per pass,
+    and still decides each bucket by whether the flag list grew during it."""
+
+    def test_one_flag_block_per_pass(self, monkeypatch):
+        opened = []
+        flags = chordalnet.networks._flags
+
+        def spy(underflows):
+            opened.append(underflows)
+            return flags(underflows)
+
+        monkeypatch.setattr(chordalnet.networks, "_flags", spy)
+        mn = chain_mn(np.random.default_rng(5), 8)
+        mn_partition(mn)
+        assert len(opened) == 1
+        marginal_distribution(mn, ["x3"])
+        assert len(opened) == 2
+
+    def test_a_shared_flag_list_still_decides_bucket_by_bucket(self, monkeypatch):
+        # x2's bucket multiplies 2**-600 by 2**-600: its direct product
+        # underflows to zero, so it is rebuilt, and its message fits one
+        # power of two.  The buckets of x1 and x0 and the kept table are
+        # tame, so only a test of "list empty" would rebuild them too.
+        tiny, huge = 2.0**-600, 2.0**600
+        names = ("x0", "x1", "x2", "x3")
+        tables = {
+            ("x0", "x1"): [huge, 2 * huge, 3 * huge, 5 * huge],
+            ("x1", "x2"): [tiny, 3 * tiny, 5 * tiny, 7 * tiny],
+            ("x2",): [tiny, 3 * tiny],
+            ("x2", "x3"): [1.0, 2.0, 3.0, 4.0],
+        }
+        factors = {frozenset(c): Factor(c, v) for c, v in tables.items()}
+        edges = {frozenset(p) for p in zip(names, names[1:])}
+        mn = MarkovNetwork(OrderedUGraph(names, edges), binary_vt(*names), factors)
+        wide = chordalnet.networks._wide_product
+        calls = []
+
+        def spy(tables, onto, vt):
+            calls.append(onto)
+            return wide(tables, onto, vt)
+
+        monkeypatch.setattr(chordalnet.networks, "_wide_product", spy)
+        z = mn_partition(mn)
+        assert calls == [("x1", "x2")]
+        assert z == float(sum(exact_mn_marginal(mn))) == 1398 * tiny
