@@ -357,13 +357,13 @@ def _out_of_range(
     )
 
 
-def _flags(underflows: list) -> np.errstate:
-    """An ``np.errstate`` that appends the FPU's underflow flag, raised only
-    by an inexact tiny result, to ``underflows``, and ignores the other
-    errors: each caller tests a maximum, which an overflow or a NaN fails,
-    and whether the list grew during a product, so one block spans a pass."""
+def _flags(raised: list) -> np.errstate:
+    """An ``np.errstate`` that appends the FPU's overflow flag and its
+    underflow flag, raised by an inexact tiny result, to ``raised``, and
+    ignores the rest, which follows these: tables are finite, so a product
+    is exact and in range if the list did not grow, and a block spans a pass."""
     return np.errstate(
-        all="ignore", under="call", call=lambda kind, flag: underflows.append(kind)
+        all="ignore", under="call", over="call", call=lambda kind, _: raised.append(kind)
     )
 
 
@@ -372,15 +372,15 @@ def _kept(
 ) -> tuple[np.ndarray | float, bool]:
     """The product of ``tables`` over ``onto`` for an unnormalised table the
     package keeps (a Markov factor, a chordal kernel), and whether it was
-    rebuilt: direct unless a multiply raised the underflow flag (:func:`_flags`)
-    or the maximum is not finite, else by :func:`_wide_product`, rounded, or
+    rebuilt: direct unless a multiply raised the underflow or the overflow
+    flag (:func:`_flags`), else by :func:`_wide_product`, rounded, or
     :func:`_out_of_range`'s error at ``where`` if an entry leaves the range."""
     if len(tables) < 2:
         return _compact_product(tables, onto, vt), False
-    underflows: list[str] = []
-    with _flags(underflows):
+    raised: list[str] = []
+    with _flags(raised):
         acc = _compact_product(tables, onto, vt)
-        if not underflows and acc.max() < math.inf:
+        if not raised:
             return acc, False
         mantissa, exponent = _wide_product(tables, onto, vt)
         table = np.ldexp(mantissa, exponent)

@@ -297,33 +297,33 @@ def _sum_product(
     bucket elimination along the declared order, last vertex first
     (Dechter 1996).  :func:`_plan` gives each bucket's tables, their shapes
     and its scope; this pass does the numbers on plain arrays in one flag
-    block (:func:`factors._flags`).  A bucket's direct product, sum and
-    rescale into [1/2, 1) are kept when the flag list did not grow during
-    them and the maximum is finite, else :func:`_reduce_bucket` rebuilds
-    it, so every product and sum is rounded as with an unbounded exponent,
-    bit for bit as rescaling after every multiply wherever that kept every
-    entry normal.  Returns ``(kept, table, exponent)``: the sum over the
-    kept variables, in declared order, is ``table * 2**exponent``, which
-    need not fit in a double; ``exponent`` is one integer, or one per
-    entry where no power of two keeps all normal.
+    block (:func:`factors._flags`), which lists each overflow and each
+    underflow with lost bits.  A bucket's direct product and sum are kept,
+    unscaled, when that list did not grow during them, and a bucket that
+    drifts out of range grows it and is rebuilt by :func:`_reduce_bucket`;
+    only the last step, the kept table, is divided into [1/2, 1).  So every
+    product and sum is rounded as with an unbounded exponent, bit for bit as
+    rescaling after every multiply wherever that kept every entry normal.
+    Returns ``(kept, table, exponent)``: the sum over the kept variables,
+    in declared order, is ``table * 2**exponent``, which need not fit in a
+    double; ``exponent`` is one integer, or one per entry where no power of
+    two keeps all normal.
     """
     tables, steps, kept = _plan(net, keep)
     vt, slots, wide = net.vt, dict(enumerate(tables)), set()
-    exponent, underflows = 0, []
-    with _flags(underflows):
+    exponent, raised = 0, []
+    with _flags(raised):
         for v, family, axis, rest, inputs, shapes in steps:
             bucket = [slots.pop(s) for s in inputs]
-            flagged, peak, exps = len(underflows), math.inf, 0
-            if wide.isdisjoint(inputs):  # every input has one scale
+            flagged, exps, shift = len(raised), 0, 0
+            if direct := wide.isdisjoint(inputs):  # every input has one scale
                 values = _compact_product(bucket, family, vt, shapes)
                 if axis is not None:
                     values = values.sum(axis)
-                peak = values.max()
-                if peak < math.inf:
-                    shift = math.frexp(peak)[1]
-                    if shift:  # dividing by 2**0 is exact
-                        values = np.ldexp(values, -shift)
-            if len(underflows) > flagged or not peak < math.inf:
+                else:  # the last step, the kept table: into [1/2, 1)
+                    shift = math.frexp(values.max())[1]
+                    values = np.ldexp(values, -shift)
+            if not direct or len(raised) > flagged:
                 values, exps, shift = _reduce_bucket(bucket, family, vt, axis)
                 if np.ndim(exps):
                     wide.add(v)

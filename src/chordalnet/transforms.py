@@ -240,8 +240,8 @@ def variable_elimination(cn: ChordalNetwork) -> tuple[BayesianNetwork, Eliminati
     multiplied into the largest parent's working table, which ordered
     chordality guarantees can host it.  The masses left at parentless
     vertices, with the recorded scales, make up the partition constant.  A
-    working table whose mass maximum is not in (0, inf), or which lost bits
-    to an underflow in a host multiply, is rebuilt by the exact product:
+    working table whose mass maximum is not in (0, inf), or whose host
+    multiply raised a flag (:func:`factors._flags`), is rebuilt exactly:
     each row is split at its own largest entry's scale, and the row masses
     are divided by the power of two of sum-product
     (``networks._reduce_bucket``), added to the step's scale.
@@ -282,7 +282,7 @@ def _eliminate(
     steps: list[tuple] = []
     # Working tables that lost bits, rebuilt exactly at their turn: own tables
     # that _kept rebuilt (it refuses as triangulate_mn), or a host, by the flag.
-    underflows, lost = [], set()
+    raised, lost = [], set()
     for v, (_, family, shape, _, _) in plan.items():
         own = bucket[v]
         if len(own) == 1 and own[0][0] == family:  # a kernel is its family's table
@@ -292,9 +292,9 @@ def _eliminate(
         if rebuilt:
             lost.add(v)
         working[v] = np.broadcast_to(table, shape)
-    # An overflow in a host's table, or inf * 0 after one, is caught by the
-    # check of the host's mass below; 0/0 by the normaliser's zero test.
-    with _flags(underflows):
+    # A host multiply that overflows or loses bits is on the flag list, an
+    # overflowing row sum fails the mass check below, 0/0 the zero test.
+    with _flags(raised):
         for v in reversed(graph.vertices):
             parents, family, shape, host, onto = plan[v]
             rows, mass, least = _stochastic_rows(working.pop(v).reshape(-1, shape[-1]))
@@ -323,10 +323,10 @@ def _eliminate(
                 if not least > 0:  # the least nonzero mass
                     least = np.min(mass, where=mass > 0, initial=math.inf)
                 shift = _shift(peak, math.frexp(least)[1] - 1, 1)
-                flagged = len(underflows)
+                flagged = len(raised)
                 spread = np.ldexp(mass, -shift).reshape(onto)
                 table = working[host].reshape(plan[host][2]) * spread
-                if len(underflows) > flagged:
+                if len(raised) > flagged:
                     lost.add(host)
                 working[host] = table
                 bucket[host].append((parents, mass, -shift))

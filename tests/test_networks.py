@@ -848,8 +848,9 @@ class TestPlanOnce:
 
 
 class TestOneFlagBlock:
-    """Sum-product reads the FPU's underflow flag in one block per pass,
-    and still decides each bucket by whether the flag list grew during it."""
+    """Sum-product reads the FPU's underflow and overflow flags in one block
+    per pass, and still decides each bucket by whether the flag list grew
+    during it; only the kept table is rescaled."""
 
     def test_one_flag_block_per_pass(self, monkeypatch):
         opened = []
@@ -893,3 +894,78 @@ class TestOneFlagBlock:
         z = mn_partition(mn)
         assert calls == [("x1", "x2")]
         assert z == float(sum(exact_mn_marginal(mn))) == 1398 * tiny
+
+    def test_a_pass_rescales_once(self, monkeypatch):
+        # Buckets stay unscaled: np.ldexp runs for the kept table's rescale
+        # into [1/2, 1) and for _in_range's, not once per bucket.
+        calls = []
+        ldexp = np.ldexp
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return ldexp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ldexp", spy)
+        mn = chain_mn(np.random.default_rng(5), 40)
+        mn_partition(mn)
+        assert len(calls) <= 2
+        calls.clear()
+        marginal_distribution(mn, ["x3"])
+        assert len(calls) <= 2
+
+    def test_an_overflowing_bucket_is_rebuilt_alone(self, monkeypatch):
+        # x2's bucket multiplies 2**600 by 2**600: its direct product
+        # overflows, so it is rebuilt; the buckets of x1 and x0 and the
+        # kept table are tame, and are multiplied directly.
+        tiny, huge = 2.0**-600, 2.0**600
+        names = ("x0", "x1", "x2", "x3")
+        tables = {
+            ("x0", "x1"): [tiny, 2 * tiny, 3 * tiny, 5 * tiny],
+            ("x1", "x2"): [huge, 3 * huge, 5 * huge, 7 * huge],
+            ("x2",): [huge, 3 * huge],
+            ("x2", "x3"): [1.0, 2.0, 3.0, 4.0],
+        }
+        factors = {frozenset(c): Factor(c, v) for c, v in tables.items()}
+        edges = {frozenset(p) for p in zip(names, names[1:])}
+        mn = MarkovNetwork(OrderedUGraph(names, edges), binary_vt(*names), factors)
+        wide = chordalnet.networks._wide_product
+        calls = []
+
+        def spy(tables, onto, vt):
+            calls.append(onto)
+            return wide(tables, onto, vt)
+
+        monkeypatch.setattr(chordalnet.networks, "_wide_product", spy)
+        z = mn_partition(mn)
+        assert calls == [("x1", "x2")]
+        assert z == float(sum(exact_mn_marginal(mn))) == 1398 * huge
+
+    def test_a_drifting_chain_is_rebuilt_only_where_it_leaves_the_range(
+        self, monkeypatch
+    ):
+        # Tables whose later variable lies in the second half carry 2**8,
+        # the others 2**-10: unscaled messages climb towards overflow, then
+        # sink towards underflow, and each bucket that leaves the range is
+        # rebuilt and rescaled.  A pass that rebuilt every bucket after the
+        # first flag would call _reduce_bucket about 890 times.
+        mn = chain_mn(np.random.default_rng(7), 1000, 0.5, 2.0)
+        late = set(mn.graph.vertices[500:])
+        factors = {
+            c: Factor(f.vars, np.ldexp(f.values, 8 if f.vars[-1] in late else -10))
+            for c, f in mn.factors.items()
+        }
+        mn = MarkovNetwork(mn.graph, mn.vt, factors)
+        reduce_bucket = chordalnet.networks._reduce_bucket
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return reduce_bucket(*args)
+
+        monkeypatch.setattr(chordalnet.networks, "_reduce_bucket", spy)
+        assert mn_partition(mn) == 6.304037097532568e93
+        assert 0 < len(calls) <= 8
+        for keep in (set(), {"x0"}):
+            calls.clear()
+            TestSumProductOnArrays.assert_bit_identical(mn, keep)
+            assert 0 < len(calls) <= 8
